@@ -24,16 +24,13 @@ from .cache_engine import (
     CacheVariant,
     ComputePlan,
     LayoutError,
-    ShiftMode,
     VariantKind,
     WindowCenter,
     build_layout,
-    cache_entry_step,
     concat_reorder,
     greedy_window,
     plan_compute_set,
     scatter_outputs,
-    shift_rows,
 )
 from .sampler import (
     GenerationError,
@@ -60,7 +57,6 @@ __all__ = [
     "alpha_bar",
     "attention",
     "build_layout",
-    "cache_entry_step",
     "CacheEngine",
     "CacheVariant",
     "ComputePlan",
@@ -91,8 +87,6 @@ __all__ = [
     "save_weights",
     "scatter_outputs",
     "select_to_unmask",
-    "ShiftMode",
-    "shift_rows",
     "StepRecord",
     "StepTrace",
     "tokens_per_step_schedule",

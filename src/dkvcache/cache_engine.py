@@ -35,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "LayoutError",
     "VariantKind",
     "WindowCenter",
-    "ShiftMode",
     "CacheVariant",
     "ComputePlan",
     "CacheEngine",
@@ -53,8 +52,6 @@ __all__ = [
     "greedy_window",
     "build_layout",
     "concat_reorder",
-    "shift_rows",
-    "cache_entry_step",
     "scatter_outputs",
     "write_cache_debug",
 ]
@@ -77,21 +74,12 @@ class WindowCenter(str, Enum):
     CURRENT = "current"
 
 
-class ShiftMode(str, Enum):
-    """Which row to cache for a decoded token on shifted-output models."""
-
-    UN_SHIFT = "un_shift"
-    RIGHT_SHIFT = "right_shift"
-    UN_AND_RIGHT_SHIFT = "un_and_right_shift"
-
-
 @dataclass(frozen=True)
 class CacheVariant:
     kind: VariantKind
     refresh_interval: int | None = None  # None: never refresh
     window_size: int = 0
     window_center: WindowCenter = WindowCenter.PREVIOUS
-    shift_mode: ShiftMode = ShiftMode.UN_SHIFT
 
     def __post_init__(self) -> None:
         if self.refresh_interval is not None and self.refresh_interval < 1:
@@ -99,13 +87,6 @@ class CacheVariant:
                 f"refresh_interval must be >= 1, got {self.refresh_interval}")
         if self.window_size < 0:
             raise ValueError(f"window_size must be >= 0, got {self.window_size}")
-        if (self.shift_mode is ShiftMode.UN_AND_RIGHT_SHIFT
-                and self.kind is not VariantKind.NONE):
-            # The combined shift condition cannot be expressed as a single
-            # per-step row gather, so it only exists on the naive path.
-            raise ValueError(
-                "un_and_right_shift is incompatible with the reordering cache "
-                "path; it is available only as a naive-path analysis mode")
 
     @classmethod
     def none(cls) -> "CacheVariant":
@@ -178,34 +159,31 @@ class CacheVariant:
 
 @dataclass
 class ComputePlan:
-    """One step's layout decision.
+    """One step's layout decision; every position field is an int64 array.
 
     ``layout`` is [cached_positions ; compute_set], a permutation of the
-    whole sequence; ``pe_order`` carries the matching original position
-    per layout row. ``reorder_index`` selects, from layout rows, the rows
-    that form the next step's cache (``next_cached_positions`` order).
+    whole sequence, and gives the original position of each layout row.
+    ``reorder_index`` selects, from layout rows, the rows that form the
+    next step's cache (``next_cached_positions`` order).
     """
 
     step: int
-    compute_set: tuple[int, ...]
-    cached_positions: tuple[int, ...]
-    layout: tuple[int, ...]
-    pe_order: tuple[int, ...]
+    compute_set: np.ndarray
+    cached_positions: np.ndarray
+    layout: np.ndarray
     reorder_index: np.ndarray
-    next_cached_positions: tuple[int, ...]
+    next_cached_positions: np.ndarray
     refresh_flag: bool
 
     def validate(self, seq_len: int) -> None:
-        if self.layout != self.cached_positions + self.compute_set:
+        if not np.array_equal(self.layout, np.concatenate(
+                [self.cached_positions, self.compute_set])):
             raise LayoutError("layout soundness violated: layout is not "
                               "[cached ; compute]")
-        if sorted(self.layout) != list(range(seq_len)):
+        if not np.array_equal(np.sort(self.layout), np.arange(seq_len)):
             raise LayoutError("layout soundness violated: layout is not a "
                               "permutation of the sequence positions")
-        if self.pe_order != self.layout:
-            raise LayoutError("layout soundness violated: pe_order does not "
-                              "mirror the layout")
-        if self.reorder_index.shape[0] != len(self.next_cached_positions):
+        if self.reorder_index.shape != self.next_cached_positions.shape:
             raise LayoutError("layout soundness violated: reorder index size "
                               "mismatch")
         if self.reorder_index.size and (
@@ -213,14 +191,28 @@ class ComputePlan:
                 or self.reorder_index.max() >= len(self.layout)):
             raise LayoutError("layout soundness violated: reorder index out "
                               "of bounds")
-        selected = tuple(self.layout[i] for i in self.reorder_index)
-        if selected != self.next_cached_positions:
+        if not np.array_equal(self.layout[self.reorder_index],
+                              self.next_cached_positions):
             raise LayoutError("layout soundness violated: reorder index does "
                               "not select the next cached set")
 
 
-def _sorted_tuple(positions: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(int(p) for p in positions))
+def _positions(positions: Iterable[int]) -> np.ndarray:
+    """Ascending int64 array of distinct positions."""
+    return np.array(sorted(int(p) for p in positions), dtype=np.int64)
+
+
+def _complement(positions: Iterable[int], seq_len: int) -> np.ndarray:
+    """Ascending positions of ``range(seq_len)`` absent from ``positions``."""
+    keep = np.ones(seq_len, dtype=bool)
+    keep[np.fromiter(positions, dtype=np.int64)] = False
+    return np.flatnonzero(keep)
+
+
+def _check_shrinking(masked: frozenset[int], prev_masked: frozenset[int]) -> None:
+    if not masked <= prev_masked:
+        raise ValueError("masked set must shrink monotonically: current "
+                         "masked set is not contained in the previous one")
 
 
 def greedy_window(
@@ -257,20 +249,17 @@ def plan_compute_set(
     seq_len: int,
     gen_region: tuple[int, int] | None = None,
     predefined_order: Sequence[Sequence[int]] | None = None,
-) -> tuple[tuple[int, ...], bool]:
+) -> tuple[np.ndarray, bool]:
     """Decide which positions are recomputed this step.
 
-    Returns the compute set (ascending) and whether this step discards the
-    cache first. Step 0 always computes everything: there is no cache yet,
-    and the full pass doubles as the prefill pass.
+    Returns the compute set (ascending int64 array) and whether this step
+    discards the cache first. Step 0 always computes everything: there is
+    no cache yet, and the full pass doubles as the prefill pass.
     """
-    masked = frozenset(int(p) for p in masked)
     prev_masked = frozenset(int(p) for p in prev_masked)
+    _check_shrinking(frozenset(int(p) for p in masked), prev_masked)
     prefill_set = frozenset(int(p) for p in prefill)
-    if not masked <= prev_masked:
-        raise ValueError("masked set must shrink monotonically: current "
-                         "masked set is not contained in the previous one")
-    everything = tuple(range(seq_len))
+    everything = np.arange(seq_len, dtype=np.int64)
     if variant.kind is VariantKind.NONE:
         return everything, False
     if step == 0:
@@ -281,13 +270,13 @@ def plan_compute_set(
                and variant.kind is not VariantKind.PREFILL)
     if refresh:
         if variant.kind is VariantKind.PD:
-            return _sorted_tuple(set(everything) - prefill_set), True
+            return _complement(prefill_set, seq_len), True
         return everything, True
 
     if variant.kind in (VariantKind.DECODE, VariantKind.PD):
-        return _sorted_tuple(prev_masked), False
+        return _positions(prev_masked), False
     if variant.kind is VariantKind.PREFILL:
-        return _sorted_tuple(set(everything) - prefill_set), False
+        return _complement(prefill_set, seq_len), False
 
     # greedy
     if predefined_order is None:
@@ -299,7 +288,7 @@ def plan_compute_set(
     previous = set(int(p) for p in prev_decoded)
     centers = previous if variant.window_center is WindowCenter.PREVIOUS else current
     window = greedy_window(centers, variant.window_size, gen_region)
-    return _sorted_tuple(current | previous | window), False
+    return _positions(current | previous | window), False
 
 
 def build_layout(
@@ -315,22 +304,24 @@ def build_layout(
     The reorder index is computed once here and shared by every layer's
     gather during the commit.
     """
-    compute = tuple(int(p) for p in compute_set)
-    cached = tuple(int(p) for p in cached_positions)
-    nxt = tuple(int(p) for p in next_cached_positions)
-    layout = cached + compute
-    index_of = {pos: i for i, pos in enumerate(layout)}
-    try:
-        reorder = np.array([index_of[p] for p in nxt], dtype=np.int64)
-    except KeyError as exc:
-        raise LayoutError(
-            f"next cached position {exc.args[0]} is absent from the layout")
+    compute = np.asarray(compute_set, dtype=np.int64)
+    cached = np.asarray(cached_positions, dtype=np.int64)
+    nxt = np.asarray(next_cached_positions, dtype=np.int64)
+    layout = np.concatenate([cached, compute])
+    # layout row of each position, -1 where absent; validate() below
+    # rejects a layout whose positions fall outside the sequence
+    row_of = np.full(seq_len, -1, dtype=np.int64)
+    np.put(row_of, layout, np.arange(layout.shape[0]), mode="clip")
+    reorder = np.take(row_of, nxt, mode="clip")
+    absent = (reorder < 0) | (nxt < 0) | (nxt >= seq_len)
+    if absent.any():
+        raise LayoutError(f"next cached position {nxt[absent][0]} is absent "
+                          "from the layout")
     plan = ComputePlan(
         step=step,
         compute_set=compute,
         cached_positions=cached,
         layout=layout,
-        pe_order=layout,
         reorder_index=reorder,
         next_cached_positions=nxt,
         refresh_flag=refresh_flag,
@@ -371,67 +362,29 @@ def concat_reorder(
     return full, next_cached
 
 
-def scatter_outputs(plan: ComputePlan, partial_logits: np.ndarray) -> dict[int, np.ndarray]:
-    """Map logit rows back to original positions.
+def scatter_outputs(plan: ComputePlan, partial_logits: np.ndarray) -> np.ndarray:
+    """Map original positions to their logit rows.
 
-    Positions outside the compute set are simply absent from the result;
-    they carry no logits this step.
+    Returns, per sequence position, the row of ``partial_logits`` holding
+    its logits, or -1 for positions outside the compute set: they carry
+    no logits this step.
     """
     if partial_logits.shape[0] != len(plan.compute_set):
         raise LayoutError(
             f"row-count mismatch: {partial_logits.shape[0]} logit rows for "
             f"{len(plan.compute_set)} computed positions")
-    return {pos: partial_logits[i] for i, pos in enumerate(plan.compute_set)}
-
-
-def shift_rows(mode: ShiftMode, position: int, seq_len: int) -> int | None:
-    """Row whose K/V are stored for a decoded token on shifted-output models.
-
-    Returns None when the token cannot be cached (no row to the right of
-    the last position).
-    """
-    if mode is ShiftMode.UN_SHIFT:
-        return position
-    if mode is ShiftMode.RIGHT_SHIFT:
-        return position + 1 if position + 1 < seq_len else None
-    # un_and_right: the stored row is the token's own, but see
-    # cache_entry_step for the stricter eligibility condition.
-    return position if position + 1 < seq_len else None
-
-
-def cache_entry_step(
-    mode: ShiftMode,
-    position: int,
-    decode_step_of: Mapping[int, int],
-    seq_len: int,
-) -> int | None:
-    """First step whose commit may add this token's row to the cache.
-
-    All modes keep the one-step delay: a token revealed at step s is
-    recomputed fresh at step s+1 and cacheable from that commit on.
-    ``un_and_right_shift`` additionally waits until the input feeding the
-    row to the right is fixed, i.e. until the right neighbour has been
-    revealed as well; like ``right_shift`` it never caches the last
-    position. Positions absent from ``decode_step_of`` (prompt rows) count
-    as revealed before step 0.
-    """
-    own = decode_step_of.get(position, -1)
-    if mode is ShiftMode.UN_SHIFT:
-        return own + 1
-    if position + 1 >= seq_len:
-        return None
-    if mode is ShiftMode.RIGHT_SHIFT:
-        return own + 1
-    neighbour = decode_step_of.get(position + 1, -1)
-    return max(own, neighbour) + 1
+    row_of = np.full(len(plan.layout), -1, dtype=np.int64)
+    row_of[plan.compute_set] = np.arange(len(plan.compute_set))
+    return row_of
 
 
 class CacheEngine:
     """Stateful per-generation cache: plans a step, then commits fresh rows.
 
-    The engine owns the per-layer slabs and the cached-position list; the
-    sampler feeds it the masked-set bookkeeping. One plan is produced per
-    step and shared read-only across layers.
+    The engine owns the per-layer slabs and the cached positions (an
+    ascending int64 array); the sampler feeds it the masked-set
+    bookkeeping. One plan is produced per step and shared read-only
+    across layers.
     """
 
     def __init__(
@@ -444,12 +397,8 @@ class CacheEngine:
         prefill: Iterable[int] = (),
         predefined_order: Sequence[Sequence[int]] | None = None,
     ) -> None:
-        if variant.shift_mode is not ShiftMode.UN_SHIFT:
-            raise ValueError(
-                "shift modes other than un_shift require a shifted-output "
-                "(AR-adapted) model; the built-in transformer is not one")
-        prefill_tuple = _sorted_tuple(prefill)
-        if prefill_tuple and prefill_tuple != tuple(range(len(prefill_tuple))):
+        prefill = _positions(prefill)
+        if not np.array_equal(prefill, np.arange(len(prefill))):
             raise ValueError("prefill positions must be the sequence prefix")
         if variant.kind is VariantKind.GREEDY and predefined_order is None:
             raise ValueError("greedy caching requires a predefined decode "
@@ -458,18 +407,20 @@ class CacheEngine:
         self.seq_len = seq_len
         self.n_layers = n_layers
         self.kv_width = kv_width
-        self.prefill = prefill_tuple
+        self.prefill = prefill
         self.predefined_order = (
             [tuple(int(p) for p in step) for step in predefined_order]
             if predefined_order is not None else None)
-        self.cached_positions: tuple[int, ...] = ()
+        self.cached_positions = np.zeros(0, dtype=np.int64)
         self.slabs: list[KVSlab] = [KVSlab.empty(i, kv_width)
                                     for i in range(n_layers)]
         self.step = 0
+        # greedy: (step, compute set, refresh) planned one step ahead
+        self._planned: tuple[int, np.ndarray, bool] | None = None
 
     def cache_slabs(self) -> list[KVSlab] | None:
         """Current per-layer cache, or None when nothing is cached."""
-        if not self.cached_positions:
+        if not self.cached_positions.size:
             return None
         return self.slabs
 
@@ -479,9 +430,9 @@ class CacheEngine:
         Prompt rows sit at the front of the ascending cached order, so
         keeping them is a prefix slice, not a recomputation.
         """
-        if self.variant.kind is VariantKind.PD and self.prefill:
+        if self.variant.kind is VariantKind.PD and self.prefill.size:
             keep = len(self.prefill)
-            if self.cached_positions[:keep] != self.prefill:
+            if not np.array_equal(self.cached_positions[:keep], self.prefill):
                 raise LayoutError("prefill rows missing from cache at refresh")
             self.cached_positions = self.prefill
             self.slabs = [
@@ -490,35 +441,44 @@ class CacheEngine:
                 for s in self.slabs
             ]
         else:
-            self.cached_positions = ()
+            self.cached_positions = np.zeros(0, dtype=np.int64)
             self.slabs = [KVSlab.empty(i, self.kv_width)
                           for i in range(self.n_layers)]
 
-    def _next_cached(self, masked: frozenset[int], step: int) -> tuple[int, ...]:
-        kind = self.variant.kind
-        if kind is VariantKind.NONE:
-            return ()
-        if kind in (VariantKind.DECODE, VariantKind.PD):
-            return _sorted_tuple(set(range(self.seq_len)) - masked)
-        if kind is VariantKind.PREFILL:
-            return self.prefill
-        # greedy: cache the complement of the next step's compute set, so
-        # stale rows for still-masked positions are deliberately retained.
-        assert self.predefined_order is not None
-        if step + 1 >= len(self.predefined_order):
-            return ()
-        next_compute, _ = plan_compute_set(
+    def _plan(self, *, masked, prev_masked, prev_decoded,
+              step: int) -> tuple[np.ndarray, bool]:
+        return plan_compute_set(
             self.variant,
-            masked=masked - set(self.predefined_order[step]),
-            prev_masked=masked,
-            prev_decoded=self.predefined_order[step],
+            masked=masked,
+            prev_masked=prev_masked,
+            prev_decoded=prev_decoded,
             prefill=self.prefill,
-            step=step + 1,
+            step=step,
             seq_len=self.seq_len,
             gen_region=(len(self.prefill), self.seq_len),
             predefined_order=self.predefined_order,
         )
-        return _sorted_tuple(set(range(self.seq_len)) - set(next_compute))
+
+    def _next_cached(self, masked: frozenset[int], step: int) -> np.ndarray:
+        kind = self.variant.kind
+        if kind is VariantKind.NONE:
+            return np.zeros(0, dtype=np.int64)
+        if kind in (VariantKind.DECODE, VariantKind.PD):
+            return _complement(masked, self.seq_len)
+        if kind is VariantKind.PREFILL:
+            return self.prefill
+        # greedy: cache the complement of the next step's compute set, so
+        # stale rows for still-masked positions are deliberately retained.
+        # That compute set is kept and reused when step + 1 is planned.
+        assert self.predefined_order is not None
+        if step + 1 >= len(self.predefined_order):
+            return np.zeros(0, dtype=np.int64)
+        decoded = self.predefined_order[step]
+        next_compute, next_refresh = self._plan(
+            masked=masked - set(decoded), prev_masked=masked,
+            prev_decoded=decoded, step=step + 1)
+        self._planned = (step + 1, next_compute, next_refresh)
+        return _complement(next_compute, self.seq_len)
 
     def plan_step(
         self,
@@ -528,24 +488,20 @@ class CacheEngine:
         prev_decoded: Iterable[int],
         step: int,
     ) -> ComputePlan:
+        """Plan ``step``. Under greedy the compute set was already planned
+        at the previous step, with that step's predefined decodes as
+        ``prev_decoded``; only the masked-set check runs again."""
         masked_set = frozenset(int(p) for p in masked)
-        compute, refresh = plan_compute_set(
-            self.variant,
-            masked=masked_set,
-            prev_masked=prev_masked,
-            prev_decoded=prev_decoded,
-            prefill=self.prefill,
-            step=step,
-            seq_len=self.seq_len,
-            gen_region=(len(self.prefill), self.seq_len),
-            predefined_order=self.predefined_order,
-        )
+        if self._planned is not None and self._planned[0] == step:
+            _check_shrinking(masked_set, frozenset(prev_masked))
+            _, compute, refresh = self._planned
+        else:
+            compute, refresh = self._plan(
+                masked=masked_set, prev_masked=prev_masked,
+                prev_decoded=prev_decoded, step=step)
         if refresh:
             self.refresh()
-        if set(self.cached_positions) & set(compute):
-            raise LayoutError("layout soundness violated: cached positions "
-                              "overlap the compute set")
-        plan = build_layout(
+        return build_layout(
             compute,
             self.cached_positions,
             self._next_cached(masked_set, step),
@@ -553,7 +509,6 @@ class CacheEngine:
             step=step,
             refresh_flag=refresh,
         )
-        return plan
 
     def commit(self, plan: ComputePlan, fresh_kv: Sequence[KVSlab]) -> None:
         """Fold this step's fresh rows into the cache (one gather per layer)."""
@@ -564,7 +519,7 @@ class CacheEngine:
         new_slabs = []
         for idx in range(self.n_layers):
             fresh = fresh_kv[idx]
-            if tuple(int(p) for p in fresh.row_positions) != plan.compute_set:
+            if not np.array_equal(fresh.row_positions, plan.compute_set):
                 raise LayoutError(
                     f"layer {idx}: fresh rows do not match the plan's "
                     "compute set")

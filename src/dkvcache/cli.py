@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from . import analysis
 from .cache_engine import (
     CacheVariant,
-    ShiftMode,
     VariantKind,
     WindowCenter,
     write_cache_debug,
@@ -49,7 +49,6 @@ class RunConfig:
     prompt: np.ndarray
     output_dir: Path
     deterministic: bool
-    snapshot_layer: int | None
 
 
 def _take(obj: dict, required: dict, optional: dict, context: str) -> dict:
@@ -68,8 +67,7 @@ def _parse_cache(obj: dict) -> CacheVariant:
     fields = _take(obj,
                    required={"variant": None},
                    optional={"refresh_interval": None, "window_size": 4,
-                             "window_center": "previous",
-                             "shift_mode": "un_shift"},
+                             "window_center": "previous"},
                    context="cache")
     try:
         interval = fields["refresh_interval"]
@@ -78,7 +76,6 @@ def _parse_cache(obj: dict) -> CacheVariant:
             refresh_interval=None if interval is None else int(interval),
             window_size=int(fields["window_size"]),
             window_center=WindowCenter(fields["window_center"]),
-            shift_mode=ShiftMode(fields["shift_mode"]),
         )
     except ValueError as exc:
         raise RunConfigError(f"cache: {exc}") from exc
@@ -147,16 +144,39 @@ def load_run_config(path) -> RunConfig:
         prompt=_parse_prompt(top["prompt"], path.parent),
         output_dir=Path(top["output_dir"]),
         deterministic=bool(top["deterministic"]),
-        snapshot_layer=snapshot_layer,
     )
+
+
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
+    when that library is not loaded in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "scipy_openblas" in line and ".so" in line})
+        lib = ctypes.CDLL(libs[0])
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, IndexError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextlib.contextmanager
 def _thread_cap(deterministic: bool):
-    """Honor DKV_THREADS; deterministic mode pins the kernels to one thread."""
+    """Honor DKV_THREADS; deterministic mode pins the kernels to one thread.
+
+    The cap goes through threadpoolctl when it is installed, otherwise
+    through numpy's bundled OpenBLAS. Deterministic mode is refused when
+    neither can apply it.
+    """
     env = os.environ.get("DKV_THREADS")
+    if env is not None and not (env.isdigit() and int(env) >= 1):
+        raise RunConfigError(f"DKV_THREADS={env} is not a positive integer")
     if deterministic:
-        if env is not None and env != "1":
+        if env is not None and int(env) != 1:
             raise RunConfigError(
                 f"DKV_THREADS={env} conflicts with deterministic mode "
                 "(must be 1)")
@@ -169,10 +189,26 @@ def _thread_cap(deterministic: bool):
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        pass
+    else:
+        with threadpool_limits(limits=limit):
+            yield
+        return
+    blas = _openblas_threads()
+    if blas is None:
+        if deterministic:
+            raise RunConfigError(
+                "deterministic mode cannot cap BLAS threads: neither "
+                "threadpoolctl nor numpy's bundled OpenBLAS is available")
         yield
         return
-    with threadpool_limits(limits=limit):
+    get, set_ = blas
+    previous = get()
+    set_(limit)
+    try:
         yield
+    finally:
+        set_(previous)
 
 
 def _write_sequence(tokens: np.ndarray, path: Path) -> None:
@@ -212,8 +248,7 @@ def cmd_generate(args) -> int:
         if args.deterministic:
             cfg.deterministic = True
         if args.snapshots is not None:
-            cfg.sampler = SamplerConfig(
-                **{**_sampler_kwargs(cfg.sampler), "snapshot_layer": args.snapshots})
+            cfg.sampler = replace(cfg.sampler, snapshot_layer=args.snapshots)
     except (RunConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -238,15 +273,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _sampler_kwargs(cfg: SamplerConfig) -> dict:
-    return {
-        "gen_len": cfg.gen_len, "steps": cfg.steps,
-        "block_size": cfg.block_size, "remasking": cfg.remasking,
-        "temperature": cfg.temperature, "sample_seed": cfg.sample_seed,
-        "cache": cfg.cache, "snapshot_layer": cfg.snapshot_layer,
-    }
-
-
 def cmd_bench(args) -> int:
     try:
         cfg = load_run_config(args.config)
@@ -268,8 +294,7 @@ def cmd_bench(args) -> int:
             weights = init_weights(cfg.model)
 
             def run(variant):
-                scfg = SamplerConfig(
-                    **{**_sampler_kwargs(cfg.sampler), "cache": variant})
+                scfg = replace(cfg.sampler, cache=variant)
                 speeds, tokens, trace = [], None, None
                 for _ in range(args.repeat):
                     tokens, trace = generate(cfg.prompt, scfg, weights,
@@ -288,6 +313,9 @@ def cmd_bench(args) -> int:
                 if variant.kind.value == "none":
                     baseline_tokens, baseline_trace = tokens, trace
                 results.append((variant, tokens, trace, tps))
+    except (RunConfigError, ConfigError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except GenerationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

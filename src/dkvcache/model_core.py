@@ -131,17 +131,18 @@ class KVSlab:
     def n_rows(self) -> int:
         return int(self.row_positions.shape[0])
 
-    def validate(self, seq_len: int) -> None:
+    def validate(self) -> None:
+        """Rows and positions agree in count and every entry is finite.
+
+        Position uniqueness and range concern the whole cached/fresh split;
+        ``forward_partial`` checks them once, on the combined positions.
+        """
         n = self.n_rows
         if self.keys.shape[0] != n or self.values.shape[0] != n:
             raise ValueError(
                 f"layer {self.layer}: cache row/position mismatch "
                 f"(keys {self.keys.shape[0]}, values {self.values.shape[0]}, "
                 f"positions {n})")
-        if n and len(np.unique(self.row_positions)) != n:
-            raise ValueError(f"layer {self.layer}: duplicate cached positions")
-        if n and (self.row_positions.min() < 0 or self.row_positions.max() >= seq_len):
-            raise ValueError(f"layer {self.layer}: cached position out of range")
         if n and not (np.isfinite(self.keys).all() and np.isfinite(self.values).all()):
             raise ValueError(f"layer {self.layer}: non-finite cache entries")
 
@@ -307,18 +308,17 @@ def _validate_cache(
                 f"expected {config.n_layers}")
         cached_positions = cache[0].row_positions
         for i, slab in enumerate(cache):
-            slab.validate(seq_len)
+            slab.validate()
             if slab.layer != i:
                 raise ValueError(f"cache slab at index {i} claims layer {slab.layer}")
             if not np.array_equal(slab.row_positions, cached_positions):
                 raise ValueError(
                     "cache row/position mismatch: layers disagree on cached "
                     "positions")
-    combined = np.concatenate([cached_positions, compute_set])
-    if len(np.unique(combined)) != combined.shape[0]:
+    combined = np.sort(np.concatenate([cached_positions, compute_set]))
+    if (np.diff(combined) == 0).any():
         raise ValueError("overlapping cached and compute positions")
-    if combined.shape[0] != seq_len or not np.array_equal(
-            np.sort(combined), np.arange(seq_len, dtype=np.int64)):
+    if not np.array_equal(combined, np.arange(seq_len, dtype=np.int64)):
         raise ValueError(
             "incomplete split: cached and compute positions must partition "
             "the sequence")

@@ -362,19 +362,20 @@ def decode_step(
     used_slabs = list(cache) if cache is not None else None
     result = forward_partial(state.tokens, plan.compute_set, cache, weights)
     engine.commit(plan, result.fresh_kv)
-    logits_at = scatter_outputs(plan, result.logits)
+    row_of = scatter_outputs(plan, result.logits)
 
-    candidates = [p for p in sorted(state.masked)
-                  if block[0] <= p < block[1] and p in logits_at]
-    rows = np.stack([logits_at[p] for p in candidates])
+    masked = np.array(sorted(state.masked), dtype=np.int64)
+    in_block = masked[(masked >= block[0]) & (masked < block[1])]
+    candidates = in_block[row_of[in_block] >= 0]
+    rows = result.logits[row_of[candidates]]
     # the absorbing state is not a clean token; never propose it as x0
     rows[:, mcfg.mask_token_id] = -np.inf
     ids, confidence, margin = predict_x0(rows, cfg.temperature, state.rng)
-    id_of = {p: int(ids[i]) for i, p in enumerate(candidates)}
+    id_of = dict(zip(candidates.tolist(), ids.tolist()))
 
     if engine.predefined_order is not None:
         chosen = engine.predefined_order[t]
-        if not set(chosen) <= set(candidates):
+        if not set(chosen) <= id_of.keys():
             raise RuntimeError(
                 f"step {t}: predefined decode positions missing from the "
                 "compute set")
@@ -398,8 +399,8 @@ def decode_step(
         mac_estimate=len(plan.compute_set) * analysis.mac_per_row(
             state.tokens.shape[0], _dims(mcfg)),
         block=block,
-        cached_positions=plan.cached_positions,
-        compute_set=plan.compute_set,
+        cached_positions=tuple(plan.cached_positions.tolist()),
+        compute_set=tuple(plan.compute_set.tolist()),
     )
     if cfg.snapshot_layer is not None:
         layer = cfg.snapshot_layer

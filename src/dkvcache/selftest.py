@@ -8,11 +8,12 @@ layout-soundness criterion fail.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .cache_engine import (
     CacheVariant,
-    ComputePlan,
     LayoutError,
     build_layout,
     concat_reorder,
@@ -129,12 +130,7 @@ def _check_layout_soundness(fault_inject: str | None) -> tuple[bool, str]:
             injected = True
             corrupted = plan.reorder_index.copy()
             corrupted[0] = (corrupted[0] + 1) % len(plan.layout)
-            plan = ComputePlan(
-                step=plan.step, compute_set=plan.compute_set,
-                cached_positions=plan.cached_positions, layout=plan.layout,
-                pe_order=plan.pe_order, reorder_index=corrupted,
-                next_cached_positions=plan.next_cached_positions,
-                refresh_flag=plan.refresh_flag)
+            plan = dataclasses.replace(plan, reorder_index=corrupted)
         try:
             plan.validate(seq)
         except LayoutError as exc:

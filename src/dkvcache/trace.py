@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -146,19 +146,7 @@ class RunReport:
     mac_reduction_vs_baseline: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "cache_ratio": self.cache_ratio,
-            "tokens_per_second": self.tokens_per_second,
-            "total_query_rows": self.total_query_rows,
-            "total_macs": self.total_macs,
-            "per_step_max_rows": self.per_step_max_rows,
-            "gen_len": self.gen_len,
-            "seq_len": self.seq_len,
-            "steps": self.steps,
-            "row_reduction_vs_baseline": self.row_reduction_vs_baseline,
-            "mac_reduction_vs_baseline": self.mac_reduction_vs_baseline,
-        }
+        return asdict(self)
 
     def write_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

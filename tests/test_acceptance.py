@@ -27,6 +27,7 @@ from dkvcache import (
     generate,
     init_weights,
 )
+from dkvcache.cli import _thread_cap
 from dkvcache.analysis import (
     cache_ratio,
     compute_counters,
@@ -49,12 +50,7 @@ def _report(num, status, name, detail):
 
 
 def _thread_cap_one():
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=1)
-    except ImportError:  # fall back to whatever the host does
-        import contextlib
-        return contextlib.nullcontext()
+    return _thread_cap(True)
 
 
 def test_criterion_01_refresh_degeneracy(toy_weights, toy_config):

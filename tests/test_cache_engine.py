@@ -10,17 +10,13 @@ from dkvcache import (
     LayoutError,
     Remasking,
     SamplerConfig,
-    ShiftMode,
-    VariantKind,
     WindowCenter,
     build_layout,
-    cache_entry_step,
     concat_reorder,
     generate,
     greedy_window,
     plan_compute_set,
     scatter_outputs,
-    shift_rows,
 )
 from dkvcache.cache_engine import ComputePlan
 
@@ -57,11 +53,6 @@ class TestCacheVariant:
         with pytest.raises(ValueError, match="refresh_interval"):
             CacheVariant.decode(0)
 
-    def test_un_and_right_incompatible_with_reorder_path(self):
-        with pytest.raises(ValueError, match="un_and_right"):
-            CacheVariant(kind=VariantKind.DECODE,
-                         shift_mode=ShiftMode.UN_AND_RIGHT_SHIFT)
-
 
 class TestGreedyWindow:
     def test_center_window(self):
@@ -85,21 +76,21 @@ class TestPlanComputeSet:
         compute, refresh = plan_compute_set(
             CacheVariant.decode(8), masked={2, 3}, prev_masked={1, 2, 3},
             prev_decoded=(1,), prefill={0}, step=0, seq_len=4)
-        assert compute == (0, 1, 2, 3)
+        assert tuple(compute) == (0, 1, 2, 3)
         assert not refresh
 
     def test_decode_refresh_step(self):
         compute, refresh = plan_compute_set(
             CacheVariant.decode(8), masked={2}, prev_masked={2, 3},
             prev_decoded=(3,), prefill={0}, step=8, seq_len=4)
-        assert compute == (0, 1, 2, 3)
+        assert tuple(compute) == (0, 1, 2, 3)
         assert refresh
 
     def test_decode_uses_previous_masked(self):
         compute, refresh = plan_compute_set(
             CacheVariant.decode(8), masked={2}, prev_masked={2, 3},
             prev_decoded=(3,), prefill={0}, step=3, seq_len=4)
-        assert compute == (2, 3)
+        assert tuple(compute) == (2, 3)
         assert not refresh
 
     def test_greedy_worked_example(self):
@@ -110,7 +101,7 @@ class TestPlanComputeSet:
             variant, masked=set(range(16)) - {4}, prev_masked=set(range(16)),
             prev_decoded=(4,), prefill=(), step=9, seq_len=16,
             gen_region=(0, 16), predefined_order=predefined)
-        assert compute == (2, 3, 4, 5, 6, 9)
+        assert tuple(compute) == (2, 3, 4, 5, 6, 9)
         assert not refresh
 
     def test_greedy_needs_predefined_order(self):
@@ -123,21 +114,21 @@ class TestPlanComputeSet:
         compute, refresh = plan_compute_set(
             CacheVariant.prefill(), masked={5}, prev_masked={5, 6},
             prev_decoded=(6,), prefill={0, 1, 2, 3}, step=5, seq_len=8)
-        assert compute == (4, 5, 6, 7)
+        assert tuple(compute) == (4, 5, 6, 7)
         assert not refresh
 
     def test_pd_normal_step_is_delayed_caching(self):
         compute, refresh = plan_compute_set(
             CacheVariant.pd(4), masked={5}, prev_masked={5, 6},
             prev_decoded=(6,), prefill={0, 1, 2, 3}, step=5, seq_len=8)
-        assert compute == (5, 6)
+        assert tuple(compute) == (5, 6)
         assert not refresh
 
     def test_pd_refresh_never_touches_prefill(self):
         compute, refresh = plan_compute_set(
             CacheVariant.pd(4), masked={5}, prev_masked={5, 6},
             prev_decoded=(6,), prefill={0, 1, 2, 3}, step=8, seq_len=8)
-        assert compute == (4, 5, 6, 7)
+        assert tuple(compute) == (4, 5, 6, 7)
         assert refresh
 
     def test_monotone_mask_violation(self):
@@ -156,13 +147,12 @@ class TestBuildLayout:
             next_cached_positions=[2, 4, 5, 7],
             seq_len=8,
         )
-        assert plan.layout == (2, 4, 5, 0, 1, 3, 6, 7)
-        assert plan.pe_order == plan.layout
+        assert tuple(plan.layout) == (2, 4, 5, 0, 1, 3, 6, 7)
         assert list(plan.reorder_index) == [0, 1, 2, 7]
 
     def test_empty_cache_degenerate(self):
         plan = build_layout(list(range(6)), [], [0, 3], 6)
-        assert plan.layout == (0, 1, 2, 3, 4, 5)
+        assert tuple(plan.layout) == (0, 1, 2, 3, 4, 5)
         assert list(plan.reorder_index) == [0, 3]
 
     def test_missing_next_position(self):
@@ -174,7 +164,6 @@ class TestBuildLayout:
         bad = ComputePlan(
             step=plan.step, compute_set=plan.compute_set,
             cached_positions=plan.cached_positions, layout=plan.layout,
-            pe_order=plan.pe_order,
             reorder_index=np.array([0, 1]),  # selects (2, 0), not (2, 3)
             next_cached_positions=plan.next_cached_positions,
             refresh_flag=False)
@@ -237,19 +226,21 @@ class TestScatterOutputs:
     def test_identity(self):
         plan = build_layout([0, 1, 2], [], [], 3)
         rows = np.arange(6, dtype=np.float32).reshape(3, 2)
-        out = scatter_outputs(plan, rows)
-        assert set(out) == {0, 1, 2}
-        np.testing.assert_array_equal(out[1], rows[1])
+        row_of = scatter_outputs(plan, rows)
+        assert set(np.flatnonzero(row_of >= 0)) == {0, 1, 2}
+        np.testing.assert_array_equal(rows[row_of[1]], rows[1])
 
     def test_order_preserved(self):
-        plan = ComputePlan(step=0, compute_set=(3, 1), cached_positions=(0, 2),
-                           layout=(0, 2, 3, 1), pe_order=(0, 2, 3, 1),
+        plan = ComputePlan(step=0, compute_set=np.array([3, 1]),
+                           cached_positions=np.array([0, 2]),
+                           layout=np.array([0, 2, 3, 1]),
                            reorder_index=np.zeros(0, dtype=np.int64),
-                           next_cached_positions=(), refresh_flag=False)
+                           next_cached_positions=np.zeros(0, dtype=np.int64),
+                           refresh_flag=False)
         rows = np.array([[10.0], [20.0]], dtype=np.float32)
-        out = scatter_outputs(plan, rows)
-        assert out[3][0] == 10.0 and out[1][0] == 20.0
-        assert 0 not in out and 2 not in out  # absent, never zero-filled
+        row_of = scatter_outputs(plan, rows)
+        assert rows[row_of[3]][0] == 10.0 and rows[row_of[1]][0] == 20.0
+        assert row_of[0] == -1 and row_of[2] == -1  # no row, never zero-filled
 
     def test_row_count_mismatch(self):
         plan = build_layout([0, 1], [], [], 2)
@@ -267,49 +258,9 @@ class TestScatterOutputs:
         rng.shuffle(compute)
         plan = build_layout(compute.tolist(), cached.tolist(), [], seq)
         rows = rng.random((len(compute), 3), dtype=np.float32)
-        out = scatter_outputs(plan, rows)
-        regathered = np.stack([out[p] for p in compute])
+        row_of = scatter_outputs(plan, rows)
+        regathered = rows[row_of[compute]]
         np.testing.assert_array_equal(regathered, rows)
-
-
-class TestShiftRows:
-    def test_un_shift(self):
-        assert shift_rows(ShiftMode.UN_SHIFT, 7, 16) == 7
-
-    def test_right_shift(self):
-        assert shift_rows(ShiftMode.RIGHT_SHIFT, 7, 16) == 8
-
-    def test_right_shift_last_position_excluded(self):
-        assert shift_rows(ShiftMode.RIGHT_SHIFT, 15, 16) is None
-
-    def test_un_and_right_trace_audit(self):
-        # left-to-right decode order: the combined condition caches every
-        # token strictly later than plain un-shift does
-        seq_len = 10
-        decode_step_of = {p: p for p in range(seq_len)}
-        for pos in range(seq_len):
-            plain = cache_entry_step(ShiftMode.UN_SHIFT, pos, decode_step_of,
-                                     seq_len)
-            strict = cache_entry_step(ShiftMode.UN_AND_RIGHT_SHIFT, pos,
-                                      decode_step_of, seq_len)
-            if strict is None:
-                assert pos == seq_len - 1
-            else:
-                assert strict > plain
-
-    def test_un_and_right_waits_for_neighbour(self):
-        decode_step_of = {4: 9, 5: 2}
-        assert cache_entry_step(ShiftMode.UN_AND_RIGHT_SHIFT, 4,
-                                decode_step_of, 8) == 10
-        decode_step_of = {4: 2, 5: 9}
-        assert cache_entry_step(ShiftMode.UN_AND_RIGHT_SHIFT, 4,
-                                decode_step_of, 8) == 10
-
-    def test_engine_rejects_shifted_modes(self):
-        variant = CacheVariant(kind=VariantKind.DECODE,
-                               shift_mode=ShiftMode.RIGHT_SHIFT)
-        with pytest.raises(ValueError, match="shifted-output"):
-            CacheEngine(variant, seq_len=8, n_layers=1, kv_width=4)
 
 
 class TestRefreshSemantics:
@@ -335,7 +286,7 @@ class TestRefreshSemantics:
 
     def test_refresh_interval_one_is_baseline(self):
         flags, computes = self.run_plans(CacheVariant.decode(1), 6)
-        assert all(c == tuple(range(8)) for c in computes)
+        assert all(tuple(c) == tuple(range(8)) for c in computes)
         assert flags == [False, True, True, True, True, True]
 
     def test_refresh_never_fires_when_disabled(self):

@@ -11,6 +11,8 @@ from dkvcache.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_SELFTEST_FAIL,
+    _openblas_threads,
+    _thread_cap,
     load_run_config,
     main,
 )
@@ -165,10 +167,33 @@ class TestBenchCommand:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["tokens_per_s"]) > 0
 
-    def test_bad_variant_exit_2(self, tmp_path):
+    def test_bad_variant_exit_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
-        assert main(["bench", "--config", str(path),
-                     "--variants", "none,decoe:8"]) == EXIT_CONFIG
+        # an unknown variant, then greedy under low_confidence remasking,
+        # which the sampler config rejects
+        for variants in ("none,decoe:8", "none,greedy:2:4"):
+            assert main(["bench", "--config", str(path),
+                         "--variants", variants]) == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
+
+
+class TestThreadCap:
+    def test_deterministic_caps_blas_at_one(self, monkeypatch):
+        monkeypatch.delenv("DKV_THREADS", raising=False)
+        get, _ = _openblas_threads()
+        before = get()
+        with _thread_cap(True):
+            assert get() == 1
+        assert get() == before
+
+    @pytest.mark.parametrize("command", [
+        ["generate"], ["bench", "--variants", "none"]])
+    def test_bad_env_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        for deterministic, env in ((True, "2"), (False, "abc"), (False, "0")):
+            path, _ = write_config(tmp_path, deterministic=deterministic)
+            monkeypatch.setenv("DKV_THREADS", env)
+            assert main([*command, "--config", str(path)]) == EXIT_CONFIG
+            assert "DKV_THREADS" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
