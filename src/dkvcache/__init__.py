@@ -27,7 +27,6 @@ from .cache_engine import (
     VariantKind,
     WindowCenter,
     build_layout,
-    concat_reorder,
     greedy_window,
     plan_compute_set,
     scatter_outputs,
@@ -60,7 +59,6 @@ __all__ = [
     "CacheEngine",
     "CacheVariant",
     "ComputePlan",
-    "concat_reorder",
     "ConfigError",
     "corrupt",
     "decode_step",

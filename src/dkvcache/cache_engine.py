@@ -11,8 +11,9 @@ Per layer the cache stores rows left-contiguous in storage layout order;
 fresh rows for the step's compute set are appended on the right. The
 position ids travel with the rows, so the rotary rotation stays keyed to
 original positions and attention is layout-agnostic. Updating the cache
-for the next step is a single row gather through a reorder index that is
-computed once per step and shared across layers.
+for the next step is a single row gather, from the [cached ; fresh] rows
+the forward pass attended over, through a reorder index that is computed
+once per step and shared across layers.
 
 Variants
 --------
@@ -51,7 +52,6 @@ __all__ = [
     "plan_compute_set",
     "greedy_window",
     "build_layout",
-    "concat_reorder",
     "scatter_outputs",
     "write_cache_debug",
 ]
@@ -330,38 +330,6 @@ def build_layout(
     return plan
 
 
-def concat_reorder(
-    cached: KVSlab,
-    fresh: KVSlab,
-    reorder_index: np.ndarray,
-) -> tuple[KVSlab, KVSlab]:
-    """Concatenate cached and fresh rows, then gather the next cache.
-
-    Returns (full, next_cached). ``full`` is the layout-order slab used by
-    attention; ``next_cached`` holds the rows selected by the reorder
-    index. Both operations are pure copies, so cached bytes survive any
-    number of steps unchanged.
-    """
-    if cached.layer != fresh.layer:
-        raise LayoutError(
-            f"layer mismatch: cached {cached.layer} vs fresh {fresh.layer}")
-    keys = np.concatenate([cached.keys, fresh.keys], axis=0)
-    values = np.concatenate([cached.values, fresh.values], axis=0)
-    positions = np.concatenate([cached.row_positions, fresh.row_positions])
-    if reorder_index.size and (
-            reorder_index.min() < 0 or reorder_index.max() >= keys.shape[0]):
-        raise LayoutError("reorder index out of bounds for concatenated rows")
-    full = KVSlab(layer=cached.layer, keys=keys, values=values,
-                  row_positions=positions)
-    next_cached = KVSlab(
-        layer=cached.layer,
-        keys=keys[reorder_index],
-        values=values[reorder_index],
-        row_positions=positions[reorder_index],
-    )
-    return full, next_cached
-
-
 def scatter_outputs(plan: ComputePlan, partial_logits: np.ndarray) -> np.ndarray:
     """Map original positions to their logit rows.
 
@@ -414,7 +382,6 @@ class CacheEngine:
         self.cached_positions = np.zeros(0, dtype=np.int64)
         self.slabs: list[KVSlab] = [KVSlab.empty(i, kv_width)
                                     for i in range(n_layers)]
-        self.step = 0
         # greedy: (step, compute set, refresh) planned one step ahead
         self._planned: tuple[int, np.ndarray, bool] | None = None
 
@@ -510,25 +477,27 @@ class CacheEngine:
             refresh_flag=refresh,
         )
 
-    def commit(self, plan: ComputePlan, fresh_kv: Sequence[KVSlab]) -> None:
-        """Fold this step's fresh rows into the cache (one gather per layer)."""
-        if len(fresh_kv) != self.n_layers:
+    def commit(self, plan: ComputePlan, kv: Sequence[KVSlab]) -> None:
+        """Gather the next cache from the slabs attention read.
+
+        ``kv[layer]`` holds that layer's rows in the plan's layout order
+        [cached ; fresh] (``ForwardResult.kv``); the next cache is one
+        gather through ``plan.reorder_index`` per layer. The gathered rows
+        are copies, so cached bytes survive any number of steps unchanged.
+        """
+        if len(kv) != self.n_layers:
             raise LayoutError(
-                f"expected fresh rows for {self.n_layers} layers, "
-                f"got {len(fresh_kv)}")
-        new_slabs = []
-        for idx in range(self.n_layers):
-            fresh = fresh_kv[idx]
-            if not np.array_equal(fresh.row_positions, plan.compute_set):
+                f"expected rows for {self.n_layers} layers, got {len(kv)}")
+        for idx, slab in enumerate(kv):
+            if not np.array_equal(slab.row_positions, plan.layout):
                 raise LayoutError(
-                    f"layer {idx}: fresh rows do not match the plan's "
-                    "compute set")
-            _, next_cached = concat_reorder(self.slabs[idx], fresh,
-                                            plan.reorder_index)
-            new_slabs.append(next_cached)
-        self.slabs = new_slabs
+                    f"layer {idx}: rows are not in the plan's layout order")
+        index = plan.reorder_index
+        self.slabs = [KVSlab(layer=idx, keys=slab.keys[index],
+                             values=slab.values[index],
+                             row_positions=plan.next_cached_positions)
+                      for idx, slab in enumerate(kv)]
         self.cached_positions = plan.next_cached_positions
-        self.step = plan.step + 1
 
 
 def write_cache_debug(records, path) -> None:

@@ -103,7 +103,7 @@ def load_run_config(path) -> RunConfig:
     top = _take(raw,
                 required={"model": None, "sampler": None, "cache": None,
                           "prompt": None, "output_dir": None},
-                optional={"deterministic": False, "snapshots": None},
+                optional={"deterministic": False},
                 context="run")
 
     model_fields = _take(top["model"], required={
@@ -121,9 +121,6 @@ def load_run_config(path) -> RunConfig:
     }, optional={"remasking": "low_confidence", "temperature": 0.0,
                  "sample_seed": 0, "snapshot_layer": None}, context="sampler")
     cache = _parse_cache(top["cache"])
-    snapshot_layer = top["snapshots"]
-    if snapshot_layer is None:
-        snapshot_layer = sampler_fields["snapshot_layer"]
     try:
         sampler = SamplerConfig(
             gen_len=sampler_fields["gen_len"],
@@ -133,7 +130,7 @@ def load_run_config(path) -> RunConfig:
             temperature=float(sampler_fields["temperature"]),
             sample_seed=int(sampler_fields["sample_seed"]),
             cache=cache,
-            snapshot_layer=snapshot_layer,
+            snapshot_layer=sampler_fields["snapshot_layer"],
         )
     except (ConfigError, ValueError) as exc:
         raise RunConfigError(f"sampler: {exc}") from exc

@@ -149,10 +149,22 @@ class KVSlab:
 
 @dataclass
 class ForwardResult:
-    """Logits for the compute set plus the fresh K/V rows it produced."""
+    """Logits for the compute set plus, per layer, the K/V rows attention
+    read, in layout order [cached ; fresh]. All layers share one
+    ``row_positions`` array: the cached positions, then the compute set.
+    """
 
     logits: np.ndarray
-    fresh_kv: list[KVSlab]
+    kv: list[KVSlab]
+
+    @property
+    def fresh_kv(self) -> list[KVSlab]:
+        """The rows computed this call, per layer: views of each slab's tail."""
+        start = self.kv[0].n_rows - self.logits.shape[0]
+        return [KVSlab(layer=s.layer, keys=s.keys[start:],
+                       values=s.values[start:],
+                       row_positions=s.row_positions[start:])
+                for s in self.kv]
 
 
 def _uniform(rng: np.random.Generator, d_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -299,7 +311,7 @@ def _validate_cache(
     config: ModelConfig,
 ) -> np.ndarray:
     """Check the cached/fresh split covers the sequence; return cached positions."""
-    if cache is None or all(slab.n_rows == 0 for slab in (cache or [])):
+    if cache is None or all(slab.n_rows == 0 for slab in cache):
         cached_positions = np.zeros(0, dtype=np.int64)
     else:
         if len(cache) != config.n_layers:
@@ -336,20 +348,21 @@ def forward_partial(
     ``compute_set`` is an ordered position list; hidden states and logits
     are produced for exactly those rows, in that order. Per layer the
     attention keys/values are the concatenation [cached rows ; fresh rows],
-    i.e. the storage layout. The cached rows must have been rotated with
-    their original positions.
+    i.e. the storage layout, and that concatenation is returned as
+    ``ForwardResult.kv`` for the cache commit to gather from. The cached
+    rows must have been rotated with their original positions.
     """
     config = weights.config
     tokens = np.asarray(tokens, dtype=np.int64)
     _validate_tokens(tokens, config)
     seq_len = tokens.shape[0]
     comp = np.asarray(compute_set, dtype=np.int64)
-    _validate_cache(cache, comp, seq_len, config)
-    use_cache = cache is not None and cache[0].n_rows > 0
+    cached_positions = _validate_cache(cache, comp, seq_len, config)
+    row_positions = np.concatenate([cached_positions, comp])
 
     h = weights.embedding[tokens[comp]].copy()
     scale = 1.0 / math.sqrt(config.d_head)
-    fresh: list[KVSlab] = []
+    kv: list[KVSlab] = []
     for idx, layer in enumerate(weights.layers):
         normed = _rms_norm(h, layer.attn_gain)
         q = rope_rotate(normed @ layer.wq, comp, config.rope_base,
@@ -357,17 +370,16 @@ def forward_partial(
         k = rope_rotate(normed @ layer.wk, comp, config.rope_base,
                         config.d_head, config.max_positions)
         v = normed @ layer.wv
-        if use_cache:
-            keys_all = np.concatenate([cache[idx].keys, k], axis=0)
-            values_all = np.concatenate([cache[idx].values, v], axis=0)
-        else:
-            keys_all, values_all = k, v
-        attended = attention(q, keys_all, values_all, scale, config.n_heads)
+        if cached_positions.size:
+            k = np.concatenate([cache[idx].keys, k], axis=0)
+            v = np.concatenate([cache[idx].values, v], axis=0)
+        attended = attention(q, k, v, scale, config.n_heads)
         h = h + attended @ layer.wo
         h = h + _gelu(_rms_norm(h, layer.ffn_gain) @ layer.w1) @ layer.w2
-        fresh.append(KVSlab(layer=idx, keys=k, values=v, row_positions=comp.copy()))
+        kv.append(KVSlab(layer=idx, keys=k, values=v,
+                         row_positions=row_positions))
     logits = _rms_norm(h, weights.final_gain) @ weights.head
-    return ForwardResult(logits=logits, fresh_kv=fresh)
+    return ForwardResult(logits=logits, kv=kv)
 
 
 def forward_full(tokens, weights: ModelWeights) -> ForwardResult:
@@ -376,13 +388,29 @@ def forward_full(tokens, weights: ModelWeights) -> ForwardResult:
     return forward_partial(tokens, np.arange(tokens.shape[0]), None, weights)
 
 
+_LAYER_TENSORS = ("wq", "wk", "wv", "wo", "w1", "w2", "attn_gain", "ffn_gain")
+
+
 def _weight_items(weights: ModelWeights):
     yield "embedding", weights.embedding
     for i, layer in enumerate(weights.layers):
-        for name in ("wq", "wk", "wv", "wo", "w1", "w2", "attn_gain", "ffn_gain"):
+        for name in _LAYER_TENSORS:
             yield f"layer{i}.{name}", getattr(layer, name)
     yield "final_gain", weights.final_gain
     yield "head", weights.head
+
+
+def _weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Tensor name -> shape that ``config`` implies, in dump order."""
+    d, f, v = config.d_model, config.d_ff, config.vocab_size
+    layer = dict(zip(_LAYER_TENSORS, ((d, d), (d, d), (d, d), (d, d),
+                                      (d, f), (f, d), (d,), (d,))))
+    shapes = {"embedding": (v, d)}
+    for i in range(config.n_layers):
+        shapes.update({f"layer{i}.{name}": shape for name, shape in layer.items()})
+    shapes["final_gain"] = (d,)
+    shapes["head"] = (d, v)
+    return shapes
 
 
 def save_weights(weights: ModelWeights, path) -> None:
@@ -399,26 +427,36 @@ def save_weights(weights: ModelWeights, path) -> None:
 
 
 def load_weights(path) -> ModelWeights:
+    """Load a ``save_weights`` dump; ``ConfigError`` names any tensor the
+    sidecar adds, omits or shapes differently from what its config implies."""
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     config = ModelConfig(**sidecar["config"])
+    expected = _weight_shapes(config)
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     arrays = {}
     offset = 0
     for entry in sidecar["tensors"]:
-        size = int(np.prod(entry["shape"]))
-        arrays[entry["name"]] = _freeze(
-            raw[offset:offset + size].reshape(entry["shape"]).astype(np.float32))
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name not in expected or name in arrays:
+            raise ConfigError(f"weight sidecar: unexpected tensor {name!r}")
+        if shape != expected[name]:
+            raise ConfigError(
+                f"weight sidecar: tensor {name!r} has shape {shape}, config "
+                f"implies {expected[name]}")
+        size = math.prod(shape)
+        arrays[name] = _freeze(
+            raw[offset:offset + size].reshape(shape).astype(np.float32))
         offset += size
+    missing = [name for name in expected if name not in arrays]
+    if missing:
+        raise ConfigError(f"weight sidecar: missing tensor {missing[0]!r}")
     if offset != raw.shape[0]:
         raise ValueError(
             f"weight file has {raw.shape[0]} floats, sidecar describes {offset}")
     layers = tuple(
-        LayerWeights(**{
-            name: arrays[f"layer{i}.{name}"]
-            for name in ("wq", "wk", "wv", "wo", "w1", "w2",
-                         "attn_gain", "ffn_gain")
-        })
+        LayerWeights(**{name: arrays[f"layer{i}.{name}"]
+                        for name in _LAYER_TENSORS})
         for i in range(config.n_layers)
     )
     return ModelWeights(

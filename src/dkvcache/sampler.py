@@ -316,23 +316,6 @@ def _draw_decode_order(
     return order
 
 
-def _assemble_snapshot(
-    seq_len: int,
-    width: int,
-    cached_slab,
-    fresh_slab,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter cached + fresh rows to the natural position order."""
-    keys = np.zeros((seq_len, width), dtype=np.float32)
-    values = np.zeros((seq_len, width), dtype=np.float32)
-    for slab in (cached_slab, fresh_slab):
-        if slab is None or slab.n_rows == 0:
-            continue
-        keys[slab.row_positions] = slab.keys
-        values[slab.row_positions] = slab.values
-    return keys, values
-
-
 def decode_step(
     state: GenerationState,
     weights: ModelWeights,
@@ -358,10 +341,9 @@ def decode_step(
         prev_decoded=state.prev_decoded,
         step=t,
     )
-    cache = engine.cache_slabs()
-    used_slabs = list(cache) if cache is not None else None
-    result = forward_partial(state.tokens, plan.compute_set, cache, weights)
-    engine.commit(plan, result.fresh_kv)
+    result = forward_partial(state.tokens, plan.compute_set,
+                             engine.cache_slabs(), weights)
+    engine.commit(plan, result.kv)
     row_of = scatter_outputs(plan, result.logits)
 
     masked = np.array(sorted(state.masked), dtype=np.int64)
@@ -403,11 +385,12 @@ def decode_step(
         compute_set=tuple(plan.compute_set.tolist()),
     )
     if cfg.snapshot_layer is not None:
-        layer = cfg.snapshot_layer
-        cached_slab = used_slabs[layer] if used_slabs is not None else None
-        record.key_snapshot, record.value_snapshot = _assemble_snapshot(
-            state.tokens.shape[0], mcfg.d_model, cached_slab,
-            result.fresh_kv[layer])
+        # the layout covers every position: one scatter to natural order
+        slab = result.kv[cfg.snapshot_layer]
+        record.key_snapshot = np.empty_like(slab.keys)
+        record.value_snapshot = np.empty_like(slab.values)
+        record.key_snapshot[slab.row_positions] = slab.keys
+        record.value_snapshot[slab.row_positions] = slab.values
     if kv_audit:
         record.audit = StepAudit(
             step=t,

@@ -13,10 +13,10 @@ import dataclasses
 import numpy as np
 
 from .cache_engine import (
+    CacheEngine,
     CacheVariant,
     LayoutError,
     build_layout,
-    concat_reorder,
 )
 from .model_core import KVSlab, ModelConfig, forward_full, forward_partial, init_weights
 from .sampler import (
@@ -85,7 +85,7 @@ def _naive_next_cache(cached: KVSlab, fresh: KVSlab, next_positions, seq_len, wi
     return buf_k[idx], buf_v[idx]
 
 
-def _check_concat_reorder_oracle() -> tuple[bool, str]:
+def _check_commit_gather_oracle() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     width = 8
     for _ in range(20):
@@ -104,7 +104,12 @@ def _check_concat_reorder_oracle() -> tuple[bool, str]:
                        compute.astype(np.int64))
         plan = build_layout(compute.tolist(), cached_pos.tolist(),
                             next_pos.tolist(), seq)
-        _, nxt = concat_reorder(cached, fresh, plan.reorder_index)
+        engine = CacheEngine(CacheVariant.decode(), seq_len=seq, n_layers=1,
+                             kv_width=width)
+        engine.commit(plan, [KVSlab(
+            0, np.concatenate([cached.keys, fresh.keys]),
+            np.concatenate([cached.values, fresh.values]), plan.layout)])
+        nxt = engine.slabs[0]
         ref_k, ref_v = _naive_next_cache(cached, fresh, next_pos, seq, width)
         if not (np.array_equal(nxt.keys, ref_k)
                 and np.array_equal(nxt.values, ref_v)
@@ -181,7 +186,7 @@ def run_selftest(fault_inject: str | None = None, out=print) -> bool:
     checks = [
         ("oracle equivalence (refresh degeneracy)", _check_refresh_degeneracy),
         ("partial forward oracle", _check_partial_forward_oracle),
-        ("concat_reorder oracle", _check_concat_reorder_oracle),
+        ("commit gather oracle", _check_commit_gather_oracle),
         ("layout soundness",
          lambda: _check_layout_soundness(fault_inject)),
         ("corruption marginal", _check_corruption_marginal),

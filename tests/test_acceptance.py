@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from dkvcache import (
+    CacheEngine,
     CacheVariant,
     KVSlab,
     NoiseSchedule,
     Remasking,
     SamplerConfig,
     build_layout,
-    concat_reorder,
     corrupt,
     forward_full,
     forward_partial,
@@ -79,7 +79,7 @@ def test_criterion_01_refresh_degeneracy(toy_weights, toy_config):
             f"{matched}/50 seeds bit-identical in {elapsed:.1f}s")
 
 
-def test_criterion_02_concat_reorder_oracle(tiny_weights):
+def test_criterion_02_commit_gather_oracle(tiny_weights):
     """Layout path vs naive natural-order gather/scatter, 100 random cases."""
     start = time.perf_counter()
     rng = np.random.default_rng(202)
@@ -104,9 +104,11 @@ def test_criterion_02_concat_reorder_oracle(tiny_weights):
         next_pos = np.sort(rng.choice(seq, size=next_n, replace=False))
         plan = build_layout(compute.tolist(), cached_pos.tolist(),
                             next_pos.tolist(), seq)
+        engine = CacheEngine(CacheVariant.decode(), seq_len=seq,
+                             n_layers=len(cache), kv_width=width)
+        engine.commit(plan, part.kv)
         for layer, slab in enumerate(cache):
-            _, nxt = concat_reorder(slab, part.fresh_kv[layer],
-                                    plan.reorder_index)
+            nxt = engine.slabs[layer]
             buf_k = np.zeros((seq, width), dtype=np.float32)
             buf_v = np.zeros((seq, width), dtype=np.float32)
             for src in (slab, part.fresh_kv[layer]):
@@ -117,7 +119,7 @@ def test_criterion_02_concat_reorder_oracle(tiny_weights):
     assert worst_logit <= 1e-5, f"max logit drift {worst_logit:.2e}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"criterion 2 exceeded its 1 min budget ({elapsed:.0f}s)"
-    _report(2, "PASS", "concat_reorder oracle",
+    _report(2, "PASS", "commit gather oracle",
             f"100 cases, K/V exact, logits within {worst_logit:.1e} "
             f"({elapsed:.1f}s)")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from dkvcache import (
     SamplerConfig,
     WindowCenter,
     build_layout,
-    concat_reorder,
     generate,
     greedy_window,
     plan_compute_set,
@@ -30,6 +31,29 @@ def make_slab(layer, positions, width=4, seed=0):
         values=rng.random((len(positions), width), dtype=np.float32),
         row_positions=positions,
     )
+
+
+def commit_gather(plan, cached, fresh):
+    """Commit the [cached ; fresh] slab of one layer; return the next cache."""
+    engine = CacheEngine(CacheVariant.decode(), seq_len=len(plan.layout),
+                         n_layers=1, kv_width=cached.keys.shape[1])
+    engine.commit(plan, [KVSlab(
+        layer=0, keys=np.concatenate([cached.keys, fresh.keys]),
+        values=np.concatenate([cached.values, fresh.values]),
+        row_positions=plan.layout)])
+    return engine.slabs[0]
+
+
+def naive_next_cache(plan, cached, fresh):
+    """Scatter rows to natural order, then gather the next cached set."""
+    seq, width = len(plan.layout), cached.keys.shape[1]
+    buf_k = np.zeros((seq, width), dtype=np.float32)
+    buf_v = np.zeros((seq, width), dtype=np.float32)
+    for slab in (cached, fresh):
+        buf_k[slab.row_positions] = slab.keys
+        buf_v[slab.row_positions] = slab.values
+    nxt = plan.next_cached_positions
+    return buf_k[nxt], buf_v[nxt]
 
 
 class TestCacheVariant:
@@ -184,42 +208,73 @@ class TestBuildLayout:
                             next_pos.tolist(), seq)
         cached = make_slab(0, cached_pos, seed=seed)
         fresh = make_slab(0, compute, seed=seed + 1)
-        _, nxt = concat_reorder(cached, fresh, plan.reorder_index)
-        # naive path: scatter rows to natural order, then gather
-        buf_k = np.zeros((seq, 4), dtype=np.float32)
-        buf_v = np.zeros((seq, 4), dtype=np.float32)
-        for slab in (cached, fresh):
-            buf_k[slab.row_positions] = slab.keys
-            buf_v[slab.row_positions] = slab.values
-        np.testing.assert_array_equal(nxt.keys, buf_k[next_pos])
-        np.testing.assert_array_equal(nxt.values, buf_v[next_pos])
+        nxt = commit_gather(plan, cached, fresh)
+        ref_k, ref_v = naive_next_cache(plan, cached, fresh)
+        np.testing.assert_array_equal(nxt.keys, ref_k)
+        np.testing.assert_array_equal(nxt.values, ref_v)
         np.testing.assert_array_equal(nxt.row_positions, next_pos)
+
+    def test_naive_reference_catches_swapped_index(self):
+        # the oracle above has teeth: a plan whose reorder index has two
+        # entries swapped commits rows that the naive reference rejects
+        plan = build_layout([0, 1, 3, 6, 7], [2, 4, 5], [2, 4, 5, 7], 8)
+        swapped = plan.reorder_index.copy()
+        swapped[[0, 3]] = swapped[[3, 0]]
+        bad = dataclasses.replace(plan, reorder_index=swapped)
+        cached = make_slab(0, [2, 4, 5])
+        fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
+        ref_k, ref_v = naive_next_cache(plan, cached, fresh)
+        np.testing.assert_array_equal(
+            commit_gather(plan, cached, fresh).keys, ref_k)
+        nxt = commit_gather(bad, cached, fresh)
+        assert not np.array_equal(nxt.keys, ref_k)
+        assert not np.array_equal(nxt.values, ref_v)
 
 
 class TestConcatReorder:
+    """The [cached ; fresh] slab attention reads, gathered by ``commit``."""
+
     def test_identity_prefix_keeps_cache(self):
         cached = make_slab(0, [1, 3])
         fresh = make_slab(0, [0, 2], seed=5)
         plan = build_layout([0, 2], [1, 3], [1, 3], 4)
-        full, nxt = concat_reorder(cached, fresh, plan.reorder_index)
+        nxt = commit_gather(plan, cached, fresh)
         np.testing.assert_array_equal(nxt.keys, cached.keys)
         np.testing.assert_array_equal(nxt.values, cached.values)
-        assert full.n_rows == 4
+        assert list(nxt.row_positions) == [1, 3]
 
     def test_worked_example_positions(self):
         cached = make_slab(0, [2, 4, 5])
         fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
         plan = build_layout([0, 1, 3, 6, 7], [2, 4, 5], [2, 4, 5, 7], 8)
-        full, nxt = concat_reorder(cached, fresh, plan.reorder_index)
-        assert list(full.row_positions) == [2, 4, 5, 0, 1, 3, 6, 7]
+        nxt = commit_gather(plan, cached, fresh)
+        assert list(plan.layout) == [2, 4, 5, 0, 1, 3, 6, 7]
         assert list(nxt.row_positions) == [2, 4, 5, 7]
         np.testing.assert_array_equal(nxt.keys[3], fresh.keys[4])
 
     def test_out_of_bounds_index(self):
-        cached = make_slab(0, [0])
-        fresh = make_slab(0, [1], seed=2)
+        plan = build_layout([1], [0], [0], 2)
+        bad = dataclasses.replace(plan, reorder_index=np.array([5]))
         with pytest.raises(LayoutError, match="out of bounds"):
-            concat_reorder(cached, fresh, np.array([5]))
+            bad.validate(2)
+
+    def test_commit_rejects_rows_off_layout(self):
+        plan = build_layout([0, 2], [1, 3], [1, 3], 4)
+        engine = CacheEngine(CacheVariant.decode(), seq_len=4, n_layers=1,
+                             kv_width=4)
+        natural = make_slab(0, [0, 1, 2, 3])  # rows in position order
+        with pytest.raises(LayoutError, match="layout order"):
+            engine.commit(plan, [natural])
+        fresh_only = make_slab(0, [0, 2])  # cached rows missing
+        with pytest.raises(LayoutError, match="layout order"):
+            engine.commit(plan, [fresh_only])
+
+    def test_commit_rejects_layer_count(self):
+        plan = build_layout([0, 2], [1, 3], [1, 3], 4)
+        engine = CacheEngine(CacheVariant.decode(), seq_len=4, n_layers=2,
+                             kv_width=4)
+        with pytest.raises(LayoutError, match="2 layers, got 1"):
+            engine.commit(plan, [make_slab(0, plan.layout)])
 
 
 class TestScatterOutputs:
@@ -263,6 +318,15 @@ class TestScatterOutputs:
         np.testing.assert_array_equal(regathered, rows)
 
 
+def layout_slab(engine, plan, seed):
+    """The engine's cached rows followed by random fresh rows: [cache ; fresh]."""
+    cached = engine.slabs[0]
+    fresh = make_slab(0, plan.compute_set, seed=seed)
+    return KVSlab(layer=0, keys=np.concatenate([cached.keys, fresh.keys]),
+                  values=np.concatenate([cached.values, fresh.values]),
+                  row_positions=plan.layout)
+
+
 class TestRefreshSemantics:
     def run_plans(self, variant, steps, seq_len=8, prefill=()):
         engine = CacheEngine(variant, seq_len=seq_len, n_layers=1, kv_width=4,
@@ -276,8 +340,7 @@ class TestRefreshSemantics:
                                     prev_decoded=prev_decoded, step=step)
             flags.append(plan.refresh_flag)
             computes.append(plan.compute_set)
-            fresh = [make_slab(0, np.asarray(plan.compute_set), seed=step)]
-            engine.commit(plan, fresh)
+            engine.commit(plan, [layout_slab(engine, plan, seed=step)])
             decode = sorted(masked)[0]
             prev_masked = set(masked)
             masked = masked - {decode}
@@ -305,8 +368,7 @@ class TestRefreshSemantics:
             plan = engine.plan_step(masked=masked, prev_masked=prev_masked,
                                     prev_decoded=prev_decoded, step=step)
             flags.append(plan.refresh_flag)
-            engine.commit(plan, [make_slab(0, np.asarray(plan.compute_set),
-                                           seed=step)])
+            engine.commit(plan, [layout_slab(engine, plan, seed=step)])
             decode = predefined[step][0]
             prev_masked = set(masked)
             masked = masked - {decode}

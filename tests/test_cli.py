@@ -47,12 +47,16 @@ def write_config(tmp_path, **overrides):
 
 class TestLoadConfig:
     def test_unknown_field_named(self, tmp_path):
-        path, _ = write_config(tmp_path)
-        raw = json.loads(path.read_text())
-        raw["cache"]["refersh_interval"] = 4
-        path.write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match="cache.refersh_interval"):
-            load_run_config(path)
+        # the snapshot layer is sampler.snapshot_layer, not a top-level key
+        for section, field in (("cache", "refersh_interval"),
+                               (None, "snapshots")):
+            path, _ = write_config(tmp_path)
+            raw = json.loads(path.read_text())
+            (raw[section] if section else raw)[field] = 4
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ValueError,
+                               match=f"{section or 'run'}.{field}"):
+                load_run_config(path)
 
     def test_missing_field_named(self, tmp_path):
         path, _ = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,8 +187,29 @@ class TestForward:
     def test_full_is_partial_specialization(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=10)
         full = forward_full(tokens, tiny_weights)
-        part = forward_partial(tokens, np.arange(10), None, tiny_weights)
-        np.testing.assert_array_equal(full.logits, part.logits)
+        for cache in (None, []):  # an empty list is no cache
+            part = forward_partial(tokens, np.arange(10), cache, tiny_weights)
+            np.testing.assert_array_equal(full.logits, part.logits)
+
+    def test_kv_is_layout_order(self, tiny_weights, rng):
+        # kv holds [cached ; fresh] per layer; fresh_kv is its fresh tail
+        tokens = rng.integers(0, 100, size=8)
+        full = forward_full(tokens, tiny_weights)
+        cached_pos = np.array([2, 4, 5])
+        compute = np.array([7, 0, 3, 1, 6])
+        cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
+                        values=s.values[cached_pos],
+                        row_positions=cached_pos.copy())
+                 for i, s in enumerate(full.fresh_kv)]
+        part = forward_partial(tokens, compute, cache, tiny_weights)
+        for i, (slab, fresh) in enumerate(zip(part.kv, part.fresh_kv)):
+            np.testing.assert_array_equal(
+                slab.row_positions, np.concatenate([cached_pos, compute]))
+            assert slab.keys[:3].tobytes() == cache[i].keys.tobytes()
+            assert slab.values[:3].tobytes() == cache[i].values.tobytes()
+            np.testing.assert_array_equal(fresh.row_positions, compute)
+            assert np.shares_memory(fresh.keys, slab.keys)
+            np.testing.assert_array_equal(fresh.keys, slab.keys[3:])
 
     def test_repeated_run_bit_identical(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=10)
@@ -270,3 +293,22 @@ class TestWeightDump:
         np.testing.assert_array_equal(
             forward_full(tokens, tiny_weights).logits,
             forward_full(tokens, loaded).logits)
+
+    @pytest.mark.parametrize("edit,named", [
+        # a config that disagrees with the tensors' shapes
+        (lambda sc: sc["config"].update(d_ff=64), "layer0.w1"),
+        (lambda sc: sc["tensors"].pop(1), "layer0.wq"),
+        (lambda sc: sc["tensors"].append({"name": "layer9.wq",
+                                          "shape": [64, 64]}), "layer9.wq"),
+        (lambda sc: sc["tensors"][0].update(name="embed"), "embed"),
+    ], ids=["shape", "missing", "extra", "renamed"])
+    def test_sidecar_checked_against_config(self, tiny_weights, tmp_path,
+                                            edit, named):
+        path = tmp_path / "weights.bin"
+        save_weights(tiny_weights, path)
+        sidecar_path = path.with_suffix(".bin.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        edit(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigError, match=f"'{named}'"):
+            load_weights(path)

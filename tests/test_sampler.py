@@ -302,3 +302,18 @@ class TestGenerate:
             tokens, _ = generate(np.arange(1, 5), cfg, tiny_weights,
                                  timed=False)
             assert (tokens != mask).all()
+
+    def test_snapshots_in_natural_order(self, tiny_weights):
+        # row p of a step's snapshot is the row attention read for position
+        # p: the fresh row when p was computed, else the cached one
+        cfg = SamplerConfig(gen_len=12, steps=6, block_size=12, sample_seed=2,
+                            cache=CacheVariant.decode(None), snapshot_layer=1)
+        _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False,
+                            kv_audit=True)
+        cached = []
+        for rec in trace.records:
+            for positions, keys, values in [rec.audit.fresh[1], *cached]:
+                assert rec.key_snapshot[positions].tobytes() == keys.tobytes()
+                assert (rec.value_snapshot[positions].tobytes()
+                        == values.tobytes())
+            cached = [rec.audit.cached_after[1]]
