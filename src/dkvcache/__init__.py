@@ -28,7 +28,6 @@ from .cache_engine import (
     WindowCenter,
     build_layout,
     greedy_window,
-    plan_compute_set,
     scatter_outputs,
 )
 from .sampler import (
@@ -76,7 +75,6 @@ __all__ = [
     "ModelConfig",
     "ModelWeights",
     "NoiseSchedule",
-    "plan_compute_set",
     "predict_x0",
     "Remasking",
     "rope_rotate",

@@ -17,17 +17,25 @@ once per step and shared across layers.
 
 Variants
 --------
-none     recompute everything every step (baseline).
-decode   compute set = previous step's masked set (one-step delay);
-         optional full refresh every ``refresh_interval`` steps.
-greedy   compute set = current decodes + previous decodes + a local
-         window around the previous decodes; everything else, including
-         still-masked positions, is served stale from cache. Per-step
-         compute is independent of sequence length. Needs a predefined
-         (random-order) decode schedule.
-prefill  cache prompt rows permanently; recompute all generated positions.
-pd       decode-style delayed caching plus a permanent prefill cache;
-         refresh recomputes decoded rows but never prompt rows.
+Every variant recomputes exactly the positions its cache does not hold;
+they differ only in what each step's commit keeps for the next step.
+
+none     keeps nothing: every step recomputes everything (baseline).
+decode   keeps the positions unmasked at the start of the step, so a
+         token's rows are cached from the step after its reveal (one-step
+         delay); optional full refresh every ``refresh_interval`` steps.
+greedy   keeps everything outside the next step's greedy set: that step's
+         decodes, this step's decodes and a local window around the
+         configured centres. Still-masked positions are served stale from
+         cache. Per-step compute is independent of sequence length. Needs a
+         predefined (random-order) decode schedule.
+prefill  keeps the prompt: prompt rows are cached permanently and every
+         generated position is recomputed.
+pd       keeps what ``decode`` keeps; before a refresh it keeps the prompt,
+         so a refresh recomputes decoded rows but never prompt rows.
+
+A refresh is nothing more than the commit before it keeping nothing (the
+prompt under ``pd``). Step 0 computes everything: nothing is cached yet.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ __all__ = [
     "CacheVariant",
     "ComputePlan",
     "CacheEngine",
-    "plan_compute_set",
     "greedy_window",
     "build_layout",
     "scatter_outputs",
@@ -78,15 +85,26 @@ class WindowCenter(str, Enum):
 class CacheVariant:
     kind: VariantKind
     refresh_interval: int | None = None  # None: never refresh
-    window_size: int = 0
+    window_size: int | None = None  # None: 4 under greedy, else 0
     window_center: WindowCenter = WindowCenter.PREVIOUS
 
     def __post_init__(self) -> None:
-        if self.refresh_interval is not None and self.refresh_interval < 1:
-            raise ValueError(
-                f"refresh_interval must be >= 1, got {self.refresh_interval}")
+        if self.window_size is None:
+            object.__setattr__(
+                self, "window_size", 4 if self.kind is VariantKind.GREEDY else 0)
+        if self.refresh_interval is not None:
+            if self.kind not in (VariantKind.DECODE, VariantKind.PD,
+                                 VariantKind.GREEDY):
+                raise ValueError(
+                    f"{self.kind.value} takes no refresh_interval")
+            if self.refresh_interval < 1:
+                raise ValueError("refresh_interval must be >= 1, got "
+                                 f"{self.refresh_interval}")
         if self.window_size < 0:
             raise ValueError(f"window_size must be >= 0, got {self.window_size}")
+        if self.kind is not VariantKind.GREEDY and (
+                self.window_size or self.window_center is not WindowCenter.PREVIOUS):
+            raise ValueError(f"{self.kind.value} takes no window")
 
     @classmethod
     def none(cls) -> "CacheVariant":
@@ -100,7 +118,7 @@ class CacheVariant:
     def greedy(
         cls,
         refresh_interval: int | None = None,
-        window_size: int = 4,
+        window_size: int | None = None,
         window_center: WindowCenter = WindowCenter.PREVIOUS,
     ) -> "CacheVariant":
         return cls(kind=VariantKind.GREEDY, refresh_interval=refresh_interval,
@@ -118,30 +136,21 @@ class CacheVariant:
     def parse(cls, text: str) -> "CacheVariant":
         """Parse ``none``, ``decode[:N]``, ``greedy[:N[:w[:center]]]``,
         ``prefill`` or ``pd[:N]``; ``N`` may be ``inf``."""
-        parts = text.strip().lower().split(":")
-        kind = parts[0]
-
-        def interval(token: str | None) -> int | None:
-            if token is None or token == "inf":
-                return None
-            return int(token)
-
-        if kind == "none":
-            return cls.none()
-        if kind == "decode":
-            return cls.decode(interval(parts[1] if len(parts) > 1 else None))
-        if kind == "greedy":
-            return cls.greedy(
-                refresh_interval=interval(parts[1] if len(parts) > 1 else None),
-                window_size=int(parts[2]) if len(parts) > 2 else 4,
-                window_center=WindowCenter(parts[3]) if len(parts) > 3
-                else WindowCenter.PREVIOUS,
-            )
-        if kind == "prefill":
-            return cls.prefill()
-        if kind == "pd":
-            return cls.pd(interval(parts[1] if len(parts) > 1 else None))
-        raise ValueError(f"unknown cache variant {text!r}")
+        kind, *params = text.strip().lower().split(":")
+        try:
+            kind = VariantKind(kind)
+        except ValueError:
+            raise ValueError(f"unknown cache variant {text!r}") from None
+        if len(params) > 3:
+            raise ValueError(f"cache variant {text!r}: surplus parameters "
+                             f"{':'.join(params[3:])!r}")
+        interval, window, center = params + [None] * (3 - len(params))
+        return cls(
+            kind=kind,
+            refresh_interval=None if interval in (None, "inf") else int(interval),
+            window_size=None if window is None else int(window),
+            window_center=WindowCenter(center or WindowCenter.PREVIOUS),
+        )
 
     def describe(self) -> str:
         n = "inf" if self.refresh_interval is None else str(self.refresh_interval)
@@ -202,17 +211,15 @@ def _positions(positions: Iterable[int]) -> np.ndarray:
     return np.array(sorted(int(p) for p in positions), dtype=np.int64)
 
 
-def _complement(positions: Iterable[int], seq_len: int) -> np.ndarray:
+def _complement(positions, seq_len: int) -> np.ndarray:
     """Ascending positions of ``range(seq_len)`` absent from ``positions``."""
     keep = np.ones(seq_len, dtype=bool)
-    keep[np.fromiter(positions, dtype=np.int64)] = False
+    keep[np.asarray(positions, dtype=np.int64)] = False
     return np.flatnonzero(keep)
 
 
-def _check_shrinking(masked: frozenset[int], prev_masked: frozenset[int]) -> None:
-    if not masked <= prev_masked:
-        raise ValueError("masked set must shrink monotonically: current "
-                         "masked set is not contained in the previous one")
+_NOTHING = np.zeros(0, dtype=np.int64)
+_NOTHING.setflags(write=False)
 
 
 def greedy_window(
@@ -236,59 +243,6 @@ def greedy_window(
         hi = min(end - 1, center + hi_off)
         out.update(range(lo, hi + 1))
     return out
-
-
-def plan_compute_set(
-    variant: CacheVariant,
-    *,
-    masked: Iterable[int],
-    prev_masked: Iterable[int],
-    prev_decoded: Iterable[int],
-    prefill: Iterable[int],
-    step: int,
-    seq_len: int,
-    gen_region: tuple[int, int] | None = None,
-    predefined_order: Sequence[Sequence[int]] | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Decide which positions are recomputed this step.
-
-    Returns the compute set (ascending int64 array) and whether this step
-    discards the cache first. Step 0 always computes everything: there is
-    no cache yet, and the full pass doubles as the prefill pass.
-    """
-    prev_masked = frozenset(int(p) for p in prev_masked)
-    _check_shrinking(frozenset(int(p) for p in masked), prev_masked)
-    prefill_set = frozenset(int(p) for p in prefill)
-    everything = np.arange(seq_len, dtype=np.int64)
-    if variant.kind is VariantKind.NONE:
-        return everything, False
-    if step == 0:
-        return everything, False
-
-    interval = variant.refresh_interval
-    refresh = (interval is not None and step % interval == 0
-               and variant.kind is not VariantKind.PREFILL)
-    if refresh:
-        if variant.kind is VariantKind.PD:
-            return _complement(prefill_set, seq_len), True
-        return everything, True
-
-    if variant.kind in (VariantKind.DECODE, VariantKind.PD):
-        return _positions(prev_masked), False
-    if variant.kind is VariantKind.PREFILL:
-        return _complement(prefill_set, seq_len), False
-
-    # greedy
-    if predefined_order is None:
-        raise ValueError("greedy caching requires a predefined decode order "
-                         "(random remasking)")
-    if gen_region is None:
-        gen_region = (len(prefill_set), seq_len)
-    current = set(int(p) for p in predefined_order[step])
-    previous = set(int(p) for p in prev_decoded)
-    centers = previous if variant.window_center is WindowCenter.PREVIOUS else current
-    window = greedy_window(centers, variant.window_size, gen_region)
-    return _positions(current | previous | window), False
 
 
 def build_layout(
@@ -350,9 +304,10 @@ class CacheEngine:
     """Stateful per-generation cache: plans a step, then commits fresh rows.
 
     The engine owns the per-layer slabs and the cached positions (an
-    ascending int64 array); the sampler feeds it the masked-set
-    bookkeeping. One plan is produced per step and shared read-only
-    across layers.
+    ascending int64 array). Each step recomputes exactly the positions
+    the cache does not hold, so the one decision per step is which
+    positions its commit keeps for the next step. One plan is produced
+    per step and shared read-only across layers.
     """
 
     def __init__(
@@ -379,11 +334,9 @@ class CacheEngine:
         self.predefined_order = (
             [tuple(int(p) for p in step) for step in predefined_order]
             if predefined_order is not None else None)
-        self.cached_positions = np.zeros(0, dtype=np.int64)
+        self.cached_positions = _NOTHING
         self.slabs: list[KVSlab] = [KVSlab.empty(i, kv_width)
                                     for i in range(n_layers)]
-        # greedy: (step, compute set, refresh) planned one step ahead
-        self._planned: tuple[int, np.ndarray, bool] | None = None
 
     def cache_slabs(self) -> list[KVSlab] | None:
         """Current per-layer cache, or None when nothing is cached."""
@@ -391,90 +344,57 @@ class CacheEngine:
             return None
         return self.slabs
 
-    def refresh(self) -> None:
-        """Discard cached rows; under pd the prompt rows are kept.
+    def _refreshes(self, step: int) -> bool:
+        interval = self.variant.refresh_interval
+        return step > 0 and interval is not None and step % interval == 0
 
-        Prompt rows sit at the front of the ascending cached order, so
-        keeping them is a prefix slice, not a recomputation.
-        """
-        if self.variant.kind is VariantKind.PD and self.prefill.size:
-            keep = len(self.prefill)
-            if not np.array_equal(self.cached_positions[:keep], self.prefill):
-                raise LayoutError("prefill rows missing from cache at refresh")
-            self.cached_positions = self.prefill
-            self.slabs = [
-                KVSlab(layer=s.layer, keys=s.keys[:keep], values=s.values[:keep],
-                       row_positions=s.row_positions[:keep])
-                for s in self.slabs
-            ]
-        else:
-            self.cached_positions = np.zeros(0, dtype=np.int64)
-            self.slabs = [KVSlab.empty(i, self.kv_width)
-                          for i in range(self.n_layers)]
-
-    def _plan(self, *, masked, prev_masked, prev_decoded,
-              step: int) -> tuple[np.ndarray, bool]:
-        return plan_compute_set(
-            self.variant,
-            masked=masked,
-            prev_masked=prev_masked,
-            prev_decoded=prev_decoded,
-            prefill=self.prefill,
-            step=step,
-            seq_len=self.seq_len,
-            gen_region=(len(self.prefill), self.seq_len),
-            predefined_order=self.predefined_order,
-        )
-
-    def _next_cached(self, masked: frozenset[int], step: int) -> np.ndarray:
+    def _kept(self, masked: np.ndarray, step: int) -> np.ndarray:
+        """Positions the commit of ``step`` keeps for ``step + 1``."""
         kind = self.variant.kind
         if kind is VariantKind.NONE:
-            return np.zeros(0, dtype=np.int64)
+            return _NOTHING
+        if self._refreshes(step + 1):
+            return self.prefill if kind is VariantKind.PD else _NOTHING
         if kind in (VariantKind.DECODE, VariantKind.PD):
-            return _complement(masked, self.seq_len)
+            return np.flatnonzero(~masked)
         if kind is VariantKind.PREFILL:
             return self.prefill
-        # greedy: cache the complement of the next step's compute set, so
-        # stale rows for still-masked positions are deliberately retained.
-        # That compute set is kept and reused when step + 1 is planned.
-        assert self.predefined_order is not None
-        if step + 1 >= len(self.predefined_order):
-            return np.zeros(0, dtype=np.int64)
-        decoded = self.predefined_order[step]
-        next_compute, next_refresh = self._plan(
-            masked=masked - set(decoded), prev_masked=masked,
-            prev_decoded=decoded, step=step + 1)
-        self._planned = (step + 1, next_compute, next_refresh)
-        return _complement(next_compute, self.seq_len)
+        # greedy: keep everything outside step + 1's greedy set, stale rows
+        # of still-masked positions included
+        order = self.predefined_order
+        if step + 1 >= len(order):
+            return _NOTHING
+        decoded, upcoming = order[step], order[step + 1]
+        centers = (decoded if self.variant.window_center is WindowCenter.PREVIOUS
+                   else upcoming)
+        window = greedy_window(centers, self.variant.window_size,
+                               (len(self.prefill), self.seq_len))
+        return _complement(list(window.union(decoded, upcoming)), self.seq_len)
 
-    def plan_step(
-        self,
-        *,
-        masked: Iterable[int],
-        prev_masked: Iterable[int],
-        prev_decoded: Iterable[int],
-        step: int,
-    ) -> ComputePlan:
-        """Plan ``step``. Under greedy the compute set was already planned
-        at the previous step, with that step's predefined decodes as
-        ``prev_decoded``; only the masked-set check runs again."""
-        masked_set = frozenset(int(p) for p in masked)
-        if self._planned is not None and self._planned[0] == step:
-            _check_shrinking(masked_set, frozenset(prev_masked))
-            _, compute, refresh = self._planned
-        else:
-            compute, refresh = self._plan(
-                masked=masked_set, prev_masked=prev_masked,
-                prev_decoded=prev_decoded, step=step)
-        if refresh:
-            self.refresh()
+    def plan_step(self, *, masked: np.ndarray, step: int) -> ComputePlan:
+        """Plan ``step`` from the bool mask of still-masked positions.
+
+        The compute set is everything the cache does not hold. Outside
+        greedy, which serves still-masked rows stale by design, a masked
+        position must never be served from cache.
+        """
+        masked = np.asarray(masked, dtype=bool)
+        if masked.shape != (self.seq_len,):
+            raise ValueError(f"masked must be a bool mask of {self.seq_len} "
+                             f"positions, got shape {masked.shape}")
+        cached = self.cached_positions
+        if self.variant.kind is not VariantKind.GREEDY:
+            served = cached[masked[cached]]
+            if served.size:
+                raise ValueError(f"masked position {served[0]} is served from "
+                                 f"cache at step {step}")
         return build_layout(
-            compute,
-            self.cached_positions,
-            self._next_cached(masked_set, step),
+            _complement(cached, self.seq_len),
+            cached,
+            self._kept(masked, step),
             self.seq_len,
             step=step,
-            refresh_flag=refresh,
+            refresh_flag=self._refreshes(step),
         )
 
     def commit(self, plan: ComputePlan, kv: Sequence[KVSlab]) -> None:

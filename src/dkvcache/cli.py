@@ -52,6 +52,8 @@ class RunConfig:
 
 
 def _take(obj: dict, required: dict, optional: dict, context: str) -> dict:
+    if not isinstance(obj, dict):
+        raise RunConfigError(f"'{context}' must be a JSON object")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise RunConfigError(
@@ -63,18 +65,32 @@ def _take(obj: dict, required: dict, optional: dict, context: str) -> dict:
     return {**optional, **obj}
 
 
+def _typed(fields: dict, context: str, types: dict) -> None:
+    """Reject a field whose JSON type is not one of ``types[name]``; a
+    boolean is not a number."""
+    for name, allowed in types.items():
+        value = fields[name]
+        if (not isinstance(value, allowed)
+                or isinstance(value, bool) and allowed is not bool):
+            raise RunConfigError(
+                f"'{context}.{name}' has type {type(value).__name__}")
+
+
 def _parse_cache(obj: dict) -> CacheVariant:
     fields = _take(obj,
                    required={"variant": None},
-                   optional={"refresh_interval": None, "window_size": 4,
+                   optional={"refresh_interval": None, "window_size": None,
                              "window_center": "previous"},
                    context="cache")
+    _typed(fields, "cache", {"variant": str,
+                             "refresh_interval": (int, type(None)),
+                             "window_size": (int, type(None)),
+                             "window_center": str})
     try:
-        interval = fields["refresh_interval"]
         return CacheVariant(
-            kind=VariantKind(str(fields["variant"]).lower()),
-            refresh_interval=None if interval is None else int(interval),
-            window_size=int(fields["window_size"]),
+            kind=VariantKind(fields["variant"].lower()),
+            refresh_interval=fields["refresh_interval"],
+            window_size=fields["window_size"],
             window_center=WindowCenter(fields["window_center"]),
         )
     except ValueError as exc:
@@ -82,14 +98,21 @@ def _parse_cache(obj: dict) -> CacheVariant:
 
 
 def _parse_prompt(value, base_dir: Path) -> np.ndarray:
-    if isinstance(value, list):
-        return np.asarray(value, dtype=np.int64)
     if isinstance(value, dict):
         fields = _take(value, required={"file": None}, optional={},
                        context="prompt")
+        _typed(fields, "prompt", {"file": str})
         text = (base_dir / fields["file"]).read_text()
-        return np.asarray([int(tok) for tok in text.split()], dtype=np.int64)
-    raise RunConfigError("prompt: expected an id list or {\"file\": path}")
+        try:
+            value = [int(tok) for tok in text.split()]
+        except ValueError as exc:
+            raise RunConfigError(f"prompt file {fields['file']}: {exc}") from exc
+    if not isinstance(value, list):
+        raise RunConfigError("prompt: expected an id list or {\"file\": path}")
+    bad = [v for v in value if isinstance(v, bool) or not isinstance(v, int)]
+    if bad:
+        raise RunConfigError(f"prompt: {bad[0]!r} is not a token id")
+    return np.asarray(value, dtype=np.int64)
 
 
 def load_run_config(path) -> RunConfig:
@@ -105,6 +128,7 @@ def load_run_config(path) -> RunConfig:
                           "prompt": None, "output_dir": None},
                 optional={"deterministic": False},
                 context="run")
+    _typed(top, "run", {"output_dir": str, "deterministic": bool})
 
     model_fields = _take(top["model"], required={
         "n_layers": None, "n_heads": None, "d_model": None, "d_head": None,
@@ -120,17 +144,17 @@ def load_run_config(path) -> RunConfig:
         "gen_len": None, "steps": None, "block_size": None,
     }, optional={"remasking": "low_confidence", "temperature": 0.0,
                  "sample_seed": 0, "snapshot_layer": None}, context="sampler")
+    _typed(sampler_fields, "sampler", {
+        "gen_len": int, "steps": int, "block_size": int, "remasking": str,
+        "temperature": (int, float), "sample_seed": int,
+        "snapshot_layer": (int, type(None))})
     cache = _parse_cache(top["cache"])
     try:
         sampler = SamplerConfig(
-            gen_len=sampler_fields["gen_len"],
-            steps=sampler_fields["steps"],
-            block_size=sampler_fields["block_size"],
-            remasking=Remasking(sampler_fields["remasking"]),
-            temperature=float(sampler_fields["temperature"]),
-            sample_seed=int(sampler_fields["sample_seed"]),
+            **{**sampler_fields,
+               "remasking": Remasking(sampler_fields["remasking"]),
+               "temperature": float(sampler_fields["temperature"])},
             cache=cache,
-            snapshot_layer=sampler_fields["snapshot_layer"],
         )
     except (ConfigError, ValueError) as exc:
         raise RunConfigError(f"sampler: {exc}") from exc
@@ -140,7 +164,7 @@ def load_run_config(path) -> RunConfig:
         sampler=sampler,
         prompt=_parse_prompt(top["prompt"], path.parent),
         output_dir=Path(top["output_dir"]),
-        deterministic=bool(top["deterministic"]),
+        deterministic=top["deterministic"],
     )
 
 
@@ -355,6 +379,11 @@ def cmd_analyze(args) -> int:
     keys = np.load(needed[0])
     values = np.load(needed[1])
     decode_steps = np.load(needed[2])
+    if keys.shape[0] < 2:
+        print(f"{keys.shape[0]} snapshot step(s) found next to the trace; "
+              "dynamics need at least two (rerun generate with more steps)",
+              file=sys.stderr)
+        return EXIT_NO_SNAPSHOTS
     result = analysis.kv_dynamics(keys, values, decode_steps)
     out_dir = Path(args.output_dir) if args.output_dir else run_dir
     written = analysis.write_dynamics_csvs(result, out_dir)

@@ -428,12 +428,17 @@ def save_weights(weights: ModelWeights, path) -> None:
 
 def load_weights(path) -> ModelWeights:
     """Load a ``save_weights`` dump; ``ConfigError`` names any tensor the
-    sidecar adds, omits or shapes differently from what its config implies."""
+    sidecar adds, omits or shapes differently from what its config implies,
+    or that runs past the end of the file."""
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     config = ModelConfig(**sidecar["config"])
     expected = _weight_shapes(config)
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
+    data = path.read_bytes()
+    if len(data) % 4:
+        raise ConfigError(f"weight file: {len(data)} bytes is not a whole "
+                          "number of float32 values")
+    raw = np.frombuffer(data, dtype="<f4")
     arrays = {}
     offset = 0
     for entry in sidecar["tensors"]:
@@ -445,6 +450,10 @@ def load_weights(path) -> ModelWeights:
                 f"weight sidecar: tensor {name!r} has shape {shape}, config "
                 f"implies {expected[name]}")
         size = math.prod(shape)
+        if offset + size > raw.shape[0]:
+            raise ConfigError(
+                f"weight file: tensor {name!r} runs past the end of the file "
+                f"({raw.shape[0]} floats, tensor ends at {offset + size})")
         arrays[name] = _freeze(
             raw[offset:offset + size].reshape(shape).astype(np.float32))
         offset += size
@@ -452,7 +461,7 @@ def load_weights(path) -> ModelWeights:
     if missing:
         raise ConfigError(f"weight sidecar: missing tensor {missing[0]!r}")
     if offset != raw.shape[0]:
-        raise ValueError(
+        raise ConfigError(
             f"weight file has {raw.shape[0]} floats, sidecar describes {offset}")
     layers = tuple(
         LayerWeights(**{name: arrays[f"layer{i}.{name}"]

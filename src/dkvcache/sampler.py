@@ -281,9 +281,7 @@ class GenerationState:
 
     tokens: np.ndarray
     prompt_len: int
-    masked: set[int]
-    prev_masked: set[int]
-    prev_decoded: tuple[int, ...]
+    masked: np.ndarray  # bool per sequence position
     step: int
     rng: np.random.Generator
 
@@ -332,22 +330,16 @@ def decode_step(
     block_lo, block_hi = sched.blocks[sched.block_of[t]]
     block = (state.prompt_len + block_lo, state.prompt_len + block_hi)
     k = sched.counts[t]
-    masked_at_start = len(state.masked)
+    masked_at_start = int(np.count_nonzero(state.masked))
 
     start_time = time.perf_counter() if timed else None
-    plan = engine.plan_step(
-        masked=state.masked,
-        prev_masked=state.prev_masked,
-        prev_decoded=state.prev_decoded,
-        step=t,
-    )
+    plan = engine.plan_step(masked=state.masked, step=t)
     result = forward_partial(state.tokens, plan.compute_set,
                              engine.cache_slabs(), weights)
     engine.commit(plan, result.kv)
     row_of = scatter_outputs(plan, result.logits)
 
-    masked = np.array(sorted(state.masked), dtype=np.int64)
-    in_block = masked[(masked >= block[0]) & (masked < block[1])]
+    in_block = np.flatnonzero(state.masked[block[0]:block[1]]) + block[0]
     candidates = in_block[row_of[in_block] >= 0]
     rows = result.logits[row_of[candidates]]
     # the absorbing state is not a clean token; never propose it as x0
@@ -400,9 +392,7 @@ def decode_step(
                            s.values.copy()) for s in engine.slabs],
         )
 
-    state.prev_masked = set(state.masked)
-    state.masked.difference_update(chosen)
-    state.prev_decoded = tuple(chosen)
+    state.masked[list(chosen)] = False
     state.step = t + 1
     return record
 
@@ -470,9 +460,7 @@ def generate(
     state = GenerationState(
         tokens=tokens,
         prompt_len=prompt.shape[0],
-        masked=set(range(prompt.shape[0], seq_len)),
-        prev_masked=set(range(seq_len)),
-        prev_decoded=(),
+        masked=tokens == mcfg.mask_token_id,
         step=0,
         rng=rng,
     )
@@ -500,9 +488,9 @@ def generate(
         raise GenerationError(f"generation failed at step {state.step}: {exc}",
                               partial_trace=make_trace()) from exc
 
-    if state.masked:
+    if state.masked.any():
         raise GenerationError(
-            f"{len(state.masked)} positions still masked after "
+            f"{np.count_nonzero(state.masked)} positions still masked after "
             f"{cfg.steps} steps", partial_trace=make_trace())
     trace = make_trace()
     trace.final_tokens = state.tokens.copy()

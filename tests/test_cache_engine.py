@@ -16,7 +16,6 @@ from dkvcache import (
     build_layout,
     generate,
     greedy_window,
-    plan_compute_set,
     scatter_outputs,
 )
 from dkvcache.cache_engine import ComputePlan
@@ -77,6 +76,17 @@ class TestCacheVariant:
         with pytest.raises(ValueError, match="refresh_interval"):
             CacheVariant.decode(0)
 
+    @pytest.mark.parametrize("text,error", [
+        ("prefill:4", "prefill takes no refresh_interval"),
+        ("none:3", "none takes no refresh_interval"),
+        ("decode:8:4", "decode takes no window"),
+        ("pd:2:0:current", "pd takes no window"),
+        ("greedy:2:4:current:x", "surplus parameters 'x'"),
+    ])
+    def test_parse_rejects_parameters_that_do_nothing(self, text, error):
+        with pytest.raises(ValueError, match=error):
+            CacheVariant.parse(text)
+
 
 class TestGreedyWindow:
     def test_center_window(self):
@@ -95,71 +105,87 @@ class TestGreedyWindow:
         assert greedy_window([4], 4, (4, 16)) == {4, 5, 6}
 
 
+def plan_after(variant, decodes, seq_len, prefill=0, predefined=None):
+    """Drive an engine through one step per entry of ``decodes`` (the
+    positions that step reveals) and return the last step's plan."""
+    engine = CacheEngine(variant, seq_len=seq_len, n_layers=1, kv_width=4,
+                         prefill=range(prefill), predefined_order=predefined)
+    masked = np.arange(seq_len) >= prefill
+    for step, revealed in enumerate(decodes):
+        plan = engine.plan_step(masked=masked, step=step)
+        engine.commit(plan, [layout_slab(engine, plan, seed=step)])
+        masked[list(revealed)] = False
+    return plan
+
+
 class TestPlanComputeSet:
+    """Compute sets ``CacheEngine.plan_step`` plans: the complement of what
+    the previous step's commit kept."""
+
     def test_decode_step_zero_full(self):
-        compute, refresh = plan_compute_set(
-            CacheVariant.decode(8), masked={2, 3}, prev_masked={1, 2, 3},
-            prev_decoded=(1,), prefill={0}, step=0, seq_len=4)
-        assert tuple(compute) == (0, 1, 2, 3)
-        assert not refresh
+        plan = plan_after(CacheVariant.decode(8), [(1,)], seq_len=4, prefill=1)
+        assert tuple(plan.compute_set) == (0, 1, 2, 3)
+        assert not plan.refresh_flag
 
     def test_decode_refresh_step(self):
-        compute, refresh = plan_compute_set(
-            CacheVariant.decode(8), masked={2}, prev_masked={2, 3},
-            prev_decoded=(3,), prefill={0}, step=8, seq_len=4)
-        assert tuple(compute) == (0, 1, 2, 3)
-        assert refresh
+        plan = plan_after(CacheVariant.decode(8), [(p,) for p in range(1, 10)],
+                          seq_len=12, prefill=1)
+        assert plan.step == 8
+        assert tuple(plan.compute_set) == tuple(range(12))
+        assert plan.refresh_flag
 
     def test_decode_uses_previous_masked(self):
-        compute, refresh = plan_compute_set(
-            CacheVariant.decode(8), masked={2}, prev_masked={2, 3},
-            prev_decoded=(3,), prefill={0}, step=3, seq_len=4)
-        assert tuple(compute) == (2, 3)
-        assert not refresh
+        # masked at the start of step 2 is {3, 4, 5}
+        plan = plan_after(CacheVariant.decode(8), [(1,), (2,), (3,), (4,)],
+                          seq_len=6, prefill=1)
+        assert tuple(plan.compute_set) == (3, 4, 5)
+        assert not plan.refresh_flag
 
     def test_greedy_worked_example(self):
-        variant = CacheVariant.greedy(window_size=4)
         order = {9: (9,), 8: (4,)}
         predefined = [order.get(i, ()) for i in range(10)]
-        compute, refresh = plan_compute_set(
-            variant, masked=set(range(16)) - {4}, prev_masked=set(range(16)),
-            prev_decoded=(4,), prefill=(), step=9, seq_len=16,
-            gen_region=(0, 16), predefined_order=predefined)
-        assert tuple(compute) == (2, 3, 4, 5, 6, 9)
-        assert not refresh
+        plan = plan_after(CacheVariant.greedy(window_size=4), predefined,
+                          seq_len=16, predefined=predefined)
+        assert tuple(plan.compute_set) == (2, 3, 4, 5, 6, 9)
+        assert not plan.refresh_flag
 
     def test_greedy_needs_predefined_order(self):
         with pytest.raises(ValueError, match="predefined"):
-            plan_compute_set(
-                CacheVariant.greedy(), masked={1}, prev_masked={1, 2},
-                prev_decoded=(2,), prefill=(), step=1, seq_len=4)
+            CacheEngine(CacheVariant.greedy(), seq_len=4, n_layers=1,
+                        kv_width=4)
 
     def test_prefill_every_step(self):
-        compute, refresh = plan_compute_set(
-            CacheVariant.prefill(), masked={5}, prev_masked={5, 6},
-            prev_decoded=(6,), prefill={0, 1, 2, 3}, step=5, seq_len=8)
-        assert tuple(compute) == (4, 5, 6, 7)
-        assert not refresh
+        plan = plan_after(CacheVariant.prefill(),
+                          [(4,), (5,), (6,), (7,), (), ()], seq_len=8, prefill=4)
+        assert tuple(plan.compute_set) == (4, 5, 6, 7)
+        assert not plan.refresh_flag
 
     def test_pd_normal_step_is_delayed_caching(self):
-        compute, refresh = plan_compute_set(
-            CacheVariant.pd(4), masked={5}, prev_masked={5, 6},
-            prev_decoded=(6,), prefill={0, 1, 2, 3}, step=5, seq_len=8)
-        assert tuple(compute) == (5, 6)
-        assert not refresh
+        # step 4 refreshes; masked at its start is {5, 6}
+        plan = plan_after(CacheVariant.pd(4),
+                          [(4,), (7,), (), (), (6,), (5,)], seq_len=8, prefill=4)
+        assert tuple(plan.compute_set) == (5, 6)
+        assert not plan.refresh_flag
 
     def test_pd_refresh_never_touches_prefill(self):
-        compute, refresh = plan_compute_set(
-            CacheVariant.pd(4), masked={5}, prev_masked={5, 6},
-            prev_decoded=(6,), prefill={0, 1, 2, 3}, step=8, seq_len=8)
-        assert tuple(compute) == (4, 5, 6, 7)
-        assert refresh
+        plan = plan_after(CacheVariant.pd(4), [(4,), (5,), (6,), (7,)] + [()] * 5,
+                          seq_len=8, prefill=4)
+        assert plan.step == 8
+        assert tuple(plan.compute_set) == (4, 5, 6, 7)
+        assert plan.refresh_flag
 
     def test_monotone_mask_violation(self):
-        with pytest.raises(ValueError, match="monotonic"):
-            plan_compute_set(
-                CacheVariant.decode(), masked={1, 9}, prev_masked={1},
-                prev_decoded=(), prefill=(), step=1, seq_len=10)
+        # position 9 is unmasked at step 0, so step 0's commit keeps it;
+        # masking it again at step 1 would serve a masked row from cache
+        engine = CacheEngine(CacheVariant.decode(), seq_len=10, n_layers=1,
+                             kv_width=4)
+        masked = np.zeros(10, dtype=bool)
+        masked[1] = True
+        plan = engine.plan_step(masked=masked, step=0)
+        engine.commit(plan, [layout_slab(engine, plan, seed=0)])
+        masked[9] = True
+        with pytest.raises(ValueError, match="masked position 9 is served"):
+            engine.plan_step(masked=masked, step=1)
 
 
 class TestBuildLayout:
@@ -331,48 +357,45 @@ class TestRefreshSemantics:
     def run_plans(self, variant, steps, seq_len=8, prefill=()):
         engine = CacheEngine(variant, seq_len=seq_len, n_layers=1, kv_width=4,
                              prefill=prefill)
-        masked = set(range(len(prefill), seq_len))
-        prev_masked = set(range(seq_len))
-        prev_decoded = ()
-        flags, computes = [], []
+        masked = np.arange(seq_len) >= len(prefill)
+        plans = []
         for step in range(steps):
-            plan = engine.plan_step(masked=masked, prev_masked=prev_masked,
-                                    prev_decoded=prev_decoded, step=step)
-            flags.append(plan.refresh_flag)
-            computes.append(plan.compute_set)
+            plan = engine.plan_step(masked=masked, step=step)
+            plans.append(plan)
             engine.commit(plan, [layout_slab(engine, plan, seed=step)])
-            decode = sorted(masked)[0]
-            prev_masked = set(masked)
-            masked = masked - {decode}
-            prev_decoded = (decode,)
-        return flags, computes
+            masked[np.flatnonzero(masked)[0]] = False
+        return plans
 
     def test_refresh_interval_one_is_baseline(self):
-        flags, computes = self.run_plans(CacheVariant.decode(1), 6)
-        assert all(tuple(c) == tuple(range(8)) for c in computes)
-        assert flags == [False, True, True, True, True, True]
+        plans = self.run_plans(CacheVariant.decode(1), 6)
+        assert all(tuple(p.compute_set) == tuple(range(8)) for p in plans)
+        assert [p.refresh_flag for p in plans] == [False] + [True] * 5
 
     def test_refresh_never_fires_when_disabled(self):
-        flags, _ = self.run_plans(CacheVariant.decode(None), 6)
-        assert not any(flags)
+        plans = self.run_plans(CacheVariant.decode(None), 6)
+        assert not any(p.refresh_flag for p in plans)
+
+    def test_commit_before_refresh_keeps_only_prompt(self):
+        for variant, kept in ((CacheVariant.decode(3), ()),
+                              (CacheVariant.pd(3), (0, 1))):
+            plans = self.run_plans(variant, 6, prefill=(0, 1))
+            for plan in plans:
+                # steps 3 and 6 refresh; every other commit keeps the
+                # positions unmasked when its step began
+                expected = kept if plan.step in (2, 5) else range(2 + plan.step)
+                assert tuple(plan.next_cached_positions) == tuple(expected)
 
     def test_greedy_refresh_cadence(self):
         predefined = [(i + 2,) for i in range(6)]
         engine = CacheEngine(CacheVariant.greedy(2, 4), seq_len=8, n_layers=1,
                              kv_width=4, predefined_order=predefined)
-        masked = set(range(2, 8))
-        prev_masked = set(range(8))
-        prev_decoded = ()
+        masked = np.arange(8) >= 2
         flags = []
         for step in range(6):
-            plan = engine.plan_step(masked=masked, prev_masked=prev_masked,
-                                    prev_decoded=prev_decoded, step=step)
+            plan = engine.plan_step(masked=masked, step=step)
             flags.append(plan.refresh_flag)
             engine.commit(plan, [layout_slab(engine, plan, seed=step)])
-            decode = predefined[step][0]
-            prev_masked = set(masked)
-            masked = masked - {decode}
-            prev_decoded = (decode,)
+            masked[list(predefined[step])] = False
         assert flags == [False, False, True, False, True, False]
 
 

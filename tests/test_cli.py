@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from dkvcache import CacheVariant
 from dkvcache.cli import (
     EXIT_CONFIG,
     EXIT_NO_SNAPSHOTS,
@@ -71,11 +72,39 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="cache"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("overrides,named", [
+        ({"sampler": 5}, "'sampler' must be a JSON object"),
+        ({"cache": "decode"}, "'cache' must be a JSON object"),
+        ({"sampler": {"gen_len": "4"}}, "'sampler.gen_len' has type str"),
+        ({"sampler": {"temperature": True}}, "'sampler.temperature'"),
+        ({"prompt": [1.5, 2]}, "prompt: 1.5 is not a token id"),
+        ({"cache": {"variant": "prefill", "refresh_interval": 4,
+                    "window_size": 9}}, "prefill takes no refresh_interval"),
+        ({"cache": {"variant": "decode", "window_size": 9}},
+         "decode takes no window"),
+    ], ids=["sampler-not-object", "cache-not-object", "gen_len-str",
+            "temperature-bool", "prompt-float", "prefill-interval",
+            "decode-window"])
+    def test_bad_value_named(self, tmp_path, overrides, named):
+        path, _ = write_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=named):
+            load_run_config(path)
+
+    def test_configured_variant_equals_parsed(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        assert load_run_config(path).sampler.cache == CacheVariant.parse("decode:4")
+        path, _ = write_config(tmp_path, cache={"variant": "greedy"},
+                               sampler={"remasking": "random"})
+        assert load_run_config(path).sampler.cache == CacheVariant.parse("greedy:4")
+
     def test_prompt_file(self, tmp_path):
         (tmp_path / "prompt.txt").write_text("3 1 4 1 5\n")
         path, _ = write_config(tmp_path, prompt={"file": "prompt.txt"})
         cfg = load_run_config(path)
         np.testing.assert_array_equal(cfg.prompt, [3, 1, 4, 1, 5])
+        (tmp_path / "prompt.txt").write_text("3 1 x 1 5\n")
+        with pytest.raises(ValueError, match="prompt file prompt.txt: .*'x'"):
+            load_run_config(path)
 
 
 class TestGenerateCommand:
@@ -93,6 +122,15 @@ class TestGenerateCommand:
         path.write_text("{not json")
         assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        # well-formed JSON with values of the wrong type or kind
+        (tmp_path / "prompt.txt").write_text("1 x 3\n")
+        for overrides in ({"sampler": 5}, {"sampler": {"gen_len": "4"}},
+                          {"prompt": {"file": "prompt.txt"}},
+                          {"cache": "decode"}, {"prompt": [1.5, 2]},
+                          {"cache": {"variant": "prefill"}}):
+            path, _ = write_config(tmp_path, **overrides)
+            assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
 
     def test_unknown_field_exit_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
@@ -175,7 +213,7 @@ class TestBenchCommand:
         path, _ = write_config(tmp_path)
         # an unknown variant, then greedy under low_confidence remasking,
         # which the sampler config rejects
-        for variants in ("none,decoe:8", "none,greedy:2:4"):
+        for variants in ("none,decoe:8", "none,greedy:2:4", "none,prefill:4"):
             assert main(["bench", "--config", str(path),
                          "--variants", variants]) == EXIT_CONFIG
             assert "config error" in capsys.readouterr().err
@@ -217,6 +255,13 @@ class TestAnalyzeCommand:
         assert main(["generate", "--config", str(path)]) == EXIT_OK
         assert main(["analyze", str(out / "trace.jsonl")]) == EXIT_NO_SNAPSHOTS
         assert "snapshot" in capsys.readouterr().err
+
+    def test_single_snapshot_exit_4(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, sampler={"steps": 1, "block_size": 16})
+        assert main(["generate", "--config", str(path),
+                     "--snapshots", "0"]) == EXIT_OK
+        assert main(["analyze", str(out / "trace.jsonl")]) == EXIT_NO_SNAPSHOTS
+        assert "1 snapshot step(s)" in capsys.readouterr().err
 
 
 class TestSelftestCommand:

@@ -1,4 +1,4 @@
-"""Greedy cache plans against the README definition, step by step."""
+"""Cache plans against the README definition of every variant, step by step."""
 
 import math
 
@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import dkvcache.cache_engine as cache_engine
-from dkvcache import CacheVariant, Remasking, SamplerConfig, WindowCenter, generate
+from dkvcache import (
+    CacheEngine,
+    CacheVariant,
+    Remasking,
+    SamplerConfig,
+    VariantKind,
+    WindowCenter,
+    generate,
+)
 
 PROMPT = np.arange(1, 7)
 GEN_LEN = 24
@@ -34,6 +42,34 @@ def reference_plan(trace, interval, window, center):
         yield tuple(sorted(compute)), tuple(sorted(set(range(seq)) - compute))
 
 
+def reference_plans(trace, variant):
+    """Per step (compute set, cached positions) for any variant, from the
+    README table and the trace's decoded positions alone: ``none`` computes
+    everything, ``prefill`` everything but the prompt, ``decode``/``pd`` the
+    positions masked when the previous step began; step 0 and refresh steps
+    compute everything, except the prompt under ``pd``."""
+    if variant.kind is VariantKind.GREEDY:
+        yield from reference_plan(trace, variant.refresh_interval,
+                                  variant.window_size, variant.window_center)
+        return
+    seq, prompt = trace.seq_len, trace.prompt_len
+    interval = variant.refresh_interval
+    decoded_at = trace.decode_step_of()
+    everything = set(range(seq))
+    generated = everything - set(range(prompt))
+    for t in range(len(trace.records)):
+        refresh = t > 0 and interval is not None and t % interval == 0
+        if t == 0 or variant.kind is VariantKind.NONE:
+            compute = everything
+        elif variant.kind is VariantKind.PREFILL:
+            compute = generated
+        elif refresh:
+            compute = generated if variant.kind is VariantKind.PD else everything
+        else:
+            compute = {p for p in generated if decoded_at[p] >= t - 1}
+        yield tuple(sorted(compute)), tuple(sorted(everything - compute))
+
+
 @pytest.mark.parametrize("interval,center", [
     (3, WindowCenter.PREVIOUS),
     (None, WindowCenter.PREVIOUS),
@@ -51,18 +87,44 @@ def test_greedy_plans_match_reference(tiny_weights, interval, center):
         assert rec.cached_positions == cached, f"step {rec.step}"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("text", [
+    "none", "decode", "decode:5", "decode:1", "prefill", "pd", "pd:3",
+    "greedy:3:2", "greedy:8:4:current",
+])
+def test_plans_match_reference(tiny_weights, text, seed):
+    variant = CacheVariant.parse(text)
+    remasking = (Remasking.RANDOM if variant.kind is VariantKind.GREEDY
+                 else Remasking.LOW_CONFIDENCE)
+    cfg = SamplerConfig(gen_len=GEN_LEN, steps=16, block_size=12,
+                        remasking=remasking, sample_seed=seed, cache=variant)
+    _, trace = generate(PROMPT, cfg, tiny_weights, timed=False)
+    expected = list(reference_plans(trace, variant))
+    assert len(expected) == len(trace.records)
+    for rec, (compute, cached) in zip(trace.records, expected):
+        assert rec.compute_set == compute, f"step {rec.step}"
+        assert rec.cached_positions == cached, f"step {rec.step}"
+
+
 def test_greedy_plans_each_step_once(tiny_weights, monkeypatch):
-    calls = []
-    real = cache_engine.plan_compute_set
+    """At most one greedy window is built per step."""
+    windows_per_step = []
+    real_window, real_plan = cache_engine.greedy_window, CacheEngine.plan_step
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["step"])
-        return real(*args, **kwargs)
+    def window(*args, **kwargs):
+        windows_per_step[-1] += 1
+        return real_window(*args, **kwargs)
 
-    monkeypatch.setattr(cache_engine, "plan_compute_set", counted)
+    def plan_step(self, **kwargs):
+        windows_per_step.append(0)
+        return real_plan(self, **kwargs)
+
+    monkeypatch.setattr(cache_engine, "greedy_window", window)
+    monkeypatch.setattr(CacheEngine, "plan_step", plan_step)
     steps = 12
     cfg = SamplerConfig(gen_len=GEN_LEN, steps=steps, block_size=GEN_LEN,
                         remasking=Remasking.RANDOM, sample_seed=3,
                         cache=CacheVariant.greedy(4, 2))
     generate(PROMPT, cfg, tiny_weights, timed=False)
-    assert sorted(calls) == list(range(steps))
+    assert len(windows_per_step) == steps
+    assert max(windows_per_step) == 1

@@ -296,19 +296,21 @@ class TestWeightDump:
 
     @pytest.mark.parametrize("edit,named", [
         # a config that disagrees with the tensors' shapes
-        (lambda sc: sc["config"].update(d_ff=64), "layer0.w1"),
-        (lambda sc: sc["tensors"].pop(1), "layer0.wq"),
-        (lambda sc: sc["tensors"].append({"name": "layer9.wq",
-                                          "shape": [64, 64]}), "layer9.wq"),
-        (lambda sc: sc["tensors"][0].update(name="embed"), "embed"),
-    ], ids=["shape", "missing", "extra", "renamed"])
+        (lambda sc, _: sc["config"].update(d_ff=64), "layer0.w1"),
+        (lambda sc, _: sc["tensors"].pop(1), "layer0.wq"),
+        (lambda sc, _: sc["tensors"].append({"name": "layer9.wq",
+                                             "shape": [64, 64]}), "layer9.wq"),
+        (lambda sc, _: sc["tensors"][0].update(name="embed"), "embed"),
+        # a weight file cut short inside its last tensor
+        (lambda _, path: path.write_bytes(path.read_bytes()[:-8]), "head"),
+    ], ids=["shape", "missing", "extra", "renamed", "truncated"])
     def test_sidecar_checked_against_config(self, tiny_weights, tmp_path,
                                             edit, named):
         path = tmp_path / "weights.bin"
         save_weights(tiny_weights, path)
         sidecar_path = path.with_suffix(".bin.json")
         sidecar = json.loads(sidecar_path.read_text())
-        edit(sidecar)
+        edit(sidecar, path)
         sidecar_path.write_text(json.dumps(sidecar))
         with pytest.raises(ConfigError, match=f"'{named}'"):
             load_weights(path)
