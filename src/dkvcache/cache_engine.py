@@ -76,6 +76,10 @@ class VariantKind(str, Enum):
     PD = "pd"
 
 
+# the kinds that take a refresh_interval
+_REFRESHING = (VariantKind.DECODE, VariantKind.PD, VariantKind.GREEDY)
+
+
 class WindowCenter(str, Enum):
     PREVIOUS = "previous"
     CURRENT = "current"
@@ -93,8 +97,7 @@ class CacheVariant:
             object.__setattr__(
                 self, "window_size", 4 if self.kind is VariantKind.GREEDY else 0)
         if self.refresh_interval is not None:
-            if self.kind not in (VariantKind.DECODE, VariantKind.PD,
-                                 VariantKind.GREEDY):
+            if self.kind not in _REFRESHING:
                 raise ValueError(
                     f"{self.kind.value} takes no refresh_interval")
             if self.refresh_interval < 1:
@@ -133,24 +136,33 @@ class CacheVariant:
         return cls(kind=VariantKind.PD, refresh_interval=refresh_interval)
 
     @classmethod
+    def of(cls, kind: VariantKind, **params) -> "CacheVariant":
+        """Build a ``kind`` variant from the parameters given, rejecting a
+        parameter the kind does not take whatever its value: ``none:inf``
+        and ``decode:8:0`` are errors, ``decode:inf`` is not."""
+        if "refresh_interval" in params and kind not in _REFRESHING:
+            raise ValueError(f"{kind.value} takes no refresh_interval")
+        if (params.keys() & {"window_size", "window_center"}
+                and kind is not VariantKind.GREEDY):
+            raise ValueError(f"{kind.value} takes no window")
+        return cls(kind=kind, **params)
+
+    @classmethod
     def parse(cls, text: str) -> "CacheVariant":
         """Parse ``none``, ``decode[:N]``, ``greedy[:N[:w[:center]]]``,
         ``prefill`` or ``pd[:N]``; ``N`` may be ``inf``."""
-        kind, *params = text.strip().lower().split(":")
+        kind, *parts = text.strip().lower().split(":")
         try:
             kind = VariantKind(kind)
         except ValueError:
             raise ValueError(f"unknown cache variant {text!r}") from None
-        if len(params) > 3:
+        if len(parts) > 3:
             raise ValueError(f"cache variant {text!r}: surplus parameters "
-                             f"{':'.join(params[3:])!r}")
-        interval, window, center = params + [None] * (3 - len(params))
-        return cls(
-            kind=kind,
-            refresh_interval=None if interval in (None, "inf") else int(interval),
-            window_size=None if window is None else int(window),
-            window_center=WindowCenter(center or WindowCenter.PREVIOUS),
-        )
+                             f"{':'.join(parts[3:])!r}")
+        convert = {"refresh_interval": lambda n: None if n == "inf" else int(n),
+                   "window_size": int, "window_center": WindowCenter}
+        return cls.of(kind, **{name: convert[name](part)
+                               for name, part in zip(convert, parts)})
 
     def describe(self) -> str:
         n = "inf" if self.refresh_interval is None else str(self.refresh_interval)

@@ -86,13 +86,11 @@ def _parse_cache(obj: dict) -> CacheVariant:
                              "refresh_interval": (int, type(None)),
                              "window_size": (int, type(None)),
                              "window_center": str})
+    params = {name: fields[name] for name in obj if name != "variant"}
     try:
-        return CacheVariant(
-            kind=VariantKind(fields["variant"].lower()),
-            refresh_interval=fields["refresh_interval"],
-            window_size=fields["window_size"],
-            window_center=WindowCenter(fields["window_center"]),
-        )
+        if "window_center" in params:
+            params["window_center"] = WindowCenter(params["window_center"])
+        return CacheVariant.of(VariantKind(fields["variant"].lower()), **params)
     except ValueError as exc:
         raise RunConfigError(f"cache: {exc}") from exc
 

@@ -14,9 +14,10 @@ change between calls.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,13 @@ class LayerWeights:
     w2: np.ndarray
     attn_gain: np.ndarray
     ffn_gain: np.ndarray
+    # [wq | wk | wv], derived once so each layer projects with one matmul;
+    # read-only and never saved.
+    wqkv: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wqkv", _freeze(
+            np.concatenate([self.wq, self.wk, self.wv], axis=1)))
 
 
 @dataclass(frozen=True)
@@ -212,12 +220,42 @@ def init_weights(config: ModelConfig) -> ModelWeights:
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + _RMS_EPS)
-    return x * scale * gain
+    out = np.square(x)
+    scale = 1.0 / np.sqrt(np.mean(out, axis=-1, keepdims=True) + _RMS_EPS)
+    np.multiply(x, scale, out=out)
+    out *= gain
+    return out
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)))
+    """tanh-approximate GELU, computed in place in ``x``."""
+    inner = 0.044715 * x
+    inner *= x
+    inner *= x
+    inner += x
+    inner *= 0.7978845608028654
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    x *= 0.5
+    x *= inner
+    return x
+
+
+@functools.lru_cache(maxsize=8)
+def _rope_table(base: float, d_head: int, n_positions: int):
+    """Read-only float32 rotary tables, each [n_positions, d_head].
+
+    With angle ``a = p * base**(-2i/d_head)``, row ``p`` of the cos table
+    holds ``cos a`` at dims 2i and 2i+1, and of the sin table ``-sin a``
+    at 2i and ``sin a`` at 2i+1, so a rotation is
+    ``x * cos + swap_pairs(x) * sin``.
+    """
+    inv_freq = base ** (-np.arange(d_head // 2, dtype=np.float64) * (2.0 / d_head))
+    angles = np.arange(n_positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    cos = np.cos(angles).astype(np.float32)
+    sin = np.sin(angles).astype(np.float32)
+    return (_freeze(np.repeat(cos, 2, axis=1)),
+            _freeze(np.stack([-sin, sin], axis=-1).reshape(n_positions, d_head)))
 
 
 def rope_rotate(
@@ -231,7 +269,10 @@ def rope_rotate(
 
     ``states`` is [n, n_heads * d_head]; row ``i`` is rotated by the angle
     derived from ``position_ids[i]``. The same kernel serves queries and
-    keys so cached and fresh rows stay mutually consistent.
+    keys so cached and fresh rows stay mutually consistent, and one call
+    rotates a [q | k] block as ``2 * n_heads`` heads. The cos/sin rows
+    come from tables cached per (base, d_head, max_position) and are
+    broadcast over heads with contiguous multiply-adds.
     """
     positions = np.asarray(position_ids, dtype=np.int64)
     n, width = states.shape
@@ -245,17 +286,27 @@ def rope_rotate(
             f"position out of range: {positions.max()} >= {max_position}")
     if width % d_head != 0:
         raise ValueError(f"state width {width} not a multiple of d_head {d_head}")
-    half = d_head // 2
-    inv_freq = float(base) ** (-np.arange(half, dtype=np.float64) * (2.0 / d_head))
-    angles = positions[:, None].astype(np.float64) * inv_freq[None, :]
-    cos = np.tile(np.cos(angles), (1, width // d_head)).astype(np.float32)
-    sin = np.tile(np.sin(angles), (1, width // d_head)).astype(np.float32)
-    even = states[:, 0::2]
-    odd = states[:, 1::2]
-    out = np.empty_like(states)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
-    return out
+    if n == 0:
+        return states.copy()
+    if max_position is None:
+        max_position = int(positions.max()) + 1
+    cos, sin = _rope_table(float(base), d_head, max_position)
+    heads = (n, width // d_head, d_head)
+    x = states.reshape(heads)
+    out = x * cos[positions][:, None, :]
+    swapped = np.empty_like(out)
+    pairs = x.reshape(n, -1, d_head // 2, 2)
+    swapped_pairs = swapped.reshape(pairs.shape)
+    swapped_pairs[..., 0] = pairs[..., 1]
+    swapped_pairs[..., 1] = pairs[..., 0]
+    swapped *= sin[positions][:, None, :]
+    out += swapped
+    return out.reshape(n, width)
+
+
+# Scores buffer budget in elements: small query sets run several heads per
+# batched call (fewer numpy calls), large ones one head at a time.
+_SCORES_BUDGET = 1 << 16
 
 
 def attention(
@@ -264,13 +315,16 @@ def attention(
     values: np.ndarray,
     scale: float,
     n_heads: int = 1,
-    return_weights: bool = False,
-):
+) -> np.ndarray:
     """Bidirectional softmax attention over all key rows.
 
-    Rows of ``queries``/``keys``/``values`` are full-width vectors that are
-    split into ``n_heads`` slices internally. Softmax uses max-subtraction;
-    weight rows are row-stochastic. There is no causal mask.
+    Rows of ``queries``/``keys``/``values`` are full-width vectors split
+    into ``n_heads`` column slices. Heads run in groups through one reused
+    [group, n_queries, n_keys] scores buffer of at most ``_SCORES_BUDGET``
+    elements, or one head when a single head's scores are larger. Scores
+    are scaled, max-subtracted, exponentiated and normalised in place, so
+    weight rows are row-stochastic, and each group's output is written
+    straight into its columns of the result. There is no causal mask.
     """
     if keys.shape[0] == 0:
         raise ValueError("empty key set")
@@ -279,17 +333,26 @@ def attention(
             f"keys ({keys.shape[0]}) and values ({values.shape[0]}) row "
             "counts differ")
     nq, width = queries.shape
+    nk = keys.shape[0]
     dh = width // n_heads
+    group = max(1, min(n_heads, _SCORES_BUDGET // (nq * nk)))
+    dtype = np.result_type(queries, keys, values)
+    buf = np.empty((group, nq, nk), dtype=dtype)
+    out = np.empty((nq, width), dtype=dtype)
+    # head-major views: [heads, rows, dims], keys as [heads, dims, rows]
     q = queries.reshape(nq, n_heads, dh).transpose(1, 0, 2)
-    k = keys.reshape(-1, n_heads, dh).transpose(1, 0, 2)
-    v = values.reshape(-1, n_heads, dh).transpose(1, 0, 2)
-    scores = np.matmul(q, k.transpose(0, 2, 1)) * np.float32(scale)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out = np.matmul(weights, v).transpose(1, 0, 2).reshape(nq, width)
-    if return_weights:
-        return out, weights
+    k = keys.reshape(nk, n_heads, dh).transpose(1, 2, 0)
+    v = values.reshape(nk, n_heads, dh).transpose(1, 0, 2)
+    o = out.reshape(nq, n_heads, dh).transpose(1, 0, 2)
+    for first in range(0, n_heads, group):
+        heads = slice(first, min(first + group, n_heads))
+        scores = buf[:heads.stop - first]
+        np.matmul(q[heads], k[heads], out=scores)
+        scores *= np.float32(scale)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        np.matmul(scores, v[heads], out=o[heads])
     return out
 
 
@@ -346,9 +409,11 @@ def forward_partial(
     """Forward pass over the compute set only, attending over cache + fresh rows.
 
     ``compute_set`` is an ordered position list; hidden states and logits
-    are produced for exactly those rows, in that order. Per layer the
-    attention keys/values are the concatenation [cached rows ; fresh rows],
-    i.e. the storage layout, and that concatenation is returned as
+    are produced for exactly those rows, in that order. Per layer one
+    matmul against ``wqkv`` projects queries, keys and values, and one
+    ``rope_rotate`` call rotates the [q | k] block. The attention
+    keys/values are one [cached rows ; fresh rows] slab per layer, i.e. the
+    storage layout, allocated once and filled directly; it is returned as
     ``ForwardResult.kv`` for the cache commit to gather from. The cached
     rows must have been rotated with their original positions.
     """
@@ -359,24 +424,25 @@ def forward_partial(
     comp = np.asarray(compute_set, dtype=np.int64)
     cached_positions = _validate_cache(cache, comp, seq_len, config)
     row_positions = np.concatenate([cached_positions, comp])
+    n_cached, d = cached_positions.shape[0], config.d_model
 
-    h = weights.embedding[tokens[comp]].copy()
+    h = weights.embedding[tokens[comp]]
     scale = 1.0 / math.sqrt(config.d_head)
     kv: list[KVSlab] = []
     for idx, layer in enumerate(weights.layers):
-        normed = _rms_norm(h, layer.attn_gain)
-        q = rope_rotate(normed @ layer.wq, comp, config.rope_base,
-                        config.d_head, config.max_positions)
-        k = rope_rotate(normed @ layer.wk, comp, config.rope_base,
-                        config.d_head, config.max_positions)
-        v = normed @ layer.wv
-        if cached_positions.size:
-            k = np.concatenate([cache[idx].keys, k], axis=0)
-            v = np.concatenate([cache[idx].values, v], axis=0)
-        attended = attention(q, k, v, scale, config.n_heads)
-        h = h + attended @ layer.wo
-        h = h + _gelu(_rms_norm(h, layer.ffn_gain) @ layer.w1) @ layer.w2
-        kv.append(KVSlab(layer=idx, keys=k, values=v,
+        qkv = _rms_norm(h, layer.attn_gain) @ layer.wqkv
+        qk = rope_rotate(qkv[:, :2 * d], comp, config.rope_base,
+                         config.d_head, config.max_positions)
+        keys = np.empty((row_positions.shape[0], d), dtype=np.float32)
+        values = np.empty_like(keys)
+        if n_cached:
+            keys[:n_cached] = cache[idx].keys
+            values[:n_cached] = cache[idx].values
+        keys[n_cached:] = qk[:, d:]
+        values[n_cached:] = qkv[:, 2 * d:]
+        h += attention(qk[:, :d], keys, values, scale, config.n_heads) @ layer.wo
+        h += _gelu(_rms_norm(h, layer.ffn_gain) @ layer.w1) @ layer.w2
+        kv.append(KVSlab(layer=idx, keys=keys, values=values,
                          row_positions=row_positions))
     logits = _rms_norm(h, weights.final_gain) @ weights.head
     return ForwardResult(logits=logits, kv=kv)

@@ -174,9 +174,11 @@ def tokens_per_step_schedule(gen_len: int, steps: int, block_size: int) -> StepS
 
 
 def _softmax(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Row softmax; one new array, exponentiated and normalised in place."""
+    probs = rows - rows.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def predict_x0(

@@ -60,6 +60,7 @@ class TestCacheVariant:
         ("none", "none"),
         ("decode", "decode(N=inf)"),
         ("decode:8", "decode(N=8)"),
+        ("decode:inf", "decode(N=inf)"),
         ("greedy:2:4", "greedy(N=2,w=4,center=previous)"),
         ("greedy:2:4:current", "greedy(N=2,w=4,center=current)"),
         ("prefill", "prefill"),
@@ -82,6 +83,11 @@ class TestCacheVariant:
         ("decode:8:4", "decode takes no window"),
         ("pd:2:0:current", "pd takes no window"),
         ("greedy:2:4:current:x", "surplus parameters 'x'"),
+        # present but equal to the default still does nothing
+        ("decode:8:0", "decode takes no window"),
+        ("pd:inf:0", "pd takes no window"),
+        ("none:inf", "none takes no refresh_interval"),
+        ("prefill:inf", "prefill takes no refresh_interval"),
     ])
     def test_parse_rejects_parameters_that_do_nothing(self, text, error):
         with pytest.raises(ValueError, match=error):

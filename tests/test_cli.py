@@ -82,9 +82,13 @@ class TestLoadConfig:
                     "window_size": 9}}, "prefill takes no refresh_interval"),
         ({"cache": {"variant": "decode", "window_size": 9}},
          "decode takes no window"),
+        ({"cache": {"variant": "decode", "window_size": 0}},
+         "decode takes no window"),
+        ({"cache": {"variant": "decode", "window_center": "previous"}},
+         "decode takes no window"),
     ], ids=["sampler-not-object", "cache-not-object", "gen_len-str",
             "temperature-bool", "prompt-float", "prefill-interval",
-            "decode-window"])
+            "decode-window", "decode-window-0", "decode-window-center"])
     def test_bad_value_named(self, tmp_path, overrides, named):
         path, _ = write_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=named):

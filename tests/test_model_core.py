@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dkvcache import (
     rope_rotate,
     save_weights,
 )
+from dkvcache import model_core
 from dkvcache.model_core import _weight_items
 
 
@@ -127,6 +129,21 @@ class TestRope:
         with pytest.raises(ValueError, match="position out of range"):
             rope_rotate(states, [16], 10000.0, 4, max_position=16)
 
+    @pytest.mark.parametrize("n_heads", [1, 4, 8])
+    def test_matches_float64_rotation(self, rng, n_heads):
+        # independent oracle: rotate each (2i, 2i+1) pair by
+        # position * base**(-2i/d_head) in float64
+        d_head, max_positions, base = 16, 2048, 10000.0
+        positions = rng.integers(0, max_positions, size=12)
+        states = rng.standard_normal((12, n_heads * d_head)).astype(np.float32)
+        got = rope_rotate(states, positions, base, d_head, max_positions)
+        x = states.astype(np.float64).reshape(12, n_heads, d_head // 2, 2)
+        theta = positions[:, None] * base ** (-np.arange(0, d_head, 2) / d_head)
+        cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+        want = np.stack([x[..., 0] * cos - x[..., 1] * sin,
+                         x[..., 0] * sin + x[..., 1] * cos], axis=-1)
+        np.testing.assert_allclose(got, want.reshape(12, -1), rtol=0, atol=1e-6)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31), st.integers(0, 1000))
     def test_norm_preserved_property(self, seed, position):
@@ -162,12 +179,39 @@ class TestAttention:
         ref = naive_attention(q, k, v, 1.0 / np.sqrt(8 / n_heads), n_heads)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
+    @pytest.mark.parametrize("budget", [1, 2 * 4 * 6, 1 << 16])
+    def test_head_groups_match_naive_reference(self, rng, monkeypatch, budget):
+        # one head per group, a ragged 2 + 1 split, and all heads at once
+        monkeypatch.setattr(model_core, "_SCORES_BUDGET", budget)
+        q = rng.standard_normal((4, 12)).astype(np.float32)
+        k = rng.standard_normal((6, 12)).astype(np.float32)
+        v = rng.standard_normal((6, 12)).astype(np.float32)
+        out = attention(q, k, v, 0.5, 3)
+        np.testing.assert_allclose(out, naive_attention(q, k, v, 0.5, 3),
+                                   atol=1e-6)
+
     def test_weight_rows_stochastic(self, rng):
-        q = rng.standard_normal((5, 8)).astype(np.float32)
-        k = rng.standard_normal((9, 8)).astype(np.float32)
-        v = rng.standard_normal((9, 8)).astype(np.float32)
-        _, weights = attention(q, k, v, 0.35, 2, return_weights=True)
+        # one head over identity values: output row i is query i's weights
+        q = rng.standard_normal((5, 9)).astype(np.float32)
+        k = rng.standard_normal((9, 9)).astype(np.float32)
+        weights = attention(q, k, np.eye(9, dtype=np.float32), 0.35, 1)
+        assert weights.shape == (5, 9)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_peak_allocation_bounded(self, rng):
+        # one reused [nq, nk] scores buffer plus the output, not one
+        # [n_heads, nq, nk] array per softmax stage
+        nq, nk, width = 256, 300, 128
+        q, k, v = (rng.standard_normal((n, width)).astype(np.float32)
+                   for n in (nq, nk, nk))
+        attention(q, k, v, 0.17, 4)
+        tracemalloc.start()
+        try:
+            attention(q, k, v, 0.17, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * nq * nk * 4 + nq * width * 4
 
     def test_empty_keys_rejected(self, rng):
         q = rng.standard_normal((1, 4)).astype(np.float32)
@@ -210,6 +254,19 @@ class TestForward:
             np.testing.assert_array_equal(fresh.row_positions, compute)
             assert np.shares_memory(fresh.keys, slab.keys)
             np.testing.assert_array_equal(fresh.keys, slab.keys[3:])
+
+    def test_fused_projection_matches_separate(self, tiny_weights, rng):
+        # layer 0's fresh K/V against separate wk/wv products and rotary
+        cfg, layer = tiny_weights.config, tiny_weights.layers[0]
+        tokens = rng.integers(0, 100, size=10)
+        h = tiny_weights.embedding[tokens].astype(np.float64)
+        x = (h / np.sqrt(np.mean(h * h, axis=-1, keepdims=True) + 1e-6)
+             * layer.attn_gain).astype(np.float32)
+        keys = rope_rotate(x @ layer.wk, np.arange(10), cfg.rope_base,
+                           cfg.d_head, cfg.max_positions)
+        fresh = forward_full(tokens, tiny_weights).fresh_kv[0]
+        np.testing.assert_allclose(fresh.keys, keys, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(fresh.values, x @ layer.wv, rtol=0, atol=1e-6)
 
     def test_repeated_run_bit_identical(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=10)
@@ -293,6 +350,20 @@ class TestWeightDump:
         np.testing.assert_array_equal(
             forward_full(tokens, tiny_weights).logits,
             forward_full(tokens, loaded).logits)
+
+    def test_fused_projection_derived_not_saved(self, tiny_weights, tmp_path):
+        layer = tiny_weights.layers[0]
+        np.testing.assert_array_equal(
+            layer.wqkv, np.hstack([layer.wq, layer.wk, layer.wv]))
+        with pytest.raises(ValueError):
+            layer.wqkv[0, 0] = 1.0
+        path = tmp_path / "weights.bin"
+        save_weights(tiny_weights, path)
+        sidecar = json.loads(path.with_suffix(".bin.json").read_text())
+        assert not any("wqkv" in t["name"] for t in sidecar["tensors"])
+        loaded = load_weights(path).layers[0].wqkv
+        np.testing.assert_array_equal(loaded, layer.wqkv)
+        assert not loaded.flags.writeable
 
     @pytest.mark.parametrize("edit,named", [
         # a config that disagrees with the tensors' shapes
