@@ -36,6 +36,11 @@ pd       keeps what ``decode`` keeps; before a refresh it keeps the prompt,
 
 A refresh is nothing more than the commit before it keeping nothing (the
 prompt under ``pd``). Step 0 computes everything: nothing is cached yet.
+
+The engine trusts the plans it builds. ``build_layout`` only rejects a
+next cached position absent from the layout, and ``commit`` checks
+nothing. ``forward_partial`` checks the cached/compute partition once
+per step; plan soundness is ``selftest``'s ``layout soundness`` check.
 """
 
 from __future__ import annotations
@@ -188,34 +193,12 @@ class ComputePlan:
     next step's cache (``next_cached_positions`` order).
     """
 
-    step: int
     compute_set: np.ndarray
     cached_positions: np.ndarray
     layout: np.ndarray
     reorder_index: np.ndarray
     next_cached_positions: np.ndarray
     refresh_flag: bool
-
-    def validate(self, seq_len: int) -> None:
-        if not np.array_equal(self.layout, np.concatenate(
-                [self.cached_positions, self.compute_set])):
-            raise LayoutError("layout soundness violated: layout is not "
-                              "[cached ; compute]")
-        if not np.array_equal(np.sort(self.layout), np.arange(seq_len)):
-            raise LayoutError("layout soundness violated: layout is not a "
-                              "permutation of the sequence positions")
-        if self.reorder_index.shape != self.next_cached_positions.shape:
-            raise LayoutError("layout soundness violated: reorder index size "
-                              "mismatch")
-        if self.reorder_index.size and (
-                self.reorder_index.min() < 0
-                or self.reorder_index.max() >= len(self.layout)):
-            raise LayoutError("layout soundness violated: reorder index out "
-                              "of bounds")
-        if not np.array_equal(self.layout[self.reorder_index],
-                              self.next_cached_positions):
-            raise LayoutError("layout soundness violated: reorder index does "
-                              "not select the next cached set")
 
 
 def _positions(positions: Iterable[int]) -> np.ndarray:
@@ -262,20 +245,18 @@ def build_layout(
     cached_positions: Sequence[int],
     next_cached_positions: Sequence[int],
     seq_len: int,
-    step: int = 0,
     refresh_flag: bool = False,
 ) -> ComputePlan:
     """Assemble the [cached ; fresh] layout and the next-step reorder index.
 
     The reorder index is computed once here and shared by every layer's
-    gather during the commit.
+    gather during the commit; the only check is for an absent next position.
     """
     compute = np.asarray(compute_set, dtype=np.int64)
     cached = np.asarray(cached_positions, dtype=np.int64)
     nxt = np.asarray(next_cached_positions, dtype=np.int64)
     layout = np.concatenate([cached, compute])
-    # layout row of each position, -1 where absent; validate() below
-    # rejects a layout whose positions fall outside the sequence
+    # layout row of each position, -1 where absent
     row_of = np.full(seq_len, -1, dtype=np.int64)
     np.put(row_of, layout, np.arange(layout.shape[0]), mode="clip")
     reorder = np.take(row_of, nxt, mode="clip")
@@ -283,8 +264,7 @@ def build_layout(
     if absent.any():
         raise LayoutError(f"next cached position {nxt[absent][0]} is absent "
                           "from the layout")
-    plan = ComputePlan(
-        step=step,
+    return ComputePlan(
         compute_set=compute,
         cached_positions=cached,
         layout=layout,
@@ -292,8 +272,6 @@ def build_layout(
         next_cached_positions=nxt,
         refresh_flag=refresh_flag,
     )
-    plan.validate(seq_len)
-    return plan
 
 
 def scatter_outputs(plan: ComputePlan, partial_logits: np.ndarray) -> np.ndarray:
@@ -327,8 +305,6 @@ class CacheEngine:
         variant: CacheVariant,
         *,
         seq_len: int,
-        n_layers: int,
-        kv_width: int,
         prefill: Iterable[int] = (),
         predefined_order: Sequence[Sequence[int]] | None = None,
     ) -> None:
@@ -340,15 +316,12 @@ class CacheEngine:
                              "order (random remasking)")
         self.variant = variant
         self.seq_len = seq_len
-        self.n_layers = n_layers
-        self.kv_width = kv_width
         self.prefill = prefill
         self.predefined_order = (
             [tuple(int(p) for p in step) for step in predefined_order]
             if predefined_order is not None else None)
         self.cached_positions = _NOTHING
-        self.slabs: list[KVSlab] = [KVSlab.empty(i, kv_width)
-                                    for i in range(n_layers)]
+        self.slabs: list[KVSlab] = []
 
     def cache_slabs(self) -> list[KVSlab] | None:
         """Current per-layer cache, or None when nothing is cached."""
@@ -405,7 +378,6 @@ class CacheEngine:
             cached,
             self._kept(masked, step),
             self.seq_len,
-            step=step,
             refresh_flag=self._refreshes(step),
         )
 
@@ -416,14 +388,8 @@ class CacheEngine:
         [cached ; fresh] (``ForwardResult.kv``); the next cache is one
         gather through ``plan.reorder_index`` per layer. The gathered rows
         are copies, so cached bytes survive any number of steps unchanged.
+        The rows are trusted to be in the plan's layout order.
         """
-        if len(kv) != self.n_layers:
-            raise LayoutError(
-                f"expected rows for {self.n_layers} layers, got {len(kv)}")
-        for idx, slab in enumerate(kv):
-            if not np.array_equal(slab.row_positions, plan.layout):
-                raise LayoutError(
-                    f"layer {idx}: rows are not in the plan's layout order")
         index = plan.reorder_index
         self.slabs = [KVSlab(layer=idx, keys=slab.keys[index],
                              values=slab.values[index],
@@ -438,7 +404,7 @@ def write_cache_debug(records, path) -> None:
         for rec in records:
             fh.write(json.dumps({
                 "step": rec.step,
-                "cached_positions": list(rec.cached_positions),
-                "compute_set": list(rec.compute_set),
+                "cached_positions": rec.cached_positions.tolist(),
+                "compute_set": rec.compute_set.tolist(),
                 "refresh_flag": rec.refresh,
             }) + "\n")

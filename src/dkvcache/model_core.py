@@ -10,6 +10,10 @@ position-correct regardless of how rows are ordered in storage.
 Everything is float32. Forward passes are deterministic: identical inputs
 produce bit-identical outputs as long as the BLAS thread count does not
 change between calls.
+
+``forward_partial`` checks a cache's structure and the cached/compute
+partition once per call, but not row values: non-finite numbers can only
+enter through the config or a weight file, and both reject them.
 """
 
 from __future__ import annotations
@@ -79,8 +83,8 @@ class ModelConfig:
             raise ConfigError(
                 f"mask_token_id ({self.mask_token_id}) must be "
                 f"< vocab_size ({self.vocab_size})")
-        if self.rope_base <= 0:
-            raise ConfigError(f"rope_base must be positive, got {self.rope_base}")
+        if not (math.isfinite(self.rope_base) and self.rope_base > 0):
+            raise ConfigError(f"rope_base must be finite and > 0, got {self.rope_base}")
 
 
 @dataclass(frozen=True)
@@ -126,33 +130,9 @@ class KVSlab:
     values: np.ndarray
     row_positions: np.ndarray
 
-    @classmethod
-    def empty(cls, layer: int, width: int) -> "KVSlab":
-        return cls(
-            layer=layer,
-            keys=np.zeros((0, width), dtype=np.float32),
-            values=np.zeros((0, width), dtype=np.float32),
-            row_positions=np.zeros(0, dtype=np.int64),
-        )
-
     @property
     def n_rows(self) -> int:
         return int(self.row_positions.shape[0])
-
-    def validate(self) -> None:
-        """Rows and positions agree in count and every entry is finite.
-
-        Position uniqueness and range concern the whole cached/fresh split;
-        ``forward_partial`` checks them once, on the combined positions.
-        """
-        n = self.n_rows
-        if self.keys.shape[0] != n or self.values.shape[0] != n:
-            raise ValueError(
-                f"layer {self.layer}: cache row/position mismatch "
-                f"(keys {self.keys.shape[0]}, values {self.values.shape[0]}, "
-                f"positions {n})")
-        if n and not (np.isfinite(self.keys).all() and np.isfinite(self.values).all()):
-            raise ValueError(f"layer {self.layer}: non-finite cache entries")
 
 
 @dataclass
@@ -373,31 +353,41 @@ def _validate_cache(
     seq_len: int,
     config: ModelConfig,
 ) -> np.ndarray:
-    """Check the cached/fresh split covers the sequence; return cached positions."""
-    if cache is None or all(slab.n_rows == 0 for slab in cache):
-        cached_positions = np.zeros(0, dtype=np.int64)
+    """Check the cache's structure and that cached and compute positions
+    partition ``range(seq_len)`` (ranges first, then one O(seq_len) count);
+    return the layout [cached ; compute]. ``None`` or ``[]`` is no cache."""
+    if not cache:
+        cached = np.zeros(0, dtype=np.int64)
     else:
         if len(cache) != config.n_layers:
             raise ValueError(
                 f"cache layer count mismatch: got {len(cache)}, "
                 f"expected {config.n_layers}")
-        cached_positions = cache[0].row_positions
+        cached = cache[0].row_positions
+        n = cached.shape[0]
         for i, slab in enumerate(cache):
-            slab.validate()
             if slab.layer != i:
                 raise ValueError(f"cache slab at index {i} claims layer {slab.layer}")
-            if not np.array_equal(slab.row_positions, cached_positions):
+            if slab.keys.shape[0] != n or slab.values.shape[0] != n:
+                raise ValueError(f"layer {i}: cache row/position mismatch "
+                                 f"(keys {slab.keys.shape[0]}, values "
+                                 f"{slab.values.shape[0]}, positions {n})")
+            # the engine's slabs share one positions array: no comparison
+            if (slab.row_positions is not cached
+                    and not np.array_equal(slab.row_positions, cached)):
                 raise ValueError(
                     "cache row/position mismatch: layers disagree on cached "
                     "positions")
-    combined = np.sort(np.concatenate([cached_positions, compute_set]))
-    if (np.diff(combined) == 0).any():
+    combined = np.concatenate([cached, compute_set])
+    if combined.size and (combined.min() < 0 or combined.max() >= seq_len):
+        raise ValueError(f"position out of range: outside [0, {seq_len})")
+    if (np.bincount(combined, minlength=seq_len) > 1).any():
         raise ValueError("overlapping cached and compute positions")
-    if not np.array_equal(combined, np.arange(seq_len, dtype=np.int64)):
+    if combined.size != seq_len:
         raise ValueError(
             "incomplete split: cached and compute positions must partition "
             "the sequence")
-    return cached_positions
+    return combined
 
 
 def forward_partial(
@@ -416,15 +406,17 @@ def forward_partial(
     storage layout, allocated once and filled directly; it is returned as
     ``ForwardResult.kv`` for the cache commit to gather from. The cached
     rows must have been rotated with their original positions.
+
+    This is the one place a cached/compute split is checked, before any
+    indexing; cached row values are trusted.
     """
     config = weights.config
     tokens = np.asarray(tokens, dtype=np.int64)
     _validate_tokens(tokens, config)
     seq_len = tokens.shape[0]
     comp = np.asarray(compute_set, dtype=np.int64)
-    cached_positions = _validate_cache(cache, comp, seq_len, config)
-    row_positions = np.concatenate([cached_positions, comp])
-    n_cached, d = cached_positions.shape[0], config.d_model
+    row_positions = _validate_cache(cache, comp, seq_len, config)
+    n_cached, d = row_positions.shape[0] - comp.shape[0], config.d_model
 
     h = weights.embedding[tokens[comp]]
     scale = 1.0 / math.sqrt(config.d_head)
@@ -495,7 +487,7 @@ def save_weights(weights: ModelWeights, path) -> None:
 def load_weights(path) -> ModelWeights:
     """Load a ``save_weights`` dump; ``ConfigError`` names any tensor the
     sidecar adds, omits or shapes differently from what its config implies,
-    or that runs past the end of the file."""
+    that runs past the end of the file, or that holds a non-finite value."""
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     config = ModelConfig(**sidecar["config"])
@@ -522,6 +514,9 @@ def load_weights(path) -> ModelWeights:
                 f"({raw.shape[0]} floats, tensor ends at {offset + size})")
         arrays[name] = _freeze(
             raw[offset:offset + size].reshape(shape).astype(np.float32))
+        if not np.isfinite(arrays[name]).all():
+            raise ConfigError(
+                f"weight file: tensor {name!r} holds a non-finite value")
         offset += size
     missing = [name for name in expected if name not in arrays]
     if missing:

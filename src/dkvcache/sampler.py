@@ -78,11 +78,6 @@ class NoiseSchedule:
         prev = self.alpha_bar(t - 1)
         return 1.0 - self.alpha_bar(t) / prev
 
-    def continuous_time(self, t: int) -> float:
-        if not 0 <= t <= self.total_steps:
-            raise ValueError(f"step {t} outside [0, {self.total_steps}]")
-        return t / self.total_steps
-
 
 def corrupt(
     x0,
@@ -193,8 +188,8 @@ def predict_x0(
     the post-softmax probability of the chosen id and margin the gap
     between the top-2 probabilities, both at the sampling temperature.
     """
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if logits.shape[1] < 2:
         raise ValueError("need at least two vocabulary entries")
     if temperature == 0:
@@ -268,8 +263,9 @@ class SamplerConfig:
         if not 1 <= self.block_size <= self.gen_len:
             raise ConfigError(
                 f"block_size ({self.block_size}) must be in [1, gen_len]")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(
+                f"temperature must be finite and >= 0, got {self.temperature}")
         if (self.cache.kind is VariantKind.GREEDY
                 and self.remasking is not Remasking.RANDOM):
             raise ConfigError(
@@ -375,8 +371,8 @@ def decode_step(
         mac_estimate=len(plan.compute_set) * analysis.mac_per_row(
             state.tokens.shape[0], _dims(mcfg)),
         block=block,
-        cached_positions=tuple(plan.cached_positions.tolist()),
-        compute_set=tuple(plan.compute_set.tolist()),
+        cached_positions=plan.cached_positions,
+        compute_set=plan.compute_set,
     )
     if cfg.snapshot_layer is not None:
         # the layout covers every position: one scatter to natural order
@@ -451,8 +447,6 @@ def generate(
     engine = CacheEngine(
         cfg.cache,
         seq_len=seq_len,
-        n_layers=mcfg.n_layers,
-        kv_width=mcfg.d_model,
         prefill=range(prompt.shape[0]),
         predefined_order=predefined,
     )

@@ -15,6 +15,7 @@ import numpy as np
 from .cache_engine import (
     CacheEngine,
     CacheVariant,
+    ComputePlan,
     LayoutError,
     build_layout,
 )
@@ -29,7 +30,7 @@ from .sampler import (
 )
 from .analysis import verify_trace_invariants
 
-__all__ = ["run_selftest"]
+__all__ = ["run_selftest", "validate_plan"]
 
 _TINY = ModelConfig(
     n_layers=2, n_heads=2, d_model=64, d_head=32, d_ff=128,
@@ -104,8 +105,7 @@ def _check_commit_gather_oracle() -> tuple[bool, str]:
                        compute.astype(np.int64))
         plan = build_layout(compute.tolist(), cached_pos.tolist(),
                             next_pos.tolist(), seq)
-        engine = CacheEngine(CacheVariant.decode(), seq_len=seq, n_layers=1,
-                             kv_width=width)
+        engine = CacheEngine(CacheVariant.decode(), seq_len=seq)
         engine.commit(plan, [KVSlab(
             0, np.concatenate([cached.keys, fresh.keys]),
             np.concatenate([cached.values, fresh.values]), plan.layout)])
@@ -116,6 +116,25 @@ def _check_commit_gather_oracle() -> tuple[bool, str]:
                 and np.array_equal(nxt.row_positions, next_pos)):
             return False, "reorder path diverged from naive gather/scatter"
     return True, "20 random cases exactly equal"
+
+
+def validate_plan(plan: ComputePlan, seq_len: int) -> None:
+    """Raise ``LayoutError`` unless the layout is [cached ; compute], a
+    permutation of ``range(seq_len)``, and the reorder index selects the
+    next cached positions from it."""
+    layout, index = plan.layout, plan.reorder_index
+    if not np.array_equal(layout, np.concatenate([plan.cached_positions,
+                                                  plan.compute_set])):
+        problem = "layout is not [cached ; compute]"
+    elif not np.array_equal(np.sort(layout), np.arange(seq_len)):
+        problem = "layout is not a permutation of the sequence positions"
+    elif index.size and (index.min() < 0 or index.max() >= len(layout)):
+        problem = "reorder index out of bounds"
+    elif not np.array_equal(layout[index], plan.next_cached_positions):
+        problem = "reorder index does not select the next cached set"
+    else:
+        return
+    raise LayoutError(f"layout soundness violated: {problem}")
 
 
 def _check_layout_soundness(fault_inject: str | None) -> tuple[bool, str]:
@@ -137,7 +156,7 @@ def _check_layout_soundness(fault_inject: str | None) -> tuple[bool, str]:
             corrupted[0] = (corrupted[0] + 1) % len(plan.layout)
             plan = dataclasses.replace(plan, reorder_index=corrupted)
         try:
-            plan.validate(seq)
+            validate_plan(plan, seq)
         except LayoutError as exc:
             return False, str(exc)
     return True, "20 random plans validated"

@@ -36,8 +36,8 @@ class StepRecord:
     millis: float | None
     mac_estimate: int
     block: tuple[int, int]
-    cached_positions: tuple[int, ...]
-    compute_set: tuple[int, ...]
+    cached_positions: np.ndarray  # the plan's int64 arrays, not copies
+    compute_set: np.ndarray
     key_snapshot: np.ndarray | None = None
     value_snapshot: np.ndarray | None = None
     audit: StepAudit | None = None

@@ -104,8 +104,7 @@ def test_criterion_02_commit_gather_oracle(tiny_weights):
         next_pos = np.sort(rng.choice(seq, size=next_n, replace=False))
         plan = build_layout(compute.tolist(), cached_pos.tolist(),
                             next_pos.tolist(), seq)
-        engine = CacheEngine(CacheVariant.decode(), seq_len=seq,
-                             n_layers=len(cache), kv_width=width)
+        engine = CacheEngine(CacheVariant.decode(), seq_len=seq)
         engine.commit(plan, part.kv)
         for layer, slab in enumerate(cache):
             nxt = engine.slabs[layer]

@@ -19,6 +19,7 @@ from dkvcache import (
     scatter_outputs,
 )
 from dkvcache.cache_engine import ComputePlan
+from dkvcache.selftest import validate_plan
 
 
 def make_slab(layer, positions, width=4, seed=0):
@@ -34,8 +35,7 @@ def make_slab(layer, positions, width=4, seed=0):
 
 def commit_gather(plan, cached, fresh):
     """Commit the [cached ; fresh] slab of one layer; return the next cache."""
-    engine = CacheEngine(CacheVariant.decode(), seq_len=len(plan.layout),
-                         n_layers=1, kv_width=cached.keys.shape[1])
+    engine = CacheEngine(CacheVariant.decode(), seq_len=len(plan.layout))
     engine.commit(plan, [KVSlab(
         layer=0, keys=np.concatenate([cached.keys, fresh.keys]),
         values=np.concatenate([cached.values, fresh.values]),
@@ -114,8 +114,8 @@ class TestGreedyWindow:
 def plan_after(variant, decodes, seq_len, prefill=0, predefined=None):
     """Drive an engine through one step per entry of ``decodes`` (the
     positions that step reveals) and return the last step's plan."""
-    engine = CacheEngine(variant, seq_len=seq_len, n_layers=1, kv_width=4,
-                         prefill=range(prefill), predefined_order=predefined)
+    engine = CacheEngine(variant, seq_len=seq_len, prefill=range(prefill),
+                         predefined_order=predefined)
     masked = np.arange(seq_len) >= prefill
     for step, revealed in enumerate(decodes):
         plan = engine.plan_step(masked=masked, step=step)
@@ -136,7 +136,6 @@ class TestPlanComputeSet:
     def test_decode_refresh_step(self):
         plan = plan_after(CacheVariant.decode(8), [(p,) for p in range(1, 10)],
                           seq_len=12, prefill=1)
-        assert plan.step == 8
         assert tuple(plan.compute_set) == tuple(range(12))
         assert plan.refresh_flag
 
@@ -157,8 +156,7 @@ class TestPlanComputeSet:
 
     def test_greedy_needs_predefined_order(self):
         with pytest.raises(ValueError, match="predefined"):
-            CacheEngine(CacheVariant.greedy(), seq_len=4, n_layers=1,
-                        kv_width=4)
+            CacheEngine(CacheVariant.greedy(), seq_len=4)
 
     def test_prefill_every_step(self):
         plan = plan_after(CacheVariant.prefill(),
@@ -176,15 +174,13 @@ class TestPlanComputeSet:
     def test_pd_refresh_never_touches_prefill(self):
         plan = plan_after(CacheVariant.pd(4), [(4,), (5,), (6,), (7,)] + [()] * 5,
                           seq_len=8, prefill=4)
-        assert plan.step == 8
         assert tuple(plan.compute_set) == (4, 5, 6, 7)
         assert plan.refresh_flag
 
     def test_monotone_mask_violation(self):
         # position 9 is unmasked at step 0, so step 0's commit keeps it;
         # masking it again at step 1 would serve a masked row from cache
-        engine = CacheEngine(CacheVariant.decode(), seq_len=10, n_layers=1,
-                             kv_width=4)
+        engine = CacheEngine(CacheVariant.decode(), seq_len=10)
         masked = np.zeros(10, dtype=bool)
         masked[1] = True
         plan = engine.plan_step(masked=masked, step=0)
@@ -218,13 +214,13 @@ class TestBuildLayout:
     def test_corrupted_index_detected(self):
         plan = build_layout([0, 1, 3], [2], [2, 3], 4)
         bad = ComputePlan(
-            step=plan.step, compute_set=plan.compute_set,
+            compute_set=plan.compute_set,
             cached_positions=plan.cached_positions, layout=plan.layout,
             reorder_index=np.array([0, 1]),  # selects (2, 0), not (2, 3)
             next_cached_positions=plan.next_cached_positions,
             refresh_flag=False)
         with pytest.raises(LayoutError, match="layout soundness"):
-            bad.validate(4)
+            validate_plan(bad, 4)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31))
@@ -288,25 +284,7 @@ class TestConcatReorder:
         plan = build_layout([1], [0], [0], 2)
         bad = dataclasses.replace(plan, reorder_index=np.array([5]))
         with pytest.raises(LayoutError, match="out of bounds"):
-            bad.validate(2)
-
-    def test_commit_rejects_rows_off_layout(self):
-        plan = build_layout([0, 2], [1, 3], [1, 3], 4)
-        engine = CacheEngine(CacheVariant.decode(), seq_len=4, n_layers=1,
-                             kv_width=4)
-        natural = make_slab(0, [0, 1, 2, 3])  # rows in position order
-        with pytest.raises(LayoutError, match="layout order"):
-            engine.commit(plan, [natural])
-        fresh_only = make_slab(0, [0, 2])  # cached rows missing
-        with pytest.raises(LayoutError, match="layout order"):
-            engine.commit(plan, [fresh_only])
-
-    def test_commit_rejects_layer_count(self):
-        plan = build_layout([0, 2], [1, 3], [1, 3], 4)
-        engine = CacheEngine(CacheVariant.decode(), seq_len=4, n_layers=2,
-                             kv_width=4)
-        with pytest.raises(LayoutError, match="2 layers, got 1"):
-            engine.commit(plan, [make_slab(0, plan.layout)])
+            validate_plan(bad, 2)
 
 
 class TestScatterOutputs:
@@ -318,7 +296,7 @@ class TestScatterOutputs:
         np.testing.assert_array_equal(rows[row_of[1]], rows[1])
 
     def test_order_preserved(self):
-        plan = ComputePlan(step=0, compute_set=np.array([3, 1]),
+        plan = ComputePlan(compute_set=np.array([3, 1]),
                            cached_positions=np.array([0, 2]),
                            layout=np.array([0, 2, 3, 1]),
                            reorder_index=np.zeros(0, dtype=np.int64),
@@ -352,7 +330,7 @@ class TestScatterOutputs:
 
 def layout_slab(engine, plan, seed):
     """The engine's cached rows followed by random fresh rows: [cache ; fresh]."""
-    cached = engine.slabs[0]
+    cached = engine.slabs[0] if engine.slabs else make_slab(0, [])
     fresh = make_slab(0, plan.compute_set, seed=seed)
     return KVSlab(layer=0, keys=np.concatenate([cached.keys, fresh.keys]),
                   values=np.concatenate([cached.values, fresh.values]),
@@ -361,8 +339,7 @@ def layout_slab(engine, plan, seed):
 
 class TestRefreshSemantics:
     def run_plans(self, variant, steps, seq_len=8, prefill=()):
-        engine = CacheEngine(variant, seq_len=seq_len, n_layers=1, kv_width=4,
-                             prefill=prefill)
+        engine = CacheEngine(variant, seq_len=seq_len, prefill=prefill)
         masked = np.arange(seq_len) >= len(prefill)
         plans = []
         for step in range(steps):
@@ -385,16 +362,16 @@ class TestRefreshSemantics:
         for variant, kept in ((CacheVariant.decode(3), ()),
                               (CacheVariant.pd(3), (0, 1))):
             plans = self.run_plans(variant, 6, prefill=(0, 1))
-            for plan in plans:
+            for step, plan in enumerate(plans):
                 # steps 3 and 6 refresh; every other commit keeps the
                 # positions unmasked when its step began
-                expected = kept if plan.step in (2, 5) else range(2 + plan.step)
+                expected = kept if step in (2, 5) else range(2 + step)
                 assert tuple(plan.next_cached_positions) == tuple(expected)
 
     def test_greedy_refresh_cadence(self):
         predefined = [(i + 2,) for i in range(6)]
-        engine = CacheEngine(CacheVariant.greedy(2, 4), seq_len=8, n_layers=1,
-                             kv_width=4, predefined_order=predefined)
+        engine = CacheEngine(CacheVariant.greedy(2, 4), seq_len=8,
+                             predefined_order=predefined)
         masked = np.arange(8) >= 2
         flags = []
         for step in range(6):
@@ -483,5 +460,6 @@ class TestEngineRuns:
                             cache=CacheVariant.decode(3))
         _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
         for rec in trace.records:
-            union = sorted(rec.cached_positions + rec.compute_set)
-            assert union == list(range(trace.seq_len))
+            union = np.sort(np.concatenate([rec.cached_positions,
+                                            rec.compute_set]))
+            np.testing.assert_array_equal(union, np.arange(trace.seq_len))

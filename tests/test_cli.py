@@ -86,9 +86,17 @@ class TestLoadConfig:
          "decode takes no window"),
         ({"cache": {"variant": "decode", "window_center": "previous"}},
          "decode takes no window"),
+        ({"model": {"n_layers": 2.0}}, "'model.n_layers' has type float"),
+        ({"model": {"weight_seed": 1.5}}, "'model.weight_seed' has type float"),
+        ({"model": {"n_layers": True}}, "'model.n_layers' has type bool"),
+        ({"model": {"rope_base": float("nan")}}, "rope_base must be finite"),
+        ({"sampler": {"temperature": float("inf")}},
+         "temperature must be finite"),
     ], ids=["sampler-not-object", "cache-not-object", "gen_len-str",
             "temperature-bool", "prompt-float", "prefill-interval",
-            "decode-window", "decode-window-0", "decode-window-center"])
+            "decode-window", "decode-window-0", "decode-window-center",
+            "n_layers-float", "weight_seed-float", "n_layers-bool",
+            "rope_base-nan", "temperature-inf"])
     def test_bad_value_named(self, tmp_path, overrides, named):
         path, _ = write_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=named):

@@ -83,8 +83,8 @@ def test_greedy_plans_match_reference(tiny_weights, interval, center):
     _, trace = generate(PROMPT, cfg, tiny_weights, timed=False)
     expected = list(reference_plan(trace, interval, window, center))
     for rec, (compute, cached) in zip(trace.records, expected):
-        assert rec.compute_set == compute, f"step {rec.step}"
-        assert rec.cached_positions == cached, f"step {rec.step}"
+        assert tuple(rec.compute_set.tolist()) == compute, f"step {rec.step}"
+        assert tuple(rec.cached_positions.tolist()) == cached, f"step {rec.step}"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -102,8 +102,8 @@ def test_plans_match_reference(tiny_weights, text, seed):
     expected = list(reference_plans(trace, variant))
     assert len(expected) == len(trace.records)
     for rec, (compute, cached) in zip(trace.records, expected):
-        assert rec.compute_set == compute, f"step {rec.step}"
-        assert rec.cached_positions == cached, f"step {rec.step}"
+        assert tuple(rec.compute_set.tolist()) == compute, f"step {rec.step}"
+        assert tuple(rec.cached_positions.tolist()) == cached, f"step {rec.step}"
 
 
 def test_greedy_plans_each_step_once(tiny_weights, monkeypatch):

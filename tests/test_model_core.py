@@ -51,6 +51,8 @@ class TestConfig:
         (dict(mask_token_id=128), "mask_token_id"),
         (dict(n_layers=0), "n_layers"),
         (dict(rope_base=-1.0), "rope_base"),
+        (dict(rope_base=float("nan")), "rope_base"),
+        (dict(rope_base=float("inf")), "rope_base"),
     ])
     def test_invalid_names_invariant(self, overrides, needle):
         base = dict(n_layers=2, n_heads=2, d_model=64, d_head=32, d_ff=128,
@@ -323,6 +325,35 @@ class TestForward:
             forward_partial(tokens, np.array([0, 3, 4, 5]), cache,
                             tiny_weights)
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda c, comp: (c[:1], comp), "layer count"),
+        (lambda c, comp: ([c[0], KVSlab(0, c[1].keys, c[1].values,
+                                        c[1].row_positions)], comp),
+         "claims layer 0"),
+        (lambda c, comp: ([KVSlab(0, c[0].keys[:1], c[0].values,
+                                  c[0].row_positions), c[1]], comp),
+         "row/position mismatch"),
+        (lambda c, comp: ([c[0], KVSlab(1, c[1].keys, c[1].values,
+                                        np.array([1, 3]))], comp),
+         "layers disagree"),
+        (lambda c, comp: (c, np.array([0, 1, 3, 4, 5])), "overlapping"),
+        (lambda c, comp: (c, np.array([0, 3, 4])), "incomplete"),
+        (lambda c, comp: (c, np.array([-1, 3, 4, 5])), "out of range"),
+        (lambda c, comp: (c, np.array([0, 3, 4, 6])), "out of range"),
+    ], ids=["layer-count", "wrong-layer", "row-count", "positions-disagree",
+            "overlap", "incomplete", "negative", "at-seq-len"])
+    def test_malformed_cache_rejected(self, tiny_weights, rng, corrupt,
+                                      message):
+        # a 6-token sequence with positions 1 and 2 cached on both layers
+        tokens = rng.integers(0, 100, size=6)
+        cached_pos = np.array([1, 2])
+        cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
+                        values=s.values[cached_pos], row_positions=cached_pos)
+                 for i, s in enumerate(forward_full(tokens, tiny_weights).kv)]
+        cache, compute = corrupt(cache, np.array([0, 3, 4, 5]))
+        with pytest.raises(ValueError, match=message):
+            forward_partial(tokens, compute, cache, tiny_weights)
+
 
 class TestLayoutPermutationInvariance:
     def test_random_permutations(self, tiny_weights, rng):
@@ -374,7 +405,10 @@ class TestWeightDump:
         (lambda sc, _: sc["tensors"][0].update(name="embed"), "embed"),
         # a weight file cut short inside its last tensor
         (lambda _, path: path.write_bytes(path.read_bytes()[:-8]), "head"),
-    ], ids=["shape", "missing", "extra", "renamed", "truncated"])
+        # a NaN as the last float of the head
+        (lambda _, path: path.write_bytes(
+            path.read_bytes()[:-4] + np.float32(np.nan).tobytes()), "head"),
+    ], ids=["shape", "missing", "extra", "renamed", "truncated", "non-finite"])
     def test_sidecar_checked_against_config(self, tiny_weights, tmp_path,
                                             edit, named):
         path = tmp_path / "weights.bin"

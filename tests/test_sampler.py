@@ -146,6 +146,11 @@ class TestPredictX0:
         with pytest.raises(ValueError, match="temperature"):
             predict_x0(np.zeros((1, 4), dtype=np.float32), -0.5, rng)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_non_finite_temperature(self, rng, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            predict_x0(np.zeros((1, 4), dtype=np.float32), temperature, rng)
+
     def test_temperature_zero_consumes_no_rng(self):
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
@@ -196,6 +201,12 @@ class TestSamplerConfig:
     def test_steps_bound(self):
         with pytest.raises(ConfigError, match="steps"):
             SamplerConfig(gen_len=8, steps=9, block_size=8)
+
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_non_finite_temperature(self, temperature):
+        with pytest.raises(ConfigError, match="temperature must be finite"):
+            SamplerConfig(gen_len=8, steps=8, block_size=8,
+                          temperature=temperature)
 
     def test_greedy_requires_random(self):
         with pytest.raises(ConfigError, match="random"):
