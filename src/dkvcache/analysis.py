@@ -42,36 +42,40 @@ def cache_ratio(trace: StepTrace) -> float:
     return float(np.mean([(s - rec.rows_computed) / s for rec in trace.records]))
 
 
-def mac_per_row(seq_len: int, dims: dict) -> int:
-    """Multiply-accumulate estimate for one computed row.
+def mac_per_row(seq_len: int, dims: dict) -> tuple[int, int]:
+    """Multiply-accumulate estimates ``(kv, logit)`` for one row.
 
-    Counts the Q/K/V/O projections, the two feed-forward matmuls, the
-    QK^T and AV attention products (against ``seq_len`` key rows), and the
+    Every computed row costs ``kv``: the Q/K/V projections of all layers,
+    plus, in every layer but the last, the QK^T and AV attention products
+    (against ``seq_len`` key rows), the O projection and the two
+    feed-forward matmuls. A logit row costs ``logit`` on top: the last
+    layer's attention products, O projection and feed-forward, and the
     output head. Norms, rotary rotation and activations are ignored as
     non-dominant.
     """
     d, f = dims["d_model"], dims["d_ff"]
-    per_layer = 4 * d * d + 2 * d * f + 2 * seq_len * d
-    return dims["n_layers"] * per_layer + d * dims["vocab_size"]
+    tail = d * d + 2 * d * f + 2 * seq_len * d
+    kv = dims["n_layers"] * 3 * d * d + (dims["n_layers"] - 1) * tail
+    return kv, tail + d * dims["vocab_size"]
 
 
 @dataclass
 class Counters:
     total_query_rows: int
+    total_logit_rows: int
     total_macs: int
     per_step_max_rows: int
 
 
-def compute_counters(trace: StepTrace, dims: dict | None = None) -> Counters:
-    """Exact query-row and MAC totals from the per-step records."""
+def compute_counters(trace: StepTrace) -> Counters:
+    """Exact query-row, logit-row and MAC totals from the per-step records."""
     if not trace.records:
         raise ValueError("empty trace")
-    dims = dims or trace.model_dims
     rows = [rec.rows_computed for rec in trace.records]
-    macs = sum(r * mac_per_row(trace.seq_len, dims) for r in rows)
     return Counters(
         total_query_rows=int(sum(rows)),
-        total_macs=int(macs),
+        total_logit_rows=int(sum(rec.logit_rows for rec in trace.records)),
+        total_macs=int(sum(rec.mac_estimate for rec in trace.records)),
         per_step_max_rows=int(max(rows)),
     )
 
@@ -93,6 +97,7 @@ def build_report(trace: StepTrace, baseline: StepTrace | None = None) -> RunRepo
         cache_ratio=cache_ratio(trace),
         tokens_per_second=throughput(trace),
         total_query_rows=counters.total_query_rows,
+        total_logit_rows=counters.total_logit_rows,
         total_macs=counters.total_macs,
         per_step_max_rows=counters.per_step_max_rows,
         gen_len=trace.gen_len,

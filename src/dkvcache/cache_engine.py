@@ -274,17 +274,13 @@ def build_layout(
     )
 
 
-def scatter_outputs(plan: ComputePlan, partial_logits: np.ndarray) -> np.ndarray:
-    """Map original positions to their logit rows.
+def scatter_outputs(plan: ComputePlan) -> np.ndarray:
+    """Map original positions to their compute rows.
 
-    Returns, per sequence position, the row of ``partial_logits`` holding
-    its logits, or -1 for positions outside the compute set: they carry
-    no logits this step.
+    Returns, per sequence position, its row in ``plan.compute_set`` (the
+    index ``forward_partial`` takes as a logit row), or -1 for positions
+    outside the compute set: they carry no logits this step.
     """
-    if partial_logits.shape[0] != len(plan.compute_set):
-        raise LayoutError(
-            f"row-count mismatch: {partial_logits.shape[0]} logit rows for "
-            f"{len(plan.compute_set)} computed positions")
     row_of = np.full(len(plan.layout), -1, dtype=np.int64)
     row_of[plan.compute_set] = np.arange(len(plan.compute_set))
     return row_of

@@ -133,9 +133,7 @@ def load_run_config(path) -> RunConfig:
         "d_ff": None, "vocab_size": None, "mask_token_id": None,
         "max_positions": None,
     }, optional={"rope_base": 10000.0, "weight_seed": 0}, context="model")
-    _typed(model_fields, "model", {name: (int, float) if name == "rope_base"
-                                   else int for name in model_fields})
-    try:
+    try:  # field types are checked by ModelConfig.validate, as for a sidecar
         model = ModelConfig(**model_fields)
     except ConfigError as exc:
         raise RunConfigError(f"model: {exc}") from exc

@@ -3,9 +3,11 @@
 The model exists to exercise cache scheduling, so it supports two entry
 points: a full forward pass, and a partial pass that recomputes hidden
 states only for a chosen compute set while attending over cached key/value
-rows injected for the remaining positions. Cached keys keep the rotary
-rotation from the step that produced them, which makes attention
-position-correct regardless of how rows are ordered in storage.
+rows injected for the remaining positions, and that can restrict the last
+layer's tail and the vocab head to the rows whose logits are read.
+Cached keys keep the rotary rotation from the step that produced them,
+which makes attention position-correct regardless of how rows are ordered
+in storage.
 
 Everything is float32. Forward passes are deterministic: identical inputs
 produce bit-identical outputs as long as the BLAS thread count does not
@@ -49,6 +51,10 @@ class ConfigError(ValueError):
     """A configuration invariant does not hold."""
 
 
+_INT_FIELDS = ("n_layers", "n_heads", "d_model", "d_head", "d_ff",
+               "vocab_size", "mask_token_id", "max_positions", "weight_seed")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of the toy transformer."""
@@ -68,6 +74,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        # a bool is not a number, and a float is not a count
+        for name in _INT_FIELDS + ("rope_base",):
+            value = getattr(self, name)
+            allowed = (int, float) if name == "rope_base" else int
+            if not isinstance(value, allowed) or isinstance(value, bool):
+                raise ConfigError(f"'{name}' has type {type(value).__name__}")
         for name in ("n_layers", "n_heads", "d_model", "d_head", "d_ff",
                      "vocab_size", "max_positions"):
             if getattr(self, name) < 1:
@@ -137,18 +149,20 @@ class KVSlab:
 
 @dataclass
 class ForwardResult:
-    """Logits for the compute set plus, per layer, the K/V rows attention
+    """Logits for the logit rows plus, per layer, the K/V rows attention
     read, in layout order [cached ; fresh]. All layers share one
-    ``row_positions`` array: the cached positions, then the compute set.
+    ``row_positions`` array: the cached positions, then the compute set,
+    whose length is ``n_fresh``.
     """
 
     logits: np.ndarray
     kv: list[KVSlab]
+    n_fresh: int
 
     @property
     def fresh_kv(self) -> list[KVSlab]:
         """The rows computed this call, per layer: views of each slab's tail."""
-        start = self.kv[0].n_rows - self.logits.shape[0]
+        start = self.kv[0].n_rows - self.n_fresh
         return [KVSlab(layer=s.layer, keys=s.keys[start:],
                        values=s.values[start:],
                        row_positions=s.row_positions[start:])
@@ -315,7 +329,7 @@ def attention(
     nq, width = queries.shape
     nk = keys.shape[0]
     dh = width // n_heads
-    group = max(1, min(n_heads, _SCORES_BUDGET // (nq * nk)))
+    group = max(1, min(n_heads, _SCORES_BUDGET // max(1, nq * nk)))
     dtype = np.result_type(queries, keys, values)
     buf = np.empty((group, nq, nk), dtype=dtype)
     out = np.empty((nq, width), dtype=dtype)
@@ -395,17 +409,24 @@ def forward_partial(
     compute_set,
     cache: list[KVSlab] | None,
     weights: ModelWeights,
+    logit_rows=None,
 ) -> ForwardResult:
     """Forward pass over the compute set only, attending over cache + fresh rows.
 
-    ``compute_set`` is an ordered position list; hidden states and logits
-    are produced for exactly those rows, in that order. Per layer one
-    matmul against ``wqkv`` projects queries, keys and values, and one
-    ``rope_rotate`` call rotates the [q | k] block. The attention
+    ``compute_set`` is an ordered position list; keys and values are
+    produced for exactly those rows, in that order, in every layer. Per
+    layer one matmul against ``wqkv`` projects queries, keys and values,
+    and one ``rope_rotate`` call rotates the [q | k] block. The attention
     keys/values are one [cached rows ; fresh rows] slab per layer, i.e. the
     storage layout, allocated once and filled directly; it is returned as
     ``ForwardResult.kv`` for the cache commit to gather from. The cached
     rows must have been rotated with their original positions.
+
+    ``logit_rows`` indexes the compute set and picks the rows that get
+    logits, in that order; ``None`` means every compute row. Only those
+    rows run the last layer's attention, output projection, feed-forward,
+    final norm and head, since no later layer reads the others' hidden
+    states. An index outside the compute set raises ``ValueError``.
 
     This is the one place a cached/compute split is checked, before any
     indexing; cached row values are trusted.
@@ -417,9 +438,16 @@ def forward_partial(
     comp = np.asarray(compute_set, dtype=np.int64)
     row_positions = _validate_cache(cache, comp, seq_len, config)
     n_cached, d = row_positions.shape[0] - comp.shape[0], config.d_model
+    if logit_rows is not None:
+        logit_rows = np.asarray(logit_rows, dtype=np.int64)
+        if logit_rows.ndim != 1 or logit_rows.size and (
+                logit_rows.min() < 0 or logit_rows.max() >= comp.shape[0]):
+            raise ValueError(
+                f"logit row out of range: outside [0, {comp.shape[0]})")
 
     h = weights.embedding[tokens[comp]]
     scale = 1.0 / math.sqrt(config.d_head)
+    last = len(weights.layers) - 1
     kv: list[KVSlab] = []
     for idx, layer in enumerate(weights.layers):
         qkv = _rms_norm(h, layer.attn_gain) @ layer.wqkv
@@ -432,12 +460,15 @@ def forward_partial(
             values[:n_cached] = cache[idx].values
         keys[n_cached:] = qk[:, d:]
         values[n_cached:] = qkv[:, 2 * d:]
-        h += attention(qk[:, :d], keys, values, scale, config.n_heads) @ layer.wo
+        queries = qk[:, :d]
+        if idx == last and logit_rows is not None:
+            queries, h = queries[logit_rows], h[logit_rows]
+        h += attention(queries, keys, values, scale, config.n_heads) @ layer.wo
         h += _gelu(_rms_norm(h, layer.ffn_gain) @ layer.w1) @ layer.w2
         kv.append(KVSlab(layer=idx, keys=keys, values=values,
                          row_positions=row_positions))
     logits = _rms_norm(h, weights.final_gain) @ weights.head
-    return ForwardResult(logits=logits, kv=kv)
+    return ForwardResult(logits=logits, kv=kv, n_fresh=comp.shape[0])
 
 
 def forward_full(tokens, weights: ModelWeights) -> ForwardResult:
@@ -485,12 +516,16 @@ def save_weights(weights: ModelWeights, path) -> None:
 
 
 def load_weights(path) -> ModelWeights:
-    """Load a ``save_weights`` dump; ``ConfigError`` names any tensor the
-    sidecar adds, omits or shapes differently from what its config implies,
-    that runs past the end of the file, or that holds a non-finite value."""
+    """Load a ``save_weights`` dump; ``ConfigError`` names a config field
+    that ``ModelConfig.validate`` rejects, and any tensor the sidecar adds,
+    omits or shapes differently from what its config implies, that runs
+    past the end of the file, or that holds a non-finite value."""
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    config = ModelConfig(**sidecar["config"])
+    try:
+        config = ModelConfig(**sidecar["config"])
+    except (ConfigError, TypeError) as exc:
+        raise ConfigError(f"weight sidecar: config: {exc}") from exc
     expected = _weight_shapes(config)
     data = path.read_bytes()
     if len(data) % 4:

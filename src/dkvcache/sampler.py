@@ -322,7 +322,16 @@ def decode_step(
     timed: bool = True,
     kv_audit: bool = False,
 ) -> StepRecord:
-    """Run one denoising step, mutating ``state`` and returning its record."""
+    """Run one denoising step, mutating ``state`` and returning its record.
+
+    The plan fixes the compute set, and from it the logit rows: the
+    positions whose logits the sampler reads. Outside greedy those are the
+    candidates, the positions masked, in the active block and computed
+    this step; under greedy, only the step's predefined decodes, which
+    must be candidates. The forward pass produces K/V for every compute
+    row but logits only for the logit rows, so ``predict_x0`` sees exactly
+    one row per logit row.
+    """
     mcfg = weights.config
     t = state.step
     block_lo, block_hi = sched.blocks[sched.block_of[t]]
@@ -332,44 +341,47 @@ def decode_step(
 
     start_time = time.perf_counter() if timed else None
     plan = engine.plan_step(masked=state.masked, step=t)
-    result = forward_partial(state.tokens, plan.compute_set,
-                             engine.cache_slabs(), weights)
-    engine.commit(plan, result.kv)
-    row_of = scatter_outputs(plan, result.logits)
-
+    row_of = scatter_outputs(plan)
     in_block = np.flatnonzero(state.masked[block[0]:block[1]]) + block[0]
-    candidates = in_block[row_of[in_block] >= 0]
-    rows = result.logits[row_of[candidates]]
-    # the absorbing state is not a clean token; never propose it as x0
-    rows[:, mcfg.mask_token_id] = -np.inf
-    ids, confidence, margin = predict_x0(rows, cfg.temperature, state.rng)
-    id_of = dict(zip(candidates.tolist(), ids.tolist()))
-
+    read = in_block[row_of[in_block] >= 0]  # the candidates
     if engine.predefined_order is not None:
         chosen = engine.predefined_order[t]
-        if not set(chosen) <= id_of.keys():
+        if not np.isin(chosen, read).all():
             raise RuntimeError(
                 f"step {t}: predefined decode positions missing from the "
                 "compute set")
-    else:
-        chosen = select_to_unmask(candidates, confidence, margin,
+        read = np.asarray(chosen, dtype=np.int64)
+    result = forward_partial(state.tokens, plan.compute_set,
+                             engine.cache_slabs(), weights,
+                             logit_rows=row_of[read])
+    engine.commit(plan, result.kv)
+
+    rows = result.logits
+    # the absorbing state is not a clean token; never propose it as x0
+    rows[:, mcfg.mask_token_id] = -np.inf
+    ids, confidence, margin = predict_x0(rows, cfg.temperature, state.rng)
+    if engine.predefined_order is None:
+        chosen = select_to_unmask(read, confidence, margin,
                                   cfg.remasking, k, block, state.rng)
+    id_of = dict(zip(read.tolist(), ids.tolist()))
     decoded_ids = tuple(id_of[p] for p in chosen)
     for pos, tok in zip(chosen, decoded_ids):
         state.tokens[pos] = tok
     millis = ((time.perf_counter() - start_time) * 1000.0
               if start_time is not None else None)
+    kv_macs, logit_macs = analysis.mac_per_row(state.tokens.shape[0],
+                                               _dims(mcfg))
 
     record = StepRecord(
         step=t,
         masked_count=masked_at_start,
         rows_computed=len(plan.compute_set),
+        logit_rows=len(read),
         decoded_positions=tuple(chosen),
         decoded_ids=decoded_ids,
         refresh=plan.refresh_flag,
         millis=millis,
-        mac_estimate=len(plan.compute_set) * analysis.mac_per_row(
-            state.tokens.shape[0], _dims(mcfg)),
+        mac_estimate=len(plan.compute_set) * kv_macs + len(read) * logit_macs,
         block=block,
         cached_positions=plan.cached_positions,
         compute_set=plan.compute_set,

@@ -75,6 +75,34 @@ def _check_partial_forward_oracle() -> tuple[bool, str]:
     return True, "partial matches full within 1e-5"
 
 
+def _check_logit_rows() -> tuple[bool, str]:
+    weights = init_weights(_TINY)
+    rng = np.random.default_rng(17)
+    seq = 24
+    for n_rows in (1, 2, 7):
+        tokens = rng.integers(0, _TINY.vocab_size - 1, size=seq)
+        full = forward_full(tokens, weights)
+        cached_pos = np.sort(rng.choice(seq, size=8, replace=False))
+        compute = rng.permutation(np.setdiff1d(np.arange(seq), cached_pos))
+        cache = [KVSlab(layer=i, keys=slab.keys[cached_pos],
+                        values=slab.values[cached_pos], row_positions=cached_pos)
+                 for i, slab in enumerate(full.fresh_kv)]
+        every = forward_partial(tokens, compute, cache, weights)
+        rows = rng.choice(len(compute), size=n_rows, replace=False)
+        part = forward_partial(tokens, compute, cache, weights, logit_rows=rows)
+        if part.logits.shape != (n_rows, _TINY.vocab_size):
+            return False, (f"{n_rows} logit rows gave logits of shape "
+                           f"{part.logits.shape}")
+        diff = np.abs(part.logits - every.logits[rows]).max()
+        if diff > 1e-5:
+            return False, f"max logit diff {diff:.2e} > 1e-5"
+        if any(a.keys.tobytes() != b.keys.tobytes()
+               or a.values.tobytes() != b.values.tobytes()
+               for a, b in zip(part.kv, every.kv)):
+            return False, f"{n_rows} logit rows: K/V differ from the all-rows pass"
+    return True, "logits within 1e-5 of the all-rows pass, K/V byte-equal"
+
+
 def _naive_next_cache(cached: KVSlab, fresh: KVSlab, next_positions, seq_len, width):
     buf_k = np.zeros((seq_len, width), dtype=np.float32)
     buf_v = np.zeros((seq_len, width), dtype=np.float32)
@@ -205,6 +233,7 @@ def run_selftest(fault_inject: str | None = None, out=print) -> bool:
     checks = [
         ("oracle equivalence (refresh degeneracy)", _check_refresh_degeneracy),
         ("partial forward oracle", _check_partial_forward_oracle),
+        ("logit rows", _check_logit_rows),
         ("commit gather oracle", _check_commit_gather_oracle),
         ("layout soundness",
          lambda: _check_layout_soundness(fault_inject)),

@@ -27,9 +27,14 @@ class StepAudit:
 
 @dataclass
 class StepRecord:
+    """One step's counters. ``rows_computed`` rows produced K/V in every
+    layer; ``logit_rows`` of them also ran the last layer's tail and the
+    head, and ``mac_estimate`` counts both parts."""
+
     step: int
     masked_count: int
     rows_computed: int
+    logit_rows: int
     decoded_positions: tuple[int, ...]
     decoded_ids: tuple[int, ...]
     refresh: bool
@@ -48,6 +53,7 @@ class StepRecord:
             "masked": self.masked_count,
             "decoded_positions": list(self.decoded_positions),
             "rows_computed": self.rows_computed,
+            "logit_rows": self.logit_rows,
             "millis": self.millis,
             "refresh": self.refresh,
         }
@@ -71,10 +77,6 @@ class StepTrace:
     @property
     def total_rows(self) -> int:
         return sum(rec.rows_computed for rec in self.records)
-
-    @property
-    def total_macs(self) -> int:
-        return sum(rec.mac_estimate for rec in self.records)
 
     def total_millis(self) -> float | None:
         if any(rec.millis is None for rec in self.records):
@@ -137,6 +139,7 @@ class RunReport:
     cache_ratio: float
     tokens_per_second: float | None
     total_query_rows: int
+    total_logit_rows: int
     total_macs: int
     per_step_max_rows: int
     gen_len: int

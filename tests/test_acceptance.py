@@ -235,13 +235,20 @@ def test_criterion_06_compute_reduction(toy_weights):
     expected = _decode_rows_closed_form(64, 256, 256, 8, [1] * 256)
     assert [rec.rows_computed for rec in dec_trace.records] == expected
     assert dec_rows == sum(expected)
+    # logits only for the rows the sampler reads: one block, and every
+    # masked position is computed, so step t reads the 256 - t masked rows
+    logit_rows = [256 - t for t in range(256)]
+    for trace in (base_trace, dec_trace):
+        assert [rec.logit_rows for rec in trace.records] == logit_rows
+        assert compute_counters(trace).total_logit_rows == sum(logit_rows)
     reduction = 1.0 - dec_rows / base_rows
     assert reduction >= 0.40, f"row reduction {reduction:.3f} below 40%"
     _register("c6 none", base_trace)
     _register("c6 decode8", dec_trace)
     _report(6, "PASS", "compute reduction",
             f"{base_rows} -> {dec_rows} query rows "
-            f"({reduction * 100:.1f}% lower), counters match closed form")
+            f"({reduction * 100:.1f}% lower), {sum(logit_rows)} logit rows "
+            "each, counters match closed form")
 
 
 def test_criterion_07_wall_clock(toy_weights):

@@ -20,9 +20,10 @@ DIMS = dict(n_layers=2, n_heads=2, d_model=8, d_head=4, d_ff=16, vocab_size=32)
 def make_record(step, rows, seq_len, decoded=(), millis=None, masked=0):
     return StepRecord(
         step=step, masked_count=masked, rows_computed=rows,
+        logit_rows=rows,
         decoded_positions=tuple(decoded), decoded_ids=tuple(0 for _ in decoded),
         refresh=False, millis=millis,
-        mac_estimate=rows * mac_per_row(seq_len, DIMS),
+        mac_estimate=rows * sum(mac_per_row(seq_len, DIMS)),
         block=(0, seq_len), cached_positions=(), compute_set=tuple(range(rows)),
     )
 
@@ -73,8 +74,19 @@ class TestCounters:
         counters = compute_counters(trace)
         assert counters.total_query_rows == 6 * 16
         assert counters.per_step_max_rows == 16
-        assert counters.total_macs == 6 * 16 * mac_per_row(
-            16, trace.model_dims)
+        # logits only for the masked rows: 12, 10, ..., 2 at the steps' starts
+        assert [r.logit_rows for r in trace.records] == [12, 10, 8, 6, 4, 2]
+        assert counters.total_logit_rows == 42
+        # d 64, d_ff 128, 2 layers, vocab 128, 16 keys: every row pays both
+        # layers' Q/K/V projections and layer 0's attention, O and FFN; a
+        # logit row adds layer 1's attention, O and FFN plus the head
+        tail = 64 * 64 + 2 * 64 * 128 + 2 * 16 * 64
+        kv, logit = 2 * 3 * 64 * 64 + tail, tail + 64 * 128
+        assert mac_per_row(16, trace.model_dims) == (kv, logit)
+        assert counters.total_macs == 6 * 16 * kv + 42 * logit
+        # a row that is both costs what the unsplit count gave
+        assert kv + logit == 2 * (4 * 64 * 64 + 2 * 64 * 128
+                                  + 2 * 16 * 64) + 64 * 128
 
     def test_decode_closed_form(self, tiny_weights):
         prompt, gen_len, steps, interval = 4, 16, 16, 8

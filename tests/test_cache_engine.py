@@ -14,6 +14,7 @@ from dkvcache import (
     SamplerConfig,
     WindowCenter,
     build_layout,
+    forward_partial,
     generate,
     greedy_window,
     scatter_outputs,
@@ -291,7 +292,7 @@ class TestScatterOutputs:
     def test_identity(self):
         plan = build_layout([0, 1, 2], [], [], 3)
         rows = np.arange(6, dtype=np.float32).reshape(3, 2)
-        row_of = scatter_outputs(plan, rows)
+        row_of = scatter_outputs(plan)
         assert set(np.flatnonzero(row_of >= 0)) == {0, 1, 2}
         np.testing.assert_array_equal(rows[row_of[1]], rows[1])
 
@@ -303,14 +304,17 @@ class TestScatterOutputs:
                            next_cached_positions=np.zeros(0, dtype=np.int64),
                            refresh_flag=False)
         rows = np.array([[10.0], [20.0]], dtype=np.float32)
-        row_of = scatter_outputs(plan, rows)
+        row_of = scatter_outputs(plan)
         assert rows[row_of[3]][0] == 10.0 and rows[row_of[1]][0] == 20.0
         assert row_of[0] == -1 and row_of[2] == -1  # no row, never zero-filled
 
-    def test_row_count_mismatch(self):
-        plan = build_layout([0, 1], [], [], 2)
-        with pytest.raises(LayoutError, match="row-count"):
-            scatter_outputs(plan, np.zeros((3, 1), dtype=np.float32))
+    def test_row_count_mismatch(self, tiny_weights):
+        # asking for a third logit row of a two-row compute set
+        plan = build_layout([1, 0], [], [], 2)
+        rows = np.append(scatter_outputs(plan)[[0, 1]], 2)
+        with pytest.raises(ValueError, match="logit row out of range"):
+            forward_partial(np.array([5, 6]), plan.compute_set, None,
+                            tiny_weights, logit_rows=rows)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31))
@@ -323,7 +327,7 @@ class TestScatterOutputs:
         rng.shuffle(compute)
         plan = build_layout(compute.tolist(), cached.tolist(), [], seq)
         rows = rng.random((len(compute), 3), dtype=np.float32)
-        row_of = scatter_outputs(plan, rows)
+        row_of = scatter_outputs(plan)
         regathered = rows[row_of[compute]]
         np.testing.assert_array_equal(regathered, rows)
 

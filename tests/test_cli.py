@@ -86,9 +86,9 @@ class TestLoadConfig:
          "decode takes no window"),
         ({"cache": {"variant": "decode", "window_center": "previous"}},
          "decode takes no window"),
-        ({"model": {"n_layers": 2.0}}, "'model.n_layers' has type float"),
-        ({"model": {"weight_seed": 1.5}}, "'model.weight_seed' has type float"),
-        ({"model": {"n_layers": True}}, "'model.n_layers' has type bool"),
+        ({"model": {"n_layers": 2.0}}, "model: 'n_layers' has type float"),
+        ({"model": {"weight_seed": 1.5}}, "model: 'weight_seed' has type float"),
+        ({"model": {"n_layers": True}}, "model: 'n_layers' has type bool"),
         ({"model": {"rope_base": float("nan")}}, "rope_base must be finite"),
         ({"sampler": {"temperature": float("inf")}},
          "temperature must be finite"),

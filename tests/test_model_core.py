@@ -355,6 +355,53 @@ class TestForward:
             forward_partial(tokens, compute, cache, tiny_weights)
 
 
+class TestLogitRows:
+    """``forward_partial(..., logit_rows=...)`` against the all-rows pass."""
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 16, 256])
+    def test_matches_all_rows_pass(self, tiny_weights, rng, n_rows, cached):
+        seq = 400
+        tokens = rng.integers(0, 100, size=seq)
+        cached_pos = (np.sort(rng.choice(seq, size=100, replace=False))
+                      if cached else np.zeros(0, dtype=np.int64))
+        compute = rng.permutation(np.setdiff1d(np.arange(seq), cached_pos))
+        cache = None
+        if cached:
+            full = forward_full(tokens, tiny_weights)
+            cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
+                            values=s.values[cached_pos], row_positions=cached_pos)
+                     for i, s in enumerate(full.fresh_kv)]
+        every = forward_partial(tokens, compute, cache, tiny_weights)
+        rows = rng.choice(len(compute), size=n_rows, replace=False)
+        part = forward_partial(tokens, compute, cache, tiny_weights,
+                               logit_rows=rows)
+        assert part.logits.shape == (n_rows, tiny_weights.config.vocab_size)
+        assert np.abs(part.logits - every.logits[rows]).max() <= 1e-5
+        for a, b in zip(part.kv, every.kv):
+            assert a.keys.tobytes() == b.keys.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+            np.testing.assert_array_equal(a.row_positions, b.row_positions)
+        for a, b in zip(part.fresh_kv, every.fresh_kv):
+            assert a.n_rows == b.n_rows == len(compute)
+            assert a.keys.tobytes() == b.keys.tobytes()
+
+    def test_no_logit_rows(self, tiny_weights, rng):
+        tokens = rng.integers(0, 100, size=6)
+        part = forward_partial(tokens, np.arange(6), None, tiny_weights,
+                               logit_rows=[])
+        assert part.logits.shape == (0, tiny_weights.config.vocab_size)
+        assert part.fresh_kv[0].n_rows == 6
+
+    @pytest.mark.parametrize("rows", [[4], [-1], [0, 4]])
+    def test_out_of_range_row_rejected(self, tiny_weights, rng, rows):
+        # four compute rows: indices 0..3 are valid
+        tokens = rng.integers(0, 100, size=4)
+        with pytest.raises(ValueError, match="logit row out of range"):
+            forward_partial(tokens, np.array([3, 0, 2, 1]), None,
+                            tiny_weights, logit_rows=rows)
+
+
 class TestLayoutPermutationInvariance:
     def test_random_permutations(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=14)
@@ -408,7 +455,11 @@ class TestWeightDump:
         # a NaN as the last float of the head
         (lambda _, path: path.write_bytes(
             path.read_bytes()[:-4] + np.float32(np.nan).tobytes()), "head"),
-    ], ids=["shape", "missing", "extra", "renamed", "truncated", "non-finite"])
+        # config fields that are not integers
+        (lambda sc, _: sc["config"].update(n_layers=2.0), "n_layers"),
+        (lambda sc, _: sc["config"].update(n_layers=True), "n_layers"),
+    ], ids=["shape", "missing", "extra", "renamed", "truncated", "non-finite",
+            "float", "bool"])
     def test_sidecar_checked_against_config(self, tiny_weights, tmp_path,
                                             edit, named):
         path = tmp_path / "weights.bin"

@@ -328,3 +328,91 @@ class TestGenerate:
                 assert (rec.value_snapshot[positions].tobytes()
                         == values.tobytes())
             cached = [rec.audit.cached_after[1]]
+
+
+class TestLogitRows:
+    """``decode_step`` asks the model for logits only on the rows the
+    sampler reads, and ``predict_x0`` sees exactly those rows."""
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        seen = []
+        real = sampler_mod.predict_x0
+
+        def counting(logits, *args):
+            seen.append(logits.shape[0])
+            return real(logits, *args)
+
+        monkeypatch.setattr(sampler_mod, "predict_x0", counting)
+        return seen
+
+    @pytest.mark.parametrize("variant", ["greedy:4:2", "greedy:inf:0",
+                                         "greedy:2:4:current"])
+    def test_greedy_reads_the_decodes(self, tiny_weights, monkeypatch,
+                                      variant):
+        seen = self.count_rows(monkeypatch)
+        cfg = SamplerConfig(gen_len=16, steps=8, block_size=8, sample_seed=3,
+                            remasking=Remasking.RANDOM,
+                            cache=CacheVariant.parse(variant))
+        _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
+        counts = list(tokens_per_step_schedule(16, 8, 8).counts)
+        assert seen == counts == [r.logit_rows for r in trace.records]
+
+    @pytest.mark.parametrize("variant", ["none", "decode:8", "decode:3",
+                                         "decode", "prefill", "pd:2"])
+    def test_reads_masked_in_block_computed(self, tiny_weights, monkeypatch,
+                                            variant):
+        seen = self.count_rows(monkeypatch)
+        cfg = SamplerConfig(gen_len=24, steps=12, block_size=8, sample_seed=3,
+                            cache=CacheVariant.parse(variant))
+        _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
+        masked, expected = set(range(4, 28)), []
+        for rec in trace.records:
+            lo, hi = rec.block
+            expected.append(len({p for p in masked if lo <= p < hi}
+                                & set(rec.compute_set.tolist())))
+            masked -= set(rec.decoded_positions)
+        assert seen == expected == [r.logit_rows for r in trace.records]
+        # three blocks of 8: fewer rows than the masked count
+        assert sum(expected) < sum(r.masked_count for r in trace.records)
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.parametrize("variant", ["none", "decode:8", "greedy:4:2"])
+    def test_same_sequence_as_all_rows_pass(self, tiny_weights, monkeypatch,
+                                            variant, temperature):
+        # the same rows sliced from an all-rows pass: same draws, same tokens
+        cfg = SamplerConfig(gen_len=24, steps=12, block_size=8, sample_seed=7,
+                            temperature=temperature,
+                            remasking=Remasking.RANDOM,
+                            cache=CacheVariant.parse(variant))
+        tokens, trace = generate(np.arange(1, 5), cfg, tiny_weights,
+                                 timed=False)
+        real = sampler_mod.forward_partial
+
+        def all_rows(*args, logit_rows):
+            result = real(*args)
+            result.logits = result.logits[logit_rows]
+            return result
+
+        monkeypatch.setattr(sampler_mod, "forward_partial", all_rows)
+        sliced, sliced_trace = generate(np.arange(1, 5), cfg, tiny_weights,
+                                        timed=False)
+        np.testing.assert_array_equal(tokens, sliced)
+        assert ([r.logit_rows for r in trace.records]
+                == [r.logit_rows for r in sliced_trace.records])
+
+    def test_predefined_decode_must_be_a_candidate(self, tiny_weights,
+                                                   monkeypatch):
+        # a predefined decode that is no longer masked is refused
+        real = sampler_mod._draw_decode_order
+
+        def revisit(sched, prompt_len, rng):
+            order = real(sched, prompt_len, rng)
+            return [order[0]] + [order[0]] + order[2:]
+
+        monkeypatch.setattr(sampler_mod, "_draw_decode_order", revisit)
+        cfg = SamplerConfig(gen_len=16, steps=8, block_size=8, sample_seed=3,
+                            remasking=Remasking.RANDOM,
+                            cache=CacheVariant.parse("greedy:inf:16"))
+        with pytest.raises(GenerationError, match="predefined decode"):
+            generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
