@@ -178,10 +178,14 @@ def kv_dynamics(
     position ``p`` was revealed (-1 for prompt positions). Emits pairwise
     step distance matrices, per-token pre/post-reveal change means, and
     the fraction of tokens whose change at the reveal transition exceeds
-    their own median step change.
+    their own median step change. Malformed inputs raise ValueError.
     """
-    if keys.ndim != 3 or keys.shape != values.shape:
+    if np.ndim(keys) != 3 or np.shape(keys) != np.shape(values):
         raise ValueError("snapshots missing or malformed")
+    if (np.shape(decode_steps) != keys.shape[1:2]
+            or not np.issubdtype(np.asarray(decode_steps).dtype, np.integer)):
+        raise ValueError(f"decode steps must be {keys.shape[1]} integers, "
+                         "one per position")
     steps = keys.shape[0]
     if steps < 2:
         raise ValueError("need at least two snapshots for dynamics")

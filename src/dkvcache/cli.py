@@ -4,6 +4,13 @@ The run config is a strict JSON file: unknown keys are rejected so typos
 in variant names surface immediately. Under ``--deterministic`` the BLAS
 thread pool is capped at one thread and wall-clock fields are suppressed,
 which makes every output file byte-reproducible for a fixed config.
+
+Commands raise; ``main`` alone turns a failure into an exit code. 0 is
+success, 1 a failed selftest, 2 a config, input file or output path
+problem (``ConfigError`` or ``OSError``), 3 a failed generation
+(``GenerationError``; ``generate`` writes the partial trace first) and 4
+no usable snapshots for ``analyze``, which that command reports itself.
+Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -38,10 +45,6 @@ EXIT_RUNTIME = 3
 EXIT_NO_SNAPSHOTS = 4
 
 
-class RunConfigError(ValueError):
-    """Config file problem; the message names the offending field."""
-
-
 @dataclass
 class RunConfig:
     model: ModelConfig
@@ -53,14 +56,14 @@ class RunConfig:
 
 def _take(obj: dict, required: dict, optional: dict, context: str) -> dict:
     if not isinstance(obj, dict):
-        raise RunConfigError(f"'{context}' must be a JSON object")
+        raise ConfigError(f"'{context}' must be a JSON object")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
-        raise RunConfigError(
+        raise ConfigError(
             f"unknown field '{context}.{sorted(unknown)[0]}'")
     missing = set(required) - set(obj)
     if missing:
-        raise RunConfigError(
+        raise ConfigError(
             f"missing field '{context}.{sorted(missing)[0]}'")
     return {**optional, **obj}
 
@@ -72,7 +75,7 @@ def _typed(fields: dict, context: str, types: dict) -> None:
         value = fields[name]
         if (not isinstance(value, allowed)
                 or isinstance(value, bool) and allowed is not bool):
-            raise RunConfigError(
+            raise ConfigError(
                 f"'{context}.{name}' has type {type(value).__name__}")
 
 
@@ -92,7 +95,7 @@ def _parse_cache(obj: dict) -> CacheVariant:
             params["window_center"] = WindowCenter(params["window_center"])
         return CacheVariant.of(VariantKind(fields["variant"].lower()), **params)
     except ValueError as exc:
-        raise RunConfigError(f"cache: {exc}") from exc
+        raise ConfigError(f"cache: {exc}") from exc
 
 
 def _parse_prompt(value, base_dir: Path) -> np.ndarray:
@@ -100,16 +103,16 @@ def _parse_prompt(value, base_dir: Path) -> np.ndarray:
         fields = _take(value, required={"file": None}, optional={},
                        context="prompt")
         _typed(fields, "prompt", {"file": str})
-        text = (base_dir / fields["file"]).read_text()
         try:
-            value = [int(tok) for tok in text.split()]
+            value = [int(tok) for tok in
+                     (base_dir / fields["file"]).read_text().split()]
         except ValueError as exc:
-            raise RunConfigError(f"prompt file {fields['file']}: {exc}") from exc
+            raise ConfigError(f"prompt file {fields['file']}: {exc}") from exc
     if not isinstance(value, list):
-        raise RunConfigError("prompt: expected an id list or {\"file\": path}")
+        raise ConfigError("prompt: expected an id list or {\"file\": path}")
     bad = [v for v in value if isinstance(v, bool) or not isinstance(v, int)]
     if bad:
-        raise RunConfigError(f"prompt: {bad[0]!r} is not a token id")
+        raise ConfigError(f"prompt: {bad[0]!r} is not a token id")
     return np.asarray(value, dtype=np.int64)
 
 
@@ -117,10 +120,10 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise RunConfigError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise RunConfigError("top level must be a JSON object")
+        raise ConfigError("top level must be a JSON object")
     top = _take(raw,
                 required={"model": None, "sampler": None, "cache": None,
                           "prompt": None, "output_dir": None},
@@ -136,7 +139,7 @@ def load_run_config(path) -> RunConfig:
     try:  # field types are checked by ModelConfig.validate, as for a sidecar
         model = ModelConfig(**model_fields)
     except ConfigError as exc:
-        raise RunConfigError(f"model: {exc}") from exc
+        raise ConfigError(f"model: {exc}") from exc
 
     sampler_fields = _take(top["sampler"], required={
         "gen_len": None, "steps": None, "block_size": None,
@@ -154,8 +157,8 @@ def load_run_config(path) -> RunConfig:
                "temperature": float(sampler_fields["temperature"])},
             cache=cache,
         )
-    except (ConfigError, ValueError) as exc:
-        raise RunConfigError(f"sampler: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"sampler: {exc}") from exc
 
     return RunConfig(
         model=model,
@@ -193,10 +196,10 @@ def _thread_cap(deterministic: bool):
     """
     env = os.environ.get("DKV_THREADS")
     if env is not None and not (env.isdigit() and int(env) >= 1):
-        raise RunConfigError(f"DKV_THREADS={env} is not a positive integer")
+        raise ConfigError(f"DKV_THREADS={env} is not a positive integer")
     if deterministic:
         if env is not None and int(env) != 1:
-            raise RunConfigError(
+            raise ConfigError(
                 f"DKV_THREADS={env} conflicts with deterministic mode "
                 "(must be 1)")
         limit = 1
@@ -216,7 +219,7 @@ def _thread_cap(deterministic: bool):
     blas = _openblas_threads()
     if blas is None:
         if deterministic:
-            raise RunConfigError(
+            raise ConfigError(
                 "deterministic mode cannot cap BLAS threads: neither "
                 "threadpoolctl nor numpy's bundled OpenBLAS is available")
         yield
@@ -262,102 +265,70 @@ def _write_outputs(tokens, trace: StepTrace, out_dir: Path) -> None:
 
 
 def cmd_generate(args) -> int:
-    try:
-        cfg = load_run_config(args.config)
-        if args.deterministic:
-            cfg.deterministic = True
-        if args.snapshots is not None:
-            cfg.sampler = replace(cfg.sampler, snapshot_layer=args.snapshots)
-    except (RunConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        with _thread_cap(cfg.deterministic):
-            weights = init_weights(cfg.model)
+    cfg = load_run_config(args.config)
+    cfg.deterministic |= args.deterministic
+    if args.snapshots is not None:
+        cfg.sampler = replace(cfg.sampler, snapshot_layer=args.snapshots)
+    with _thread_cap(cfg.deterministic):
+        weights = init_weights(cfg.model)
+        try:
             tokens, trace = generate(cfg.prompt, cfg.sampler, weights,
                                      timed=not cfg.deterministic)
-    except RunConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GenerationError as exc:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        exc.partial_trace.write_jsonl(cfg.output_dir / "trace.jsonl")
-        print(f"runtime error: {exc} (partial trace written)", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        except GenerationError as exc:
+            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+            exc.partial_trace.write_jsonl(cfg.output_dir / "trace.jsonl")
+            raise GenerationError(f"{exc} (partial trace written)",
+                                  exc.partial_trace) from exc
     _write_outputs(tokens, trace, cfg.output_dir)
     print(f"wrote sequence.txt, trace.jsonl, report.json to {cfg.output_dir}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
+    cfg = load_run_config(args.config)
+    cfg.deterministic |= args.deterministic
     try:
-        cfg = load_run_config(args.config)
-        if args.deterministic:
-            cfg.deterministic = True
         variants = [CacheVariant.parse(v) for v in args.variants.split(",")]
-        if args.repeat < 1:
-            raise RunConfigError("--repeat must be >= 1")
-    except (RunConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.repeat < 1:
+        raise ConfigError("--repeat must be >= 1")
 
-    timed = not cfg.deterministic
-    rows = []
-    baseline_trace = None
-    baseline_tokens = None
-    try:
-        with _thread_cap(cfg.deterministic):
-            weights = init_weights(cfg.model)
+    with _thread_cap(cfg.deterministic):
+        weights = init_weights(cfg.model)
 
-            def run(variant):
-                scfg = replace(cfg.sampler, cache=variant)
-                speeds, tokens, trace = [], None, None
-                for _ in range(args.repeat):
-                    tokens, trace = generate(cfg.prompt, scfg, weights,
-                                             timed=timed)
-                    tps = analysis.throughput(trace)
-                    if tps is not None:
-                        speeds.append(tps)
-                return tokens, trace, (statistics.median(speeds)
-                                       if speeds else None)
+        def run(variant):
+            scfg = replace(cfg.sampler, cache=variant)
+            speeds = []
+            for _ in range(args.repeat):
+                tokens, trace = generate(cfg.prompt, scfg, weights,
+                                         timed=not cfg.deterministic)
+                tps = analysis.throughput(trace)
+                if tps is not None:
+                    speeds.append(tps)
+            return tokens, trace, statistics.median(speeds) if speeds else None
 
-            if not any(v.kind.value == "none" for v in variants):
-                baseline_tokens, baseline_trace, _ = run(CacheVariant.none())
-            results = []
-            for variant in variants:
-                tokens, trace, tps = run(variant)
-                if variant.kind.value == "none":
-                    baseline_tokens, baseline_trace = tokens, trace
-                results.append((variant, tokens, trace, tps))
-    except (RunConfigError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GenerationError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        if not any(v.kind is VariantKind.NONE for v in variants):
+            baseline_tokens, baseline_trace, _ = run(CacheVariant.none())
+        results = []
+        for variant in variants:
+            tokens, trace, tps = run(variant)
+            if variant.kind is VariantKind.NONE:
+                baseline_tokens, baseline_trace = tokens, trace
+            results.append((variant, tokens, trace, tps))
 
-    base_counters = analysis.compute_counters(baseline_trace)
-    for variant, tokens, trace, tps in results:
-        counters = analysis.compute_counters(trace)
-        rows.append({
-            "variant": variant.describe(),
-            "tokens_per_s": "" if tps is None else f"{tps:.3f}",
-            "cache_ratio": f"{analysis.cache_ratio(trace):.6f}",
-            "total_rows": counters.total_query_rows,
-            "mac_reduction": f"{1.0 - counters.total_macs / base_counters.total_macs:.6f}",
-            "output_match": int(np.array_equal(tokens, baseline_tokens)),
-        })
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "bench.csv"
     with open(out_path, "w") as fh:
-        header = ["variant", "tokens_per_s", "cache_ratio", "total_rows",
-                  "mac_reduction", "output_match"]
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[h]) for h in header) + "\n")
+        fh.write("variant,tokens_per_s,cache_ratio,total_rows,mac_reduction,"
+                 "output_match\n")
+        for variant, tokens, trace, tps in results:
+            report = analysis.build_report(trace, baseline_trace)
+            row = [variant.describe(), "" if tps is None else f"{tps:.3f}",
+                   f"{report.cache_ratio:.6f}", report.total_query_rows,
+                   f"{report.mac_reduction_vs_baseline:.6f}",
+                   int(np.array_equal(tokens, baseline_tokens))]
+            fh.write(",".join(map(str, row)) + "\n")
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -368,21 +339,22 @@ def cmd_analyze(args) -> int:
     needed = [run_dir / "snapshots_keys.npy", run_dir / "snapshots_values.npy",
               run_dir / "snapshots_decode_steps.npy"]
     if not trace_path.exists():
-        print(f"config error: trace {trace_path} not found", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"trace {trace_path} not found")
     if not all(p.exists() for p in needed):
         print("no snapshots found next to the trace; rerun generate with "
               "sampler.snapshot_layer (or --snapshots LAYER)", file=sys.stderr)
         return EXIT_NO_SNAPSHOTS
-    keys = np.load(needed[0])
-    values = np.load(needed[1])
-    decode_steps = np.load(needed[2])
-    if keys.shape[0] < 2:
-        print(f"{keys.shape[0]} snapshot step(s) found next to the trace; "
-              "dynamics need at least two (rerun generate with more steps)",
-              file=sys.stderr)
+    try:
+        keys, values, decode_steps = (np.load(p) for p in needed)
+        if np.ndim(keys) == 3 and len(keys) < 2:
+            print(f"{len(keys)} snapshot step(s) found next to the trace; "
+                  "dynamics need at least two (rerun generate with more "
+                  "steps)", file=sys.stderr)
+            return EXIT_NO_SNAPSHOTS
+        result = analysis.kv_dynamics(keys, values, decode_steps)
+    except (OSError, EOFError, ValueError) as exc:  # EOFError: empty file
+        print(f"unusable snapshots next to the trace: {exc}", file=sys.stderr)
         return EXIT_NO_SNAPSHOTS
-    result = analysis.kv_dynamics(keys, values, decode_steps)
     out_dir = Path(args.output_dir) if args.output_dir else run_dir
     written = analysis.write_dynamics_csvs(result, out_dir)
     print(f"wrote {len(written)} dynamics files to {out_dir} "
@@ -433,8 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except GenerationError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -395,7 +395,6 @@ def decode_step(
         record.value_snapshot[slab.row_positions] = slab.values
     if kv_audit:
         record.audit = StepAudit(
-            step=t,
             fresh=[(s.row_positions.copy(), s.keys.copy(), s.values.copy())
                    for s in result.fresh_kv],
             cached_after=[(s.row_positions.copy(), s.keys.copy(),

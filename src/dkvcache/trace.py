@@ -20,7 +20,6 @@ class StepAudit:
     ``cached_after`` holds the cache contents right after the commit.
     """
 
-    step: int
     fresh: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     cached_after: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 

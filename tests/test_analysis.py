@@ -183,6 +183,15 @@ class TestDynamics:
         with pytest.raises(ValueError, match="malformed|snapshot"):
             kv_dynamics(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize("decode_steps", [
+        np.array([0, 1, -1]), np.array([0, 1, -1, 1, 0]),
+        np.array([0.0, 1.0, -1.0, 1.0]),
+    ], ids=["short", "long", "float"])
+    def test_decode_steps_one_int_per_position(self, decode_steps):
+        keys = np.ones((3, 4, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="decode steps must be 4 integers"):
+            kv_dynamics(keys, keys.copy(), decode_steps)
+
     def test_csv_export(self, tiny_weights, tmp_path):
         trace = self.run_with_snapshots(tiny_weights)
         result = kv_dynamics(*trace.snapshot_arrays())

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dkvcache
 from dkvcache import CacheVariant
 from dkvcache.cli import (
     EXIT_CONFIG,
@@ -131,13 +136,16 @@ class TestGenerateCommand:
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        for blob in (b"{not json", b"\xff{"):  # the second is not UTF-8
+            path.write_bytes(blob)
+            assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
         # well-formed JSON with values of the wrong type or kind
         (tmp_path / "prompt.txt").write_text("1 x 3\n")
+        (tmp_path / "binary.txt").write_bytes(b"\xff 1 3\n")
         for overrides in ({"sampler": 5}, {"sampler": {"gen_len": "4"}},
                           {"prompt": {"file": "prompt.txt"}},
+                          {"prompt": {"file": "binary.txt"}},
                           {"cache": "decode"}, {"prompt": [1.5, 2]},
                           {"cache": {"variant": "prefill"}}):
             path, _ = write_config(tmp_path, **overrides)
@@ -274,6 +282,62 @@ class TestAnalyzeCommand:
                      "--snapshots", "0"]) == EXIT_OK
         assert main(["analyze", str(out / "trace.jsonl")]) == EXIT_NO_SNAPSHOTS
         assert "1 snapshot step(s)" in capsys.readouterr().err
+
+
+def _npz_renamed(path):
+    """Replace an .npy file by an .npz archive under the same name."""
+    np.savez(path.with_suffix(".npz"), snapshot=np.load(path))
+    path.with_suffix(".npz").replace(path)
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a shell would, so an uncaught
+    exception shows up as a traceback on stderr and exit status 1."""
+    src = str(Path(dkvcache.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dkvcache.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+class TestExitCodes:
+    """One test per failure path that once ended in a traceback."""
+
+    @pytest.mark.parametrize("name,corrupt", [
+        ("keys", lambda p: p.write_bytes(b"not an npy file\n" * 8)),
+        ("keys", lambda p: p.write_bytes(p.read_bytes()[:-100])),
+        ("values", lambda p: p.write_bytes(b"")),
+        ("keys", _npz_renamed),
+        ("values", lambda p: np.save(p, np.load(p)[:, :, :-1])),
+        ("decode_steps", lambda p: np.save(p, np.load(p)[:-1])),
+    ], ids=["garbage", "truncated", "empty", "npz", "shape-mismatch",
+            "short-decode-steps"])
+    def test_unusable_snapshots_exit_4(self, tmp_path, name, corrupt):
+        path, out = write_config(tmp_path, sampler={"snapshot_layer": 1})
+        assert main(["generate", "--config", str(path)]) == EXIT_OK
+        corrupt(out / f"snapshots_{name}.npy")
+        proc = run_cli("analyze", str(out / "trace.jsonl"))
+        assert proc.returncode == EXIT_NO_SNAPSHOTS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "unusable snapshots" in proc.stderr
+
+    def test_generate_output_under_file_exit_2(self, tmp_path):
+        (tmp_path / "blocker").write_text("a regular file\n")
+        path, _ = write_config(tmp_path, output_dir="blocker/out")
+        proc = run_cli("generate", "--config", str(path))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "config error" in proc.stderr
+
+    def test_analyze_output_under_file_exit_2(self, tmp_path):
+        path, out = write_config(tmp_path, sampler={"snapshot_layer": 1})
+        assert main(["generate", "--config", str(path)]) == EXIT_OK
+        (tmp_path / "blocker").write_text("a regular file\n")
+        proc = run_cli("analyze", str(out / "trace.jsonl"),
+                       "--output-dir", str(tmp_path / "blocker" / "out"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "config error" in proc.stderr
 
 
 class TestSelftestCommand:
