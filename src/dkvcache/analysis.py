@@ -68,15 +68,19 @@ class Counters:
 
 
 def compute_counters(trace: StepTrace) -> Counters:
-    """Exact query-row, logit-row and MAC totals from the per-step records."""
+    """Exact query-row, logit-row and MAC totals from the per-step records;
+    every row of a run attends over ``seq_len`` keys, so each row kind has
+    one ``mac_per_row`` figure."""
     if not trace.records:
         raise ValueError("empty trace")
     rows = [rec.rows_computed for rec in trace.records]
+    logit_rows = sum(rec.logit_rows for rec in trace.records)
+    kv, logit = mac_per_row(trace.seq_len, trace.model_dims)
     return Counters(
-        total_query_rows=int(sum(rows)),
-        total_logit_rows=int(sum(rec.logit_rows for rec in trace.records)),
-        total_macs=int(sum(rec.mac_estimate for rec in trace.records)),
-        per_step_max_rows=int(max(rows)),
+        total_query_rows=sum(rows),
+        total_logit_rows=logit_rows,
+        total_macs=sum(rows) * kv + logit_rows * logit,
+        per_step_max_rows=max(rows),
     )
 
 
@@ -182,11 +186,13 @@ def kv_dynamics(
     """
     if np.ndim(keys) != 3 or np.shape(keys) != np.shape(values):
         raise ValueError("snapshots missing or malformed")
-    if (np.shape(decode_steps) != keys.shape[1:2]
-            or not np.issubdtype(np.asarray(decode_steps).dtype, np.integer)):
-        raise ValueError(f"decode steps must be {keys.shape[1]} integers, "
-                         "one per position")
     steps = keys.shape[0]
+    decode_steps = np.asarray(decode_steps)
+    if (decode_steps.shape != keys.shape[1:2]
+            or not np.issubdtype(decode_steps.dtype, np.integer)
+            or ((decode_steps < -1) | (decode_steps >= steps)).any()):
+        raise ValueError(f"decode steps must be {keys.shape[1]} integers in "
+                         f"[-1, {steps}), one per position")
     if steps < 2:
         raise ValueError("need at least two snapshots for dynamics")
     key_eu, key_cos = _pairwise(keys)

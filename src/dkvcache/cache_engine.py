@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model_core import KVSlab
+from .model_core import KVSlab, check_types
 
 __all__ = [
     "LayoutError",
@@ -98,6 +98,10 @@ class CacheVariant:
     window_center: WindowCenter = WindowCenter.PREVIOUS
 
     def __post_init__(self) -> None:
+        check_types(self, {"kind": VariantKind,
+                           "refresh_interval": (int, type(None)),
+                           "window_size": (int, type(None)),
+                           "window_center": WindowCenter})
         if self.window_size is None:
             object.__setattr__(
                 self, "window_size", 4 if self.kind is VariantKind.GREEDY else 0)

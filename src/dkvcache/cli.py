@@ -7,7 +7,8 @@ which makes every output file byte-reproducible for a fixed config.
 
 Commands raise; ``main`` alone turns a failure into an exit code. 0 is
 success, 1 a failed selftest, 2 a config, input file or output path
-problem (``ConfigError`` or ``OSError``), 3 a failed generation
+problem (``ConfigError`` or ``OSError``) or a model too large to
+allocate (``MemoryError``), 3 a failed generation
 (``GenerationError``; ``generate`` writes the partial trace first) and 4
 no usable snapshots for ``analyze``, which that command reports itself.
 Any other exception is a bug and keeps its traceback.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import json
 import os
 import statistics
@@ -54,7 +56,9 @@ class RunConfig:
     deterministic: bool
 
 
-def _take(obj: dict, required: dict, optional: dict, context: str) -> dict:
+def _take(obj, context: str, required, optional=()) -> dict:
+    """``obj`` once it is known to be a JSON object that holds every
+    ``required`` key and no key outside ``required`` and ``optional``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"'{context}' must be a JSON object")
     unknown = set(obj) - set(required) - set(optional)
@@ -65,52 +69,52 @@ def _take(obj: dict, required: dict, optional: dict, context: str) -> dict:
     if missing:
         raise ConfigError(
             f"missing field '{context}.{sorted(missing)[0]}'")
-    return {**optional, **obj}
+    return obj
+
+
+def _schema(cls, skip=()) -> tuple[list, list]:
+    """(required, optional) field names of dataclass ``cls`` bar ``skip``;
+    a field is optional when it has a default, which an absent key takes."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    return ([f.name for f in fields if f.default is dataclasses.MISSING],
+            [f.name for f in fields if f.default is not dataclasses.MISSING])
 
 
 def _typed(fields: dict, context: str, types: dict) -> None:
-    """Reject a field whose JSON type is not one of ``types[name]``; a
-    boolean is not a number."""
+    """Reject a JSON string or boolean the CLI converts when its JSON type
+    is not ``types[name]``; the config classes check every other field."""
     for name, allowed in types.items():
-        value = fields[name]
-        if (not isinstance(value, allowed)
-                or isinstance(value, bool) and allowed is not bool):
-            raise ConfigError(
-                f"'{context}.{name}' has type {type(value).__name__}")
+        if name in fields and not isinstance(fields[name], allowed):
+            raise ConfigError(f"'{context}.{name}' has type "
+                              f"{type(fields[name]).__name__}")
 
 
-def _parse_cache(obj: dict) -> CacheVariant:
-    fields = _take(obj,
-                   required={"variant": None},
-                   optional={"refresh_interval": None, "window_size": None,
-                             "window_center": "previous"},
-                   context="cache")
-    _typed(fields, "cache", {"variant": str,
-                             "refresh_interval": (int, type(None)),
-                             "window_size": (int, type(None)),
-                             "window_center": str})
-    params = {name: fields[name] for name in obj if name != "variant"}
+def _parse_cache(obj) -> CacheVariant:
+    params = dict(_take(obj, "cache", ["variant"],
+                        _schema(CacheVariant, skip={"kind"})[1]))
+    _typed(params, "cache", {"variant": str, "window_center": str})
     try:
+        kind = VariantKind(params.pop("variant").lower())
         if "window_center" in params:
             params["window_center"] = WindowCenter(params["window_center"])
-        return CacheVariant.of(VariantKind(fields["variant"].lower()), **params)
+        return CacheVariant.of(kind, **params)
     except ValueError as exc:
         raise ConfigError(f"cache: {exc}") from exc
 
 
 def _parse_prompt(value, base_dir: Path) -> np.ndarray:
     if isinstance(value, dict):
-        fields = _take(value, required={"file": None}, optional={},
-                       context="prompt")
-        _typed(fields, "prompt", {"file": str})
+        _take(value, "prompt", ["file"])
+        _typed(value, "prompt", {"file": str})
         try:
             value = [int(tok) for tok in
-                     (base_dir / fields["file"]).read_text().split()]
+                     (base_dir / value["file"]).read_text().split()]
         except ValueError as exc:
-            raise ConfigError(f"prompt file {fields['file']}: {exc}") from exc
+            raise ConfigError(f"prompt file {value['file']}: {exc}") from exc
     if not isinstance(value, list):
         raise ConfigError("prompt: expected an id list or {\"file\": path}")
-    bad = [v for v in value if isinstance(v, bool) or not isinstance(v, int)]
+    bad = [v for v in value if isinstance(v, bool) or not isinstance(v, int)
+           or not -2**63 <= v < 2**63]
     if bad:
         raise ConfigError(f"prompt: {bad[0]!r} is not a token id")
     return np.asarray(value, dtype=np.int64)
@@ -122,41 +126,23 @@ def load_run_config(path) -> RunConfig:
         raw = json.loads(path.read_text())
     except ValueError as exc:  # also a file that is not UTF-8
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("top level must be a JSON object")
-    top = _take(raw,
-                required={"model": None, "sampler": None, "cache": None,
-                          "prompt": None, "output_dir": None},
-                optional={"deterministic": False},
-                context="run")
+    top = _take(raw, "run",
+                ["model", "sampler", "cache", "prompt", "output_dir"],
+                ["deterministic"])
     _typed(top, "run", {"output_dir": str, "deterministic": bool})
-
-    model_fields = _take(top["model"], required={
-        "n_layers": None, "n_heads": None, "d_model": None, "d_head": None,
-        "d_ff": None, "vocab_size": None, "mask_token_id": None,
-        "max_positions": None,
-    }, optional={"rope_base": 10000.0, "weight_seed": 0}, context="model")
-    try:  # field types are checked by ModelConfig.validate, as for a sidecar
-        model = ModelConfig(**model_fields)
+    fields = _take(top["model"], "model", *_schema(ModelConfig))
+    try:
+        model = ModelConfig(**fields)
     except ConfigError as exc:
         raise ConfigError(f"model: {exc}") from exc
-
-    sampler_fields = _take(top["sampler"], required={
-        "gen_len": None, "steps": None, "block_size": None,
-    }, optional={"remasking": "low_confidence", "temperature": 0.0,
-                 "sample_seed": 0, "snapshot_layer": None}, context="sampler")
-    _typed(sampler_fields, "sampler", {
-        "gen_len": int, "steps": int, "block_size": int, "remasking": str,
-        "temperature": (int, float), "sample_seed": int,
-        "snapshot_layer": (int, type(None))})
+    fields = dict(_take(top["sampler"], "sampler",
+                        *_schema(SamplerConfig, skip={"cache"})))
+    _typed(fields, "sampler", {"remasking": str})
     cache = _parse_cache(top["cache"])
     try:
-        sampler = SamplerConfig(
-            **{**sampler_fields,
-               "remasking": Remasking(sampler_fields["remasking"]),
-               "temperature": float(sampler_fields["temperature"])},
-            cache=cache,
-        )
+        if "remasking" in fields:
+            fields["remasking"] = Remasking(fields["remasking"])
+        sampler = SamplerConfig(**fields, cache=cache)
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
 
@@ -165,7 +151,7 @@ def load_run_config(path) -> RunConfig:
         sampler=sampler,
         prompt=_parse_prompt(top["prompt"], path.parent),
         output_dir=Path(top["output_dir"]),
-        deterministic=top["deterministic"],
+        deterministic=top.get("deterministic", False),
     )
 
 
@@ -409,7 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GenerationError as exc:

@@ -30,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "check_types",
     "ModelConfig",
     "LayerWeights",
     "ModelWeights",
@@ -49,6 +50,15 @@ _RMS_EPS = 1e-6
 
 class ConfigError(ValueError):
     """A configuration invariant does not hold."""
+
+
+def check_types(config, types: dict) -> None:
+    """Raise ``ConfigError`` naming the first field of ``config`` whose
+    value is not an instance of ``types[name]``; a bool is not a number."""
+    for name, allowed in types.items():
+        value = getattr(config, name)
+        if not isinstance(value, allowed) or isinstance(value, bool):
+            raise ConfigError(f"'{name}' has type {type(value).__name__}")
 
 
 _INT_FIELDS = ("n_layers", "n_heads", "d_model", "d_head", "d_ff",
@@ -74,12 +84,9 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        # a bool is not a number, and a float is not a count
-        for name in _INT_FIELDS + ("rope_base",):
-            value = getattr(self, name)
-            allowed = (int, float) if name == "rope_base" else int
-            if not isinstance(value, allowed) or isinstance(value, bool):
-                raise ConfigError(f"'{name}' has type {type(value).__name__}")
+        # a float is not a count
+        check_types(self, {**dict.fromkeys(_INT_FIELDS, int),
+                           "rope_base": (int, float)})
         for name in ("n_layers", "n_heads", "d_model", "d_head", "d_ff",
                      "vocab_size", "max_positions"):
             if getattr(self, name) < 1:
@@ -186,7 +193,6 @@ def init_weights(config: ModelConfig) -> ModelWeights:
     gains start at one. The draw order is fixed, so identical inputs give
     byte-identical weights.
     """
-    config.validate()
     rng = np.random.default_rng(config.weight_seed)
     d, f, v = config.d_model, config.d_ff, config.vocab_size
     embedding = _freeze(_uniform(rng, d, (v, d)))

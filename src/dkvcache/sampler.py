@@ -18,14 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import analysis
 from .cache_engine import (
     CacheEngine,
     CacheVariant,
     VariantKind,
     scatter_outputs,
 )
-from .model_core import ConfigError, ModelWeights, forward_partial
+from .model_core import ConfigError, ModelWeights, check_types, forward_partial
 from .trace import StepAudit, StepRecord, StepTrace
 
 __all__ = [
@@ -133,28 +132,34 @@ def _largest_remainder(
     return vals
 
 
+def _check_schedule(gen_len: int, steps: int, block_size: int) -> None:
+    """Raise ``ConfigError`` unless ``1 <= block_size <= gen_len`` and
+    ``ceil(gen_len / block_size) <= steps <= gen_len``: every block gets a
+    step and every step finalizes a token."""
+    if not 1 <= block_size <= gen_len:
+        raise ConfigError(
+            f"block_size ({block_size}) must be in [1, gen_len ({gen_len})]")
+    n_blocks = -(-gen_len // block_size)
+    if not n_blocks <= steps <= gen_len:
+        raise ConfigError(
+            f"steps ({steps}) must be in [{n_blocks}, {gen_len}]: each of "
+            f"the {n_blocks} blocks needs a step and every step finalizes "
+            "a token")
+
+
 def tokens_per_step_schedule(gen_len: int, steps: int, block_size: int) -> StepSchedule:
     """Distribute ``gen_len`` decodes over ``steps`` across contiguous blocks.
 
     Steps are split among blocks proportionally to block size, then each
     block's tokens are split over its steps, both by largest remainder
     (remainder to the earliest steps). Every block gets at least one step
-    and every step decodes at least one token whenever steps <= gen_len.
+    and every step decodes at least one token; ``_check_schedule`` rejects
+    a split where that cannot hold.
     """
-    if block_size < 1 or block_size > gen_len:
-        raise ValueError(
-            f"block_size must be in [1, gen_len], got {block_size}")
-    if steps < 1 or steps > gen_len:
-        raise ValueError(
-            f"steps must be in [1, gen_len] so every step finalizes a "
-            f"token, got {steps}")
+    _check_schedule(gen_len, steps, block_size)
     blocks = [(start, min(start + block_size, gen_len))
               for start in range(0, gen_len, block_size)]
     sizes = [end - start for start, end in blocks]
-    if steps < len(blocks):
-        raise ValueError(
-            f"infeasible schedule: {len(blocks)} blocks but only {steps} "
-            "steps (some block would get 0 steps)")
     steps_per_block = _largest_remainder(
         steps, [steps * size / gen_len for size in sizes], sizes)
     counts: list[int] = []
@@ -254,15 +259,14 @@ class SamplerConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.gen_len < 1:
-            raise ConfigError("gen_len must be >= 1")
-        if not 1 <= self.steps <= self.gen_len:
-            raise ConfigError(
-                f"steps ({self.steps}) must be in [1, gen_len] so every "
-                "step finalizes at least one token")
-        if not 1 <= self.block_size <= self.gen_len:
-            raise ConfigError(
-                f"block_size ({self.block_size}) must be in [1, gen_len]")
+        check_types(self, {
+            "gen_len": int, "steps": int, "block_size": int,
+            "remasking": Remasking, "temperature": (int, float),
+            "sample_seed": int, "cache": CacheVariant,
+            "snapshot_layer": (int, type(None))})
+        _check_schedule(self.gen_len, self.steps, self.block_size)
+        if self.sample_seed < 0:
+            raise ConfigError(f"sample_seed must be >= 0, got {self.sample_seed}")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ConfigError(
                 f"temperature must be finite and >= 0, got {self.temperature}")
@@ -369,8 +373,6 @@ def decode_step(
         state.tokens[pos] = tok
     millis = ((time.perf_counter() - start_time) * 1000.0
               if start_time is not None else None)
-    kv_macs, logit_macs = analysis.mac_per_row(state.tokens.shape[0],
-                                               _dims(mcfg))
 
     record = StepRecord(
         step=t,
@@ -381,7 +383,6 @@ def decode_step(
         decoded_ids=decoded_ids,
         refresh=plan.refresh_flag,
         millis=millis,
-        mac_estimate=len(plan.compute_set) * kv_macs + len(read) * logit_macs,
         block=block,
         cached_positions=plan.cached_positions,
         compute_set=plan.compute_set,
@@ -404,17 +405,6 @@ def decode_step(
     state.masked[list(chosen)] = False
     state.step = t + 1
     return record
-
-
-def _dims(mcfg) -> dict:
-    return {
-        "n_layers": mcfg.n_layers,
-        "n_heads": mcfg.n_heads,
-        "d_model": mcfg.d_model,
-        "d_head": mcfg.d_head,
-        "d_ff": mcfg.d_ff,
-        "vocab_size": mcfg.vocab_size,
-    }
 
 
 def generate(
@@ -481,7 +471,9 @@ def generate(
             seq_len=seq_len,
             total_steps=cfg.steps,
             variant=cfg.cache.describe(),
-            model_dims=_dims(mcfg),
+            model_dims={name: getattr(mcfg, name) for name in (
+                "n_layers", "n_heads", "d_model", "d_head", "d_ff",
+                "vocab_size")},
             mask_token_id=mcfg.mask_token_id,
             snapshot_layer=cfg.snapshot_layer,
             final_tokens=None,

@@ -28,7 +28,7 @@ class StepAudit:
 class StepRecord:
     """One step's counters. ``rows_computed`` rows produced K/V in every
     layer; ``logit_rows`` of them also ran the last layer's tail and the
-    head, and ``mac_estimate`` counts both parts."""
+    head."""
 
     step: int
     masked_count: int
@@ -38,7 +38,6 @@ class StepRecord:
     decoded_ids: tuple[int, ...]
     refresh: bool
     millis: float | None
-    mac_estimate: int
     block: tuple[int, int]
     cached_positions: np.ndarray  # the plan's int64 arrays, not copies
     compute_set: np.ndarray

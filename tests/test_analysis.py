@@ -23,7 +23,6 @@ def make_record(step, rows, seq_len, decoded=(), millis=None, masked=0):
         logit_rows=rows,
         decoded_positions=tuple(decoded), decoded_ids=tuple(0 for _ in decoded),
         refresh=False, millis=millis,
-        mac_estimate=rows * sum(mac_per_row(seq_len, DIMS)),
         block=(0, seq_len), cached_positions=(), compute_set=tuple(range(rows)),
     )
 
@@ -185,8 +184,9 @@ class TestDynamics:
 
     @pytest.mark.parametrize("decode_steps", [
         np.array([0, 1, -1]), np.array([0, 1, -1, 1, 0]),
-        np.array([0.0, 1.0, -1.0, 1.0]),
-    ], ids=["short", "long", "float"])
+        np.array([0.0, 1.0, -1.0, 1.0]), np.array([0, 1, -1, 99]),
+        np.array([0, -2, -1, 1]),
+    ], ids=["short", "long", "float", "past-last-step", "below-prompt"])
     def test_decode_steps_one_int_per_position(self, decode_steps):
         keys = np.ones((3, 4, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="decode steps must be 4 integers"):

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dkvcache
-from dkvcache import CacheVariant
+from dkvcache import CacheVariant, ConfigError, tokens_per_step_schedule
 from dkvcache.cli import (
     EXIT_CONFIG,
     EXIT_NO_SNAPSHOTS,
@@ -80,8 +82,9 @@ class TestLoadConfig:
     @pytest.mark.parametrize("overrides,named", [
         ({"sampler": 5}, "'sampler' must be a JSON object"),
         ({"cache": "decode"}, "'cache' must be a JSON object"),
-        ({"sampler": {"gen_len": "4"}}, "'sampler.gen_len' has type str"),
-        ({"sampler": {"temperature": True}}, "'sampler.temperature'"),
+        ({"sampler": {"gen_len": "4"}}, "sampler: 'gen_len' has type str"),
+        ({"sampler": {"temperature": True}},
+         "sampler: 'temperature' has type bool"),
         ({"prompt": [1.5, 2]}, "prompt: 1.5 is not a token id"),
         ({"cache": {"variant": "prefill", "refresh_interval": 4,
                     "window_size": 9}}, "prefill takes no refresh_interval"),
@@ -97,15 +100,35 @@ class TestLoadConfig:
         ({"model": {"rope_base": float("nan")}}, "rope_base must be finite"),
         ({"sampler": {"temperature": float("inf")}},
          "temperature must be finite"),
+        ({"sampler": {"gen_len": 16.0}}, "sampler: 'gen_len' has type float"),
+        ({"cache": {"variant": "decode", "refresh_interval": True}},
+         "cache: 'refresh_interval' has type bool"),
+        ({"cache": {"variant": "greedy", "window_size": 2.0}},
+         "cache: 'window_size' has type float"),
     ], ids=["sampler-not-object", "cache-not-object", "gen_len-str",
             "temperature-bool", "prompt-float", "prefill-interval",
             "decode-window", "decode-window-0", "decode-window-center",
             "n_layers-float", "weight_seed-float", "n_layers-bool",
-            "rope_base-nan", "temperature-inf"])
+            "rope_base-nan", "temperature-inf", "gen_len-float",
+            "refresh_interval-bool", "window_size-float"])
     def test_bad_value_named(self, tmp_path, overrides, named):
         path, _ = write_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=named):
             load_run_config(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries({
+        name: st.integers(-2, 64) | st.sampled_from([8.0, True, "8", None])
+        for name in ("gen_len", "steps", "block_size", "sample_seed")}))
+    def test_sampler_section_checked_at_load(self, tmp_path_factory, section):
+        # a sampler section the loader accepts is one the run can schedule
+        path, _ = write_config(tmp_path_factory.mktemp("run"), sampler=section)
+        try:
+            cfg = load_run_config(path).sampler
+        except ConfigError:
+            return
+        tokens_per_step_schedule(cfg.gen_len, cfg.steps, cfg.block_size)
+        np.random.default_rng(cfg.sample_seed)
 
     def test_configured_variant_equals_parsed(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -121,6 +144,9 @@ class TestLoadConfig:
         np.testing.assert_array_equal(cfg.prompt, [3, 1, 4, 1, 5])
         (tmp_path / "prompt.txt").write_text("3 1 x 1 5\n")
         with pytest.raises(ValueError, match="prompt file prompt.txt: .*'x'"):
+            load_run_config(path)
+        (tmp_path / "prompt.txt").write_text(f"3 1 {2**63}\n")
+        with pytest.raises(ConfigError, match=f"prompt: {2**63} is not"):
             load_run_config(path)
 
 
@@ -328,6 +354,24 @@ class TestExitCodes:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize("overrides,named", [
+        ({"sampler": {"gen_len": 16, "steps": 1, "block_size": 8}},
+         "steps (1) must be in [2, 16]"),
+        ({"sampler": {"sample_seed": -1}}, "sample_seed must be >= 0"),
+        ({"prompt": [1, 10**29]}, f"prompt: {10**29} is not a token id"),
+        # numpy refuses the 4.55 PiB embedding without touching memory
+        ({"model": {"vocab_size": 10**13}}, "Unable to allocate"),
+    ], ids=["infeasible-schedule", "negative-seed", "prompt-past-int64",
+            "model-too-large"])
+    def test_bad_run_config_exit_2(self, tmp_path, overrides, named):
+        path, _ = write_config(tmp_path, **overrides)
+        proc = run_cli("generate", "--config", str(path))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert named in proc.stderr
 
     def test_analyze_output_under_file_exit_2(self, tmp_path):
         path, out = write_config(tmp_path, sampler={"snapshot_layer": 1})

@@ -7,6 +7,7 @@ import dkvcache.sampler as sampler_mod
 from dkvcache import (
     CacheVariant,
     ConfigError,
+    VariantKind,
     GenerationError,
     NoiseSchedule,
     Remasking,
@@ -207,6 +208,25 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError, match="temperature must be finite"):
             SamplerConfig(gen_len=8, steps=8, block_size=8,
                           temperature=temperature)
+
+    @pytest.mark.parametrize("build,named", [
+        (lambda: SamplerConfig(gen_len=16.0, steps=8, block_size=8),
+         "'gen_len' has type float"),
+        (lambda: SamplerConfig(gen_len=16, steps=8, block_size=8,
+                               remasking="random"),
+         "'remasking' has type str"),
+        (lambda: SamplerConfig(gen_len=16, steps=1, block_size=8),
+         r"steps \(1\) must be in \[2, 16\]"),
+        (lambda: SamplerConfig(gen_len=16, steps=8, block_size=8,
+                               sample_seed=-1), "sample_seed must be >= 0"),
+        (lambda: CacheVariant(kind=VariantKind.DECODE, refresh_interval=True),
+         "'refresh_interval' has type bool"),
+        (lambda: CacheVariant(kind="decode"), "'kind' has type str"),
+    ], ids=["gen_len-float", "remasking-str", "infeasible-schedule",
+            "sample_seed-negative", "refresh_interval-bool", "kind-str"])
+    def test_fields_checked_by_the_class(self, build, named):
+        with pytest.raises(ConfigError, match=named):
+            build()
 
     def test_greedy_requires_random(self):
         with pytest.raises(ConfigError, match="random"):
