@@ -15,9 +15,7 @@ from .model_core import (
     forward_full,
     forward_partial,
     init_weights,
-    load_weights,
     rope_rotate,
-    save_weights,
 )
 from .cache_engine import (
     CacheEngine,
@@ -71,7 +69,6 @@ __all__ = [
     "init_weights",
     "KVSlab",
     "LayoutError",
-    "load_weights",
     "ModelConfig",
     "ModelWeights",
     "NoiseSchedule",
@@ -80,7 +77,6 @@ __all__ = [
     "rope_rotate",
     "RunReport",
     "SamplerConfig",
-    "save_weights",
     "scatter_outputs",
     "select_to_unmask",
     "StepRecord",

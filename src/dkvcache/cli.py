@@ -181,16 +181,18 @@ def _thread_cap(deterministic: bool):
     neither can apply it.
     """
     env = os.environ.get("DKV_THREADS")
-    if env is not None and not (env.isdigit() and int(env) >= 1):
+    try:
+        limit = None if env is None else int(env)
+    except ValueError:
+        limit = 0
+    if limit is not None and limit < 1:
         raise ConfigError(f"DKV_THREADS={env} is not a positive integer")
     if deterministic:
-        if env is not None and int(env) != 1:
+        if limit not in (None, 1):
             raise ConfigError(
                 f"DKV_THREADS={env} conflicts with deterministic mode "
                 "(must be 1)")
         limit = 1
-    else:
-        limit = int(env) if env is not None else None
     if limit is None:
         yield
         return

@@ -15,16 +15,14 @@ change between calls.
 
 ``forward_partial`` checks a cache's structure and the cached/compute
 partition once per call, but not row values: non-finite numbers can only
-enter through the config or a weight file, and both reject them.
+enter through the config, which rejects them.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,8 +39,6 @@ __all__ = [
     "attention",
     "forward_full",
     "forward_partial",
-    "save_weights",
-    "load_weights",
 ]
 
 _RMS_EPS = 1e-6
@@ -102,6 +98,8 @@ class ModelConfig:
             raise ConfigError(
                 f"mask_token_id ({self.mask_token_id}) must be "
                 f"< vocab_size ({self.vocab_size})")
+        if self.weight_seed < 0:
+            raise ConfigError(f"weight_seed must be >= 0, got {self.weight_seed}")
         if not (math.isfinite(self.rope_base) and self.rope_base > 0):
             raise ConfigError(f"rope_base must be finite and > 0, got {self.rope_base}")
 
@@ -117,7 +115,7 @@ class LayerWeights:
     attn_gain: np.ndarray
     ffn_gain: np.ndarray
     # [wq | wk | wv], derived once so each layer projects with one matmul;
-    # read-only and never saved.
+    # read-only.
     wqkv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -422,9 +420,10 @@ def forward_partial(
     ``compute_set`` is an ordered position list; keys and values are
     produced for exactly those rows, in that order, in every layer. Per
     layer one matmul against ``wqkv`` projects queries, keys and values,
-    and one ``rope_rotate`` call rotates the [q | k] block. The attention
-    keys/values are one [cached rows ; fresh rows] slab per layer, i.e. the
-    storage layout, allocated once and filled directly; it is returned as
+    and one ``rope_rotate`` call, over a cos/sin table of ``len(tokens)``
+    rows, rotates the [q | k] block. The attention keys/values are one
+    [cached rows ; fresh rows] slab per layer, i.e. the storage layout,
+    allocated once and filled directly; it is returned as
     ``ForwardResult.kv`` for the cache commit to gather from. The cached
     rows must have been rotated with their original positions.
 
@@ -458,7 +457,7 @@ def forward_partial(
     for idx, layer in enumerate(weights.layers):
         qkv = _rms_norm(h, layer.attn_gain) @ layer.wqkv
         qk = rope_rotate(qkv[:, :2 * d], comp, config.rope_base,
-                         config.d_head, config.max_positions)
+                         config.d_head, seq_len)
         keys = np.empty((row_positions.shape[0], d), dtype=np.float32)
         values = np.empty_like(keys)
         if n_cached:
@@ -481,99 +480,3 @@ def forward_full(tokens, weights: ModelWeights) -> ForwardResult:
     """Full bidirectional pass: every position computed, natural order."""
     tokens = np.asarray(tokens, dtype=np.int64)
     return forward_partial(tokens, np.arange(tokens.shape[0]), None, weights)
-
-
-_LAYER_TENSORS = ("wq", "wk", "wv", "wo", "w1", "w2", "attn_gain", "ffn_gain")
-
-
-def _weight_items(weights: ModelWeights):
-    yield "embedding", weights.embedding
-    for i, layer in enumerate(weights.layers):
-        for name in _LAYER_TENSORS:
-            yield f"layer{i}.{name}", getattr(layer, name)
-    yield "final_gain", weights.final_gain
-    yield "head", weights.head
-
-
-def _weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Tensor name -> shape that ``config`` implies, in dump order."""
-    d, f, v = config.d_model, config.d_ff, config.vocab_size
-    layer = dict(zip(_LAYER_TENSORS, ((d, d), (d, d), (d, d), (d, d),
-                                      (d, f), (f, d), (d,), (d,))))
-    shapes = {"embedding": (v, d)}
-    for i in range(config.n_layers):
-        shapes.update({f"layer{i}.{name}": shape for name, shape in layer.items()})
-    shapes["final_gain"] = (d,)
-    shapes["head"] = (d, v)
-    return shapes
-
-
-def save_weights(weights: ModelWeights, path) -> None:
-    """Dump weights as flat little-endian float32 plus a JSON sidecar."""
-    path = Path(path)
-    tensors = []
-    with open(path, "wb") as fh:
-        for name, arr in _weight_items(weights):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-            tensors.append({"name": name, "shape": list(arr.shape)})
-    sidecar = {"config": asdict(weights.config), "tensors": tensors}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_weights(path) -> ModelWeights:
-    """Load a ``save_weights`` dump; ``ConfigError`` names a config field
-    that ``ModelConfig.validate`` rejects, and any tensor the sidecar adds,
-    omits or shapes differently from what its config implies, that runs
-    past the end of the file, or that holds a non-finite value."""
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    try:
-        config = ModelConfig(**sidecar["config"])
-    except (ConfigError, TypeError) as exc:
-        raise ConfigError(f"weight sidecar: config: {exc}") from exc
-    expected = _weight_shapes(config)
-    data = path.read_bytes()
-    if len(data) % 4:
-        raise ConfigError(f"weight file: {len(data)} bytes is not a whole "
-                          "number of float32 values")
-    raw = np.frombuffer(data, dtype="<f4")
-    arrays = {}
-    offset = 0
-    for entry in sidecar["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in expected or name in arrays:
-            raise ConfigError(f"weight sidecar: unexpected tensor {name!r}")
-        if shape != expected[name]:
-            raise ConfigError(
-                f"weight sidecar: tensor {name!r} has shape {shape}, config "
-                f"implies {expected[name]}")
-        size = math.prod(shape)
-        if offset + size > raw.shape[0]:
-            raise ConfigError(
-                f"weight file: tensor {name!r} runs past the end of the file "
-                f"({raw.shape[0]} floats, tensor ends at {offset + size})")
-        arrays[name] = _freeze(
-            raw[offset:offset + size].reshape(shape).astype(np.float32))
-        if not np.isfinite(arrays[name]).all():
-            raise ConfigError(
-                f"weight file: tensor {name!r} holds a non-finite value")
-        offset += size
-    missing = [name for name in expected if name not in arrays]
-    if missing:
-        raise ConfigError(f"weight sidecar: missing tensor {missing[0]!r}")
-    if offset != raw.shape[0]:
-        raise ConfigError(
-            f"weight file has {raw.shape[0]} floats, sidecar describes {offset}")
-    layers = tuple(
-        LayerWeights(**{name: arrays[f"layer{i}.{name}"]
-                        for name in _LAYER_TENSORS})
-        for i in range(config.n_layers)
-    )
-    return ModelWeights(
-        config=config,
-        embedding=arrays["embedding"],
-        layers=layers,
-        final_gain=arrays["final_gain"],
-        head=arrays["head"],
-    )

@@ -70,13 +70,6 @@ class NoiseSchedule:
     def alpha_bar(self, t: int) -> float:
         return alpha_bar(t, self.total_steps)
 
-    def beta(self, t: int) -> float:
-        """Per-step masking probability, from alpha_bar(t) = prod(1 - beta_i)."""
-        if not 1 <= t <= self.total_steps:
-            raise ValueError(f"step {t} outside [1, {self.total_steps}]")
-        prev = self.alpha_bar(t - 1)
-        return 1.0 - self.alpha_bar(t) / prev
-
 
 def corrupt(
     x0,

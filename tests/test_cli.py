@@ -277,7 +277,8 @@ class TestThreadCap:
     @pytest.mark.parametrize("command", [
         ["generate"], ["bench", "--variants", "none"]])
     def test_bad_env_exit_2(self, tmp_path, monkeypatch, capsys, command):
-        for deterministic, env in ((True, "2"), (False, "abc"), (False, "0")):
+        for deterministic, env in ((True, "2"), (False, "abc"), (False, "0"),
+                                   (False, "²")):
             path, _ = write_config(tmp_path, deterministic=deterministic)
             monkeypatch.setenv("DKV_THREADS", env)
             assert main([*command, "--config", str(path)]) == EXIT_CONFIG
@@ -359,11 +360,12 @@ class TestExitCodes:
         ({"sampler": {"gen_len": 16, "steps": 1, "block_size": 8}},
          "steps (1) must be in [2, 16]"),
         ({"sampler": {"sample_seed": -1}}, "sample_seed must be >= 0"),
+        ({"model": {"weight_seed": -1}}, "weight_seed must be >= 0"),
         ({"prompt": [1, 10**29]}, f"prompt: {10**29} is not a token id"),
         # numpy refuses the 4.55 PiB embedding without touching memory
         ({"model": {"vocab_size": 10**13}}, "Unable to allocate"),
-    ], ids=["infeasible-schedule", "negative-seed", "prompt-past-int64",
-            "model-too-large"])
+    ], ids=["infeasible-schedule", "negative-seed", "negative-weight-seed",
+            "prompt-past-int64", "model-too-large"])
     def test_bad_run_config_exit_2(self, tmp_path, overrides, named):
         path, _ = write_config(tmp_path, **overrides)
         proc = run_cli("generate", "--config", str(path))

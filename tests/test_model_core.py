@@ -1,5 +1,5 @@
-import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,12 +14,20 @@ from dkvcache import (
     forward_full,
     forward_partial,
     init_weights,
-    load_weights,
     rope_rotate,
-    save_weights,
 )
 from dkvcache import model_core
-from dkvcache.model_core import _weight_items
+
+
+def _weight_items(weights):
+    """(name, array) for every parameter; the derived ``wqkv`` is not one."""
+    yield "embedding", weights.embedding
+    for i, layer in enumerate(weights.layers):
+        for f in fields(layer):
+            if f.init:
+                yield f"layer{i}.{f.name}", getattr(layer, f.name)
+    yield "final_gain", weights.final_gain
+    yield "head", weights.head
 
 
 def naive_attention(q, k, v, scale, n_heads):
@@ -53,6 +61,7 @@ class TestConfig:
         (dict(rope_base=-1.0), "rope_base"),
         (dict(rope_base=float("nan")), "rope_base"),
         (dict(rope_base=float("inf")), "rope_base"),
+        (dict(weight_seed=-1), "weight_seed"),
     ])
     def test_invalid_names_invariant(self, overrides, needle):
         base = dict(n_layers=2, n_heads=2, d_model=64, d_head=32, d_ff=128,
@@ -95,6 +104,13 @@ class TestInitWeights:
     def test_all_finite(self, tiny_weights):
         for _, arr in _weight_items(tiny_weights):
             assert np.isfinite(arr).all()
+
+    def test_fused_projection_derived(self, tiny_weights):
+        layer = tiny_weights.layers[0]
+        np.testing.assert_array_equal(
+            layer.wqkv, np.hstack([layer.wq, layer.wk, layer.wv]))
+        with pytest.raises(ValueError):
+            layer.wqkv[0, 0] = 1.0
 
 
 def _as_dict(cfg):
@@ -270,6 +286,20 @@ class TestForward:
         np.testing.assert_allclose(fresh.keys, keys, rtol=0, atol=1e-6)
         np.testing.assert_allclose(fresh.values, x @ layer.wv, rtol=0, atol=1e-6)
 
+    def test_rope_table_sized_by_sequence(self, tiny_weights, rng,
+                                          monkeypatch):
+        # one table row per sequence position, not per max_positions
+        sizes = []
+        table = model_core._rope_table
+
+        def spy(base, d_head, n_positions):
+            sizes.append(n_positions)
+            return table(base, d_head, n_positions)
+
+        monkeypatch.setattr(model_core, "_rope_table", spy)
+        forward_full(rng.integers(0, 100, size=6), tiny_weights)
+        assert sizes and set(sizes) == {6}
+
     def test_repeated_run_bit_identical(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=10)
         a = forward_full(tokens, tiny_weights)
@@ -413,60 +443,3 @@ class TestLayoutPermutationInvariance:
             restored[perm] = permuted
             assert np.abs(restored - natural).max() <= 1e-5
 
-
-class TestWeightDump:
-    def test_round_trip(self, tiny_weights, tmp_path, rng):
-        path = tmp_path / "weights.bin"
-        save_weights(tiny_weights, path)
-        assert path.exists() and path.with_suffix(".bin.json").exists()
-        loaded = load_weights(path)
-        for (n1, a1), (n2, a2) in zip(_weight_items(tiny_weights),
-                                      _weight_items(loaded)):
-            assert n1 == n2
-            np.testing.assert_array_equal(a1, a2)
-        tokens = rng.integers(0, 100, size=9)
-        np.testing.assert_array_equal(
-            forward_full(tokens, tiny_weights).logits,
-            forward_full(tokens, loaded).logits)
-
-    def test_fused_projection_derived_not_saved(self, tiny_weights, tmp_path):
-        layer = tiny_weights.layers[0]
-        np.testing.assert_array_equal(
-            layer.wqkv, np.hstack([layer.wq, layer.wk, layer.wv]))
-        with pytest.raises(ValueError):
-            layer.wqkv[0, 0] = 1.0
-        path = tmp_path / "weights.bin"
-        save_weights(tiny_weights, path)
-        sidecar = json.loads(path.with_suffix(".bin.json").read_text())
-        assert not any("wqkv" in t["name"] for t in sidecar["tensors"])
-        loaded = load_weights(path).layers[0].wqkv
-        np.testing.assert_array_equal(loaded, layer.wqkv)
-        assert not loaded.flags.writeable
-
-    @pytest.mark.parametrize("edit,named", [
-        # a config that disagrees with the tensors' shapes
-        (lambda sc, _: sc["config"].update(d_ff=64), "layer0.w1"),
-        (lambda sc, _: sc["tensors"].pop(1), "layer0.wq"),
-        (lambda sc, _: sc["tensors"].append({"name": "layer9.wq",
-                                             "shape": [64, 64]}), "layer9.wq"),
-        (lambda sc, _: sc["tensors"][0].update(name="embed"), "embed"),
-        # a weight file cut short inside its last tensor
-        (lambda _, path: path.write_bytes(path.read_bytes()[:-8]), "head"),
-        # a NaN as the last float of the head
-        (lambda _, path: path.write_bytes(
-            path.read_bytes()[:-4] + np.float32(np.nan).tobytes()), "head"),
-        # config fields that are not integers
-        (lambda sc, _: sc["config"].update(n_layers=2.0), "n_layers"),
-        (lambda sc, _: sc["config"].update(n_layers=True), "n_layers"),
-    ], ids=["shape", "missing", "extra", "renamed", "truncated", "non-finite",
-            "float", "bool"])
-    def test_sidecar_checked_against_config(self, tiny_weights, tmp_path,
-                                            edit, named):
-        path = tmp_path / "weights.bin"
-        save_weights(tiny_weights, path)
-        sidecar_path = path.with_suffix(".bin.json")
-        sidecar = json.loads(sidecar_path.read_text())
-        edit(sidecar, path)
-        sidecar_path.write_text(json.dumps(sidecar))
-        with pytest.raises(ConfigError, match=f"'{named}'"):
-            load_weights(path)

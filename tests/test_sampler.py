@@ -39,13 +39,6 @@ class TestAlphaBar:
         values = [sched.alpha_bar(t) for t in range(33)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_beta_product_recovers_alpha_bar(self):
-        sched = NoiseSchedule(16)
-        prod = 1.0
-        for t in range(1, 17):
-            prod *= 1.0 - sched.beta(t)
-            assert prod == pytest.approx(sched.alpha_bar(t), abs=1e-12)
-
 
 class TestCorrupt:
     MASK = 126
