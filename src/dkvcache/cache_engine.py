@@ -40,7 +40,9 @@ prompt under ``pd``). Step 0 computes everything: nothing is cached yet.
 The engine trusts the plans it builds. ``build_layout`` only rejects a
 next cached position absent from the layout, and ``commit`` checks
 nothing. ``forward_partial`` checks the cached/compute partition once
-per step; plan soundness is ``selftest``'s ``layout soundness`` check.
+per step. Plan soundness is ``selftest``'s commit gather oracle: the rows
+``commit`` keeps must equal a natural-order scatter of the cached and
+fresh rows gathered at the next cached positions.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .cache_engine import (
 )
 from .model_core import ConfigError, ModelConfig, init_weights
 from .sampler import GenerationError, Remasking, SamplerConfig, generate
+from .selftest import FAULTS, run_selftest
 from .trace import StepTrace
 
 EXIT_OK = 0
@@ -351,7 +352,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .selftest import run_selftest
     ok = run_selftest(fault_inject=args.fault_inject)
     return EXIT_OK if ok else EXIT_SELFTEST_FAIL
 
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(fn=cmd_analyze)
 
     selftest = sub.add_parser("selftest", help="fast embedded acceptance subset")
-    selftest.add_argument("--fault-inject", default=None,
+    selftest.add_argument("--fault-inject", default=None, choices=FAULTS,
                           help=argparse.SUPPRESS)
     selftest.set_defaults(fn=cmd_selftest)
     return parser

@@ -239,21 +239,27 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=8)
-def _rope_table(base: float, d_head: int, n_positions: int):
-    """Read-only float32 rotary tables, each [n_positions, d_head].
+def _rope_rows(base: float, d_head: int, positions: np.ndarray):
+    """Float32 rotary rows for ``positions``, each [len(positions), d_head].
 
-    With angle ``a = p * base**(-2i/d_head)``, row ``p`` of the cos table
-    holds ``cos a`` at dims 2i and 2i+1, and of the sin table ``-sin a``
+    With angle ``a = p * base**(-2i/d_head)``, the cos row of position
+    ``p`` holds ``cos a`` at dims 2i and 2i+1, and the sin row ``-sin a``
     at 2i and ``sin a`` at 2i+1, so a rotation is
     ``x * cos + swap_pairs(x) * sin``.
     """
     inv_freq = base ** (-np.arange(d_head // 2, dtype=np.float64) * (2.0 / d_head))
-    angles = np.arange(n_positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
     cos = np.cos(angles).astype(np.float32)
     sin = np.sin(angles).astype(np.float32)
-    return (_freeze(np.repeat(cos, 2, axis=1)),
-            _freeze(np.stack([-sin, sin], axis=-1).reshape(n_positions, d_head)))
+    return (np.repeat(cos, 2, axis=1),
+            np.stack([-sin, sin], axis=-1).reshape(len(positions), d_head))
+
+
+@functools.lru_cache(maxsize=8)
+def _rope_table(base: float, d_head: int, n_positions: int):
+    """Read-only ``_rope_rows`` of positions 0 .. n_positions - 1."""
+    cos, sin = _rope_rows(base, d_head, np.arange(n_positions))
+    return _freeze(cos), _freeze(sin)
 
 
 def rope_rotate(
@@ -269,7 +275,8 @@ def rope_rotate(
     derived from ``position_ids[i]``. The same kernel serves queries and
     keys so cached and fresh rows stay mutually consistent, and one call
     rotates a [q | k] block as ``2 * n_heads`` heads. The cos/sin rows
-    come from tables cached per (base, d_head, max_position) and are
+    come from tables cached per (base, d_head, max_position), or without
+    ``max_position`` are built for the positions read only, and are
     broadcast over heads with contiguous multiply-adds.
     """
     positions = np.asarray(position_ids, dtype=np.int64)
@@ -287,17 +294,19 @@ def rope_rotate(
     if n == 0:
         return states.copy()
     if max_position is None:
-        max_position = int(positions.max()) + 1
-    cos, sin = _rope_table(float(base), d_head, max_position)
+        cos, sin = _rope_rows(float(base), d_head, positions)
+    else:
+        cos, sin = _rope_table(float(base), d_head, max_position)
+        cos, sin = cos[positions], sin[positions]
     heads = (n, width // d_head, d_head)
     x = states.reshape(heads)
-    out = x * cos[positions][:, None, :]
+    out = x * cos[:, None, :]
     swapped = np.empty_like(out)
     pairs = x.reshape(n, -1, d_head // 2, 2)
     swapped_pairs = swapped.reshape(pairs.shape)
     swapped_pairs[..., 0] = pairs[..., 1]
     swapped_pairs[..., 1] = pairs[..., 0]
-    swapped *= sin[positions][:, None, :]
+    swapped *= sin[:, None, :]
     out += swapped
     return out.reshape(n, width)
 

@@ -1,36 +1,40 @@
-"""Embedded fast self-test: small oracle-equivalence and property checks.
+"""Embedded fast self-test: one body per oracle, sized by its caller.
 
-Each criterion is independent and prints one PASS/FAIL line. The whole
-suite targets a few seconds on one CPU core. ``fault_inject`` exists for
-mutation testing: injecting a corrupted reorder index must make the
-layout-soundness criterion fail.
+Each ``check_*`` function takes its size (cases, seeds, sequence range)
+and returns ``(ok, detail)``. ``run_selftest`` calls every check small
+and prints one PASS/FAIL line per check; the acceptance suite calls the
+same checks at acceptance size. ``FAULTS`` maps each ``--fault-inject``
+name to a context manager that breaks the engine for the duration of the
+run: ``layout`` makes ``cache_engine.build_layout`` return a wrong
+reorder index, which the commit gather oracle must catch.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+from typing import Callable
+from unittest import mock
 
 import numpy as np
 
-from .cache_engine import (
-    CacheEngine,
-    CacheVariant,
-    ComputePlan,
-    LayoutError,
-    build_layout,
-)
-from .model_core import KVSlab, ModelConfig, forward_full, forward_partial, init_weights
-from .sampler import (
-    NoiseSchedule,
-    Remasking,
-    SamplerConfig,
-    corrupt,
-    generate,
-    tokens_per_step_schedule,
-)
+from . import cache_engine
+from .cache_engine import CacheEngine, CacheVariant
+from .model_core import (ForwardResult, KVSlab, ModelConfig, ModelWeights,
+                         forward_full, forward_partial, init_weights)
+from .sampler import (NoiseSchedule, Remasking, SamplerConfig, corrupt,
+                      generate, tokens_per_step_schedule)
+from .trace import StepTrace
 from .analysis import verify_trace_invariants
 
-__all__ = ["run_selftest", "validate_plan"]
+__all__ = ["FAULTS", "check_commit_gather", "check_corruption_marginal",
+           "check_partial_forward", "check_refresh_degeneracy",
+           "naive_next_cache", "run_selftest", "served_cache"]
+
+Check = tuple[bool, str]
+
+# largest logit difference a partial pass may show against the full pass
+LOGIT_TOL = 1e-5
 
 _TINY = ModelConfig(
     n_layers=2, n_heads=2, d_model=64, d_head=32, d_ff=128,
@@ -38,173 +42,186 @@ _TINY = ModelConfig(
 )
 
 
-def _check_refresh_degeneracy() -> tuple[bool, str]:
-    weights = init_weights(_TINY)
-    for seed in (0, 1, 2):
-        prompt = np.arange(1, 9) % 100
-        base_cfg = dict(gen_len=16, steps=16, block_size=8,
-                        remasking=Remasking.RANDOM, sample_seed=seed)
-        plain, _ = generate(prompt, SamplerConfig(
-            **base_cfg, cache=CacheVariant.none()), weights, timed=False)
-        cached, _ = generate(prompt, SamplerConfig(
-            **base_cfg, cache=CacheVariant.decode(1)), weights, timed=False)
+def check_refresh_degeneracy(
+    weights: ModelWeights, *, seeds: int, prompt: np.ndarray, gen_len: int,
+    steps: int, block_size: int, first_seed: int = 0,
+    on_trace: Callable[[str, StepTrace], None] | None = None,
+) -> Check:
+    """``decode:1`` against ``none``: the same sequence and, step by step,
+    the same decoded positions and ids, bit for bit.
+
+    Seed ``i`` samples with ``first_seed + i``. The first half of the
+    seeds remask randomly on ``weights``; the second half remask by low
+    confidence, each on weights re-seeded to ``100 + i``. ``on_trace``
+    receives every trace the check produces.
+    """
+    for i in range(seeds):
+        remasking, case_weights = Remasking.RANDOM, weights
+        if i >= seeds // 2:
+            remasking = Remasking.LOW_CONFIDENCE
+            case_weights = init_weights(
+                dataclasses.replace(weights.config, weight_seed=100 + i))
+        runs = []
+        for variant in (CacheVariant.none(), CacheVariant.decode(1)):
+            cfg = SamplerConfig(gen_len=gen_len, steps=steps,
+                                block_size=block_size, remasking=remasking,
+                                sample_seed=first_seed + i, cache=variant)
+            tokens, trace = generate(prompt, cfg, case_weights, timed=False)
+            if on_trace is not None:
+                on_trace(f"seed {first_seed + i} {variant.describe()}", trace)
+            runs.append((tokens, [(r.decoded_positions, r.decoded_ids)
+                                  for r in trace.records]))
+        (plain, plain_steps), (cached, cached_steps) = runs
         if not np.array_equal(plain, cached):
-            return False, f"seed {seed}: sequences differ"
-    return True, "3 seeds bit-identical"
+            return False, f"seed {first_seed + i}: sequences differ"
+        if plain_steps != cached_steps:
+            return False, (f"seed {first_seed + i}: per-step decoded "
+                           "positions or ids differ")
+    return True, f"{seeds}/{seeds} seeds bit-identical"
 
 
-def _check_partial_forward_oracle() -> tuple[bool, str]:
-    weights = init_weights(_TINY)
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        seq = int(rng.integers(8, 25))
-        tokens = rng.integers(0, _TINY.vocab_size - 1, size=seq)
-        full = forward_full(tokens, weights)
-        n_cached = int(rng.integers(1, seq))
-        cached_pos = np.sort(rng.choice(seq, size=n_cached, replace=False))
-        compute = np.setdiff1d(np.arange(seq), cached_pos)
-        cache = [KVSlab(layer=i,
-                        keys=slab.keys[cached_pos],
-                        values=slab.values[cached_pos],
-                        row_positions=cached_pos.copy())
-                 for i, slab in enumerate(full.fresh_kv)]
-        part = forward_partial(tokens, compute, cache, weights)
-        diff = np.abs(part.logits - full.logits[compute]).max()
-        if diff > 1e-5:
-            return False, f"max logit diff {diff:.2e} > 1e-5"
-    return True, "partial matches full within 1e-5"
+def served_cache(full: ForwardResult, positions) -> list[KVSlab]:
+    """``full``'s K/V rows at ``positions``, one slab per layer: a cache
+    a partial pass must treat exactly like rows it computed itself."""
+    positions = np.asarray(positions, dtype=np.int64)
+    return [KVSlab(layer=i, keys=slab.keys[positions],
+                   values=slab.values[positions], row_positions=positions)
+            for i, slab in enumerate(full.fresh_kv)]
 
 
-def _check_logit_rows() -> tuple[bool, str]:
-    weights = init_weights(_TINY)
-    rng = np.random.default_rng(17)
-    seq = 24
-    for n_rows in (1, 2, 7):
-        tokens = rng.integers(0, _TINY.vocab_size - 1, size=seq)
-        full = forward_full(tokens, weights)
-        cached_pos = np.sort(rng.choice(seq, size=8, replace=False))
-        compute = rng.permutation(np.setdiff1d(np.arange(seq), cached_pos))
-        cache = [KVSlab(layer=i, keys=slab.keys[cached_pos],
-                        values=slab.values[cached_pos], row_positions=cached_pos)
-                 for i, slab in enumerate(full.fresh_kv)]
-        every = forward_partial(tokens, compute, cache, weights)
-        rows = rng.choice(len(compute), size=n_rows, replace=False)
-        part = forward_partial(tokens, compute, cache, weights, logit_rows=rows)
-        if part.logits.shape != (n_rows, _TINY.vocab_size):
-            return False, (f"{n_rows} logit rows gave logits of shape "
-                           f"{part.logits.shape}")
-        diff = np.abs(part.logits - every.logits[rows]).max()
-        if diff > 1e-5:
-            return False, f"max logit diff {diff:.2e} > 1e-5"
-        if any(a.keys.tobytes() != b.keys.tobytes()
-               or a.values.tobytes() != b.values.tobytes()
-               for a, b in zip(part.kv, every.kv)):
-            return False, f"{n_rows} logit rows: K/V differ from the all-rows pass"
-    return True, "logits within 1e-5 of the all-rows pass, K/V byte-equal"
+def _draw_split(rng: np.random.Generator, seq_range: tuple[int, int],
+                cached: bool = True):
+    """Random tokens (ids below 100) and a random cached/compute split."""
+    seq = int(rng.integers(*seq_range))
+    tokens = rng.integers(0, 100, size=seq)
+    n_cached = int(rng.integers(0, seq)) if cached else 0
+    cached_pos = np.sort(rng.choice(seq, size=n_cached, replace=False))
+    return tokens, cached_pos, np.setdiff1d(np.arange(seq), cached_pos)
 
 
-def _naive_next_cache(cached: KVSlab, fresh: KVSlab, next_positions, seq_len, width):
-    buf_k = np.zeros((seq_len, width), dtype=np.float32)
-    buf_v = np.zeros((seq_len, width), dtype=np.float32)
-    for slab in (cached, fresh):
-        for row, pos in enumerate(slab.row_positions):
-            buf_k[pos] = slab.keys[row]
-            buf_v[pos] = slab.values[row]
-    idx = np.asarray(next_positions, dtype=np.int64)
-    return buf_k[idx], buf_v[idx]
+def _served_pass(weights, tokens, cached_pos, compute):
+    """The partial pass over ``compute`` served ``forward_full``'s rows at
+    ``cached_pos``: (cache, result, max logit drift from the full pass)."""
+    full = forward_full(tokens, weights)
+    cache = served_cache(full, cached_pos)
+    part = forward_partial(tokens, compute, cache, weights)
+    return cache, part, float(np.abs(part.logits - full.logits[compute]).max())
 
 
-def _check_commit_gather_oracle() -> tuple[bool, str]:
-    rng = np.random.default_rng(7)
-    width = 8
-    for _ in range(20):
-        seq = int(rng.integers(4, 33))
-        n_cached = int(rng.integers(0, seq))
-        cached_pos = np.sort(rng.choice(seq, size=n_cached, replace=False))
-        compute = np.setdiff1d(np.arange(seq), cached_pos)
-        masked_next = rng.choice(compute, size=int(rng.integers(0, len(compute))),
-                                 replace=False)
-        next_pos = np.sort(np.setdiff1d(np.arange(seq), masked_next))
-        cached = KVSlab(0, rng.random((n_cached, width), dtype=np.float32),
-                        rng.random((n_cached, width), dtype=np.float32),
-                        cached_pos.astype(np.int64))
-        fresh = KVSlab(0, rng.random((len(compute), width), dtype=np.float32),
-                       rng.random((len(compute), width), dtype=np.float32),
-                       compute.astype(np.int64))
-        plan = build_layout(compute.tolist(), cached_pos.tolist(),
-                            next_pos.tolist(), seq)
+def check_partial_forward(
+    weights: ModelWeights, *, cases: int, seq_range: tuple[int, int],
+    seed: int, cached: bool = True, logit_rows: tuple[int, ...] = (),
+) -> Check:
+    """Serve a random subset of ``forward_full``'s K/V as the cache and
+    compute the rest in a shuffled order: logits within ``LOGIT_TOL`` of
+    the full pass. ``cached=False`` serves nothing, so only the row order
+    changes. Each entry of ``logit_rows`` asks the same pass for that many
+    random logit rows (at most all of them): logits within ``LOGIT_TOL``
+    of the all-rows pass, and K/V byte-equal to it.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for case in range(cases):
+        tokens, cached_pos, compute = _draw_split(rng, seq_range, cached)
+        compute = rng.permutation(compute)
+        cache, every, drift = _served_pass(weights, tokens, cached_pos, compute)
+        worst = max(worst, drift)
+        for n_rows in logit_rows:
+            rows = rng.choice(len(compute), size=min(n_rows, len(compute)),
+                              replace=False)
+            part = forward_partial(tokens, compute, cache, weights,
+                                   logit_rows=rows)
+            if part.logits.shape != (len(rows), weights.config.vocab_size):
+                return False, (f"case {case}: {len(rows)} logit rows gave "
+                               f"logits of shape {part.logits.shape}")
+            worst = max(worst, float(np.abs(part.logits
+                                            - every.logits[rows]).max()))
+            if part.n_fresh != every.n_fresh or any(
+                    a.keys.tobytes() != b.keys.tobytes()
+                    or a.values.tobytes() != b.values.tobytes()
+                    or not np.array_equal(a.row_positions, b.row_positions)
+                    for a, b in zip(part.kv, every.kv)):
+                return False, (f"case {case}: {len(rows)} logit rows: K/V "
+                               "differ from the all-rows pass")
+        if worst > LOGIT_TOL:
+            return False, (f"case {case}: max logit diff {worst:.2e} > "
+                           f"{LOGIT_TOL:g}")
+    return True, f"{cases} cases within {worst:.1e}"
+
+
+def naive_next_cache(slabs: list[KVSlab], next_positions, seq_len: int):
+    """The next cache by definition: scatter ``slabs`` into natural
+    position order, then gather ``next_positions``. Returns (keys, values)."""
+    width = slabs[0].keys.shape[1]
+    keys = np.zeros((seq_len, width), dtype=np.float32)
+    values = np.zeros((seq_len, width), dtype=np.float32)
+    for slab in slabs:
+        keys[slab.row_positions] = slab.keys
+        values[slab.row_positions] = slab.values
+    return keys[next_positions], values[next_positions]
+
+
+def check_commit_gather(
+    weights: ModelWeights, *, cases: int, seq_range: tuple[int, int],
+    seed: int,
+) -> Check:
+    """Run the served-subset partial pass, then commit a random next cached
+    set through the engine's own ``build_layout`` and ``commit``. Every
+    layer's next cache must be byte-equal to ``naive_next_cache`` of the
+    served and fresh rows, and the logits within ``LOGIT_TOL`` of the full
+    pass.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for case in range(cases):
+        tokens, cached_pos, compute = _draw_split(rng, seq_range)
+        cache, part, drift = _served_pass(weights, tokens, cached_pos, compute)
+        worst = max(worst, drift)
+        seq = len(tokens)
+        next_pos = np.sort(rng.choice(seq, size=int(rng.integers(0, seq + 1)),
+                                      replace=False))
+        # looked up on the module, so a fault that patches it is seen
+        plan = cache_engine.build_layout(compute, cached_pos, next_pos, seq)
         engine = CacheEngine(CacheVariant.decode(), seq_len=seq)
-        engine.commit(plan, [KVSlab(
-            0, np.concatenate([cached.keys, fresh.keys]),
-            np.concatenate([cached.values, fresh.values]), plan.layout)])
-        nxt = engine.slabs[0]
-        ref_k, ref_v = _naive_next_cache(cached, fresh, next_pos, seq, width)
-        if not (np.array_equal(nxt.keys, ref_k)
-                and np.array_equal(nxt.values, ref_v)
-                and np.array_equal(nxt.row_positions, next_pos)):
-            return False, "reorder path diverged from naive gather/scatter"
-    return True, "20 random cases exactly equal"
+        engine.commit(plan, part.kv)
+        for layer, slab in enumerate(engine.slabs):
+            keys, values = naive_next_cache(
+                [cache[layer], part.fresh_kv[layer]], next_pos, seq)
+            if not (slab.keys.tobytes() == keys.tobytes()
+                    and slab.values.tobytes() == values.tobytes()
+                    and np.array_equal(slab.row_positions, next_pos)):
+                return False, (f"case {case}, layer {layer}: committed K/V "
+                               "differ from the naive next cache")
+    if worst > LOGIT_TOL:
+        return False, f"max logit diff {worst:.2e} > {LOGIT_TOL:g}"
+    return True, f"{cases} cases, K/V exact, logits within {worst:.1e}"
 
 
-def validate_plan(plan: ComputePlan, seq_len: int) -> None:
-    """Raise ``LayoutError`` unless the layout is [cached ; compute], a
-    permutation of ``range(seq_len)``, and the reorder index selects the
-    next cached positions from it."""
-    layout, index = plan.layout, plan.reorder_index
-    if not np.array_equal(layout, np.concatenate([plan.cached_positions,
-                                                  plan.compute_set])):
-        problem = "layout is not [cached ; compute]"
-    elif not np.array_equal(np.sort(layout), np.arange(seq_len)):
-        problem = "layout is not a permutation of the sequence positions"
-    elif index.size and (index.min() < 0 or index.max() >= len(layout)):
-        problem = "reorder index out of bounds"
-    elif not np.array_equal(layout[index], plan.next_cached_positions):
-        problem = "reorder index does not select the next cached set"
-    else:
-        return
-    raise LayoutError(f"layout soundness violated: {problem}")
+def check_corruption_marginal(
+    *, total_steps: int, t_values: tuple[int, ...], trials: int, seed: int,
+) -> Check:
+    """Monte Carlo mask rate of ``corrupt`` over ``trials`` draws of 100
+    tokens at each t, against 1 - alpha_bar(t), within 3 sigma."""
+    schedule = NoiseSchedule(total_steps=total_steps)
+    rng = np.random.default_rng(seed)
+    x0 = (np.arange(100) % 120) + 1
+    mask_id = 126
+    details = []
+    for t in t_values:
+        expected = 1.0 - schedule.alpha_bar(t)
+        masked = sum(int((corrupt(x0, t, schedule, rng, mask_id) == mask_id).sum())
+                     for _ in range(trials))
+        rate = masked / (trials * x0.size)
+        sigma = np.sqrt(expected * (1 - expected) / (trials * x0.size))
+        label = f"t/T={t / total_steps}"
+        if abs(rate - expected) > 3 * sigma:
+            return False, (f"{label}: rate {rate:.4f} vs {expected} "
+                           f"(3 sigma = {3 * sigma:.4f})")
+        details.append(f"{label}: {rate:.4f}")
+    return True, "within 3 sigma at " + ", ".join(details)
 
 
-def _check_layout_soundness(fault_inject: str | None) -> tuple[bool, str]:
-    rng = np.random.default_rng(13)
-    injected = False
-    for _ in range(20):
-        seq = int(rng.integers(4, 33))
-        n_cached = int(rng.integers(0, seq))
-        cached_pos = np.sort(rng.choice(seq, size=n_cached, replace=False))
-        compute = np.setdiff1d(np.arange(seq), cached_pos)
-        keep = rng.choice(seq, size=int(rng.integers(0, seq)), replace=False)
-        next_pos = np.sort(keep)
-        plan = build_layout(compute.tolist(), cached_pos.tolist(),
-                            next_pos.tolist(), seq)
-        if (fault_inject == "layout" and not injected
-                and plan.reorder_index.size):
-            injected = True
-            corrupted = plan.reorder_index.copy()
-            corrupted[0] = (corrupted[0] + 1) % len(plan.layout)
-            plan = dataclasses.replace(plan, reorder_index=corrupted)
-        try:
-            validate_plan(plan, seq)
-        except LayoutError as exc:
-            return False, str(exc)
-    return True, "20 random plans validated"
-
-
-def _check_corruption_marginal() -> tuple[bool, str]:
-    schedule = NoiseSchedule(total_steps=64)
-    rng = np.random.default_rng(3)
-    x0 = np.arange(100) % 120
-    trials, length = 2000, 100
-    masked = 0
-    for _ in range(trials):
-        masked += int((corrupt(x0, 32, schedule, rng, 126) == 126).sum())
-    rate = masked / (trials * length)
-    sigma = (0.25 / (trials * length)) ** 0.5
-    ok = abs(rate - 0.5) <= 3 * sigma
-    return ok, f"rate {rate:.4f} vs 0.5 (3 sigma = {3 * sigma:.4f})"
-
-
-def _check_step_schedule() -> tuple[bool, str]:
+def _check_step_schedule() -> Check:
     cases = [
         ((128, 128, 64), [1] * 128),
         ((256, 128, 256), [2] * 128),
@@ -217,8 +234,7 @@ def _check_step_schedule() -> tuple[bool, str]:
     return True, "per-step counts match enumeration"
 
 
-def _check_sampler_invariants() -> tuple[bool, str]:
-    weights = init_weights(_TINY)
+def _check_sampler_invariants(weights: ModelWeights) -> Check:
     _, trace = generate(np.arange(1, 7), SamplerConfig(
         gen_len=12, steps=6, block_size=6, remasking=Remasking.LOW_CONFIDENCE,
         sample_seed=9, cache=CacheVariant.decode(2)), weights, timed=False)
@@ -229,24 +245,53 @@ def _check_sampler_invariants() -> tuple[bool, str]:
     return True, "immutability, monotonicity and containment hold"
 
 
+def _misordered_layout():
+    """Point the first entry of every non-empty reorder index at the next
+    layout row, so each commit caches one row under the wrong position."""
+    real = cache_engine.build_layout
+
+    def build_layout(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        index = plan.reorder_index
+        if index.size:
+            index[0] = (index[0] + 1) % len(plan.layout)
+        return plan
+
+    return mock.patch.object(cache_engine, "build_layout", build_layout)
+
+
+# --fault-inject name -> a context manager that breaks the engine
+FAULTS = {"layout": _misordered_layout}
+
+
 def run_selftest(fault_inject: str | None = None, out=print) -> bool:
+    """Run every check small, one PASS/FAIL line each, under the named
+    fault if one is given; True when every check passes."""
+    weights = init_weights(_TINY)
     checks = [
-        ("oracle equivalence (refresh degeneracy)", _check_refresh_degeneracy),
-        ("partial forward oracle", _check_partial_forward_oracle),
-        ("logit rows", _check_logit_rows),
-        ("commit gather oracle", _check_commit_gather_oracle),
-        ("layout soundness",
-         lambda: _check_layout_soundness(fault_inject)),
-        ("corruption marginal", _check_corruption_marginal),
+        ("oracle equivalence (refresh degeneracy)",
+         lambda: check_refresh_degeneracy(
+             weights, seeds=4, prompt=np.arange(1, 9), gen_len=16, steps=8,
+             block_size=8)),
+        ("partial forward oracle",
+         lambda: check_partial_forward(weights, cases=5, seq_range=(8, 25),
+                                       seed=5, logit_rows=(1, 2, 7))),
+        ("commit gather oracle",
+         lambda: check_commit_gather(weights, cases=20, seq_range=(4, 33),
+                                     seed=7)),
+        ("corruption marginal",
+         lambda: check_corruption_marginal(total_steps=64, t_values=(32,),
+                                           trials=2000, seed=3)),
         ("step schedule audit", _check_step_schedule),
-        ("sampler invariants", _check_sampler_invariants),
+        ("sampler invariants", lambda: _check_sampler_invariants(weights)),
     ]
     all_ok = True
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        all_ok &= ok
-        out(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    with FAULTS[fault_inject]() if fault_inject else contextlib.nullcontext():
+        for name, fn in checks:
+            try:
+                ok, detail = fn()
+            except Exception as exc:  # a crashed check is a failed check
+                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+            all_ok &= ok
+            out(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     return all_ok

@@ -7,26 +7,12 @@ reveal-spike statistic falls short.
 """
 
 import csv
-import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from dkvcache import (
-    CacheEngine,
-    CacheVariant,
-    KVSlab,
-    NoiseSchedule,
-    Remasking,
-    SamplerConfig,
-    build_layout,
-    corrupt,
-    forward_full,
-    forward_partial,
-    generate,
-    init_weights,
-)
+from dkvcache import CacheVariant, Remasking, SamplerConfig, generate
 from dkvcache.cli import _thread_cap
 from dkvcache.analysis import (
     cache_ratio,
@@ -35,6 +21,13 @@ from dkvcache.analysis import (
     throughput,
     verify_trace_invariants,
     write_dynamics_csvs,
+)
+from dkvcache.selftest import (
+    FAULTS,
+    check_commit_gather,
+    check_corruption_marginal,
+    check_partial_forward,
+    check_refresh_degeneracy,
 )
 
 # traces produced by the heavier criteria, re-checked by criterion 9
@@ -53,98 +46,59 @@ def _thread_cap_one():
     return _thread_cap(True)
 
 
-def test_criterion_01_refresh_degeneracy(toy_weights, toy_config):
+def _passes(num, name, result):
+    """Assert one check's (ok, detail) and print its status line."""
+    ok, detail = result
+    assert ok, f"criterion {num} ({name}): {detail}"
+    _report(num, "PASS", name, detail)
+
+
+def test_criterion_01_refresh_degeneracy(toy_weights):
     """Decode(N=1) must be bit-identical to the no-cache baseline."""
     start = time.perf_counter()
-    prompt = (np.arange(16) % 400) + 1
-    matched = 0
-    for i in range(50):
-        remasking = Remasking.RANDOM if i < 25 else Remasking.LOW_CONFIDENCE
-        weights = toy_weights if i < 25 else init_weights(
-            dataclasses.replace(toy_config, weight_seed=100 + i))
-        kwargs = dict(gen_len=64, steps=64, block_size=32, temperature=0.0,
-                      remasking=remasking, sample_seed=1000 + i)
-        plain, plain_trace = generate(prompt, SamplerConfig(
-            **kwargs, cache=CacheVariant.none()), weights, timed=False)
-        cached, cached_trace = generate(prompt, SamplerConfig(
-            **kwargs, cache=CacheVariant.decode(1)), weights, timed=False)
-        assert np.array_equal(plain, cached), f"seed set {i}: sequences differ"
-        matched += 1
-        if i % 10 == 0:
-            _register(f"c1 none seed {i}", plain_trace)
-            _register(f"c1 decode1 seed {i}", cached_trace)
+    result = check_refresh_degeneracy(
+        toy_weights, seeds=50, prompt=(np.arange(16) % 400) + 1, gen_len=64,
+        steps=64, block_size=32, first_seed=1000,
+        on_trace=lambda label, trace: _register(f"c1 {label}", trace))
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"criterion 1 exceeded its 2 min budget ({elapsed:.0f}s)"
-    _report(1, "PASS", "oracle equivalence (refresh degeneracy)",
-            f"{matched}/50 seeds bit-identical in {elapsed:.1f}s")
+    _passes(1, "oracle equivalence (refresh degeneracy)", result)
+
+
+# criterion 2's size; the layout fault must fail the check at this size
+_C2_SIZE = dict(cases=100, seq_range=(4, 65), seed=202)
 
 
 def test_criterion_02_commit_gather_oracle(tiny_weights):
     """Layout path vs naive natural-order gather/scatter, 100 random cases."""
     start = time.perf_counter()
-    rng = np.random.default_rng(202)
-    width = tiny_weights.config.d_model
-    worst_logit = 0.0
-    for _ in range(100):
-        seq = int(rng.integers(4, 65))
-        tokens = rng.integers(0, 100, size=seq)
-        full = forward_full(tokens, tiny_weights)
-        n_cached = int(rng.integers(0, seq))
-        cached_pos = np.sort(rng.choice(seq, size=n_cached, replace=False))
-        compute = np.setdiff1d(np.arange(seq), cached_pos)
-        cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
-                        values=s.values[cached_pos],
-                        row_positions=cached_pos.copy())
-                 for i, s in enumerate(full.fresh_kv)]
-        part = forward_partial(tokens, compute, cache, tiny_weights)
-        worst_logit = max(worst_logit,
-                          float(np.abs(part.logits - full.logits[compute]).max()))
-
-        next_n = int(rng.integers(0, seq + 1))
-        next_pos = np.sort(rng.choice(seq, size=next_n, replace=False))
-        plan = build_layout(compute.tolist(), cached_pos.tolist(),
-                            next_pos.tolist(), seq)
-        engine = CacheEngine(CacheVariant.decode(), seq_len=seq)
-        engine.commit(plan, part.kv)
-        for layer, slab in enumerate(cache):
-            nxt = engine.slabs[layer]
-            buf_k = np.zeros((seq, width), dtype=np.float32)
-            buf_v = np.zeros((seq, width), dtype=np.float32)
-            for src in (slab, part.fresh_kv[layer]):
-                buf_k[src.row_positions] = src.keys
-                buf_v[src.row_positions] = src.values
-            assert nxt.keys.tobytes() == buf_k[next_pos].tobytes()
-            assert nxt.values.tobytes() == buf_v[next_pos].tobytes()
-    assert worst_logit <= 1e-5, f"max logit drift {worst_logit:.2e}"
+    result = check_commit_gather(tiny_weights, **_C2_SIZE)
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"criterion 2 exceeded its 1 min budget ({elapsed:.0f}s)"
-    _report(2, "PASS", "commit gather oracle",
-            f"100 cases, K/V exact, logits within {worst_logit:.1e} "
-            f"({elapsed:.1f}s)")
+    _passes(2, "commit gather oracle", result)
+
+
+def test_criterion_02_fails_under_layout_fault(tiny_weights):
+    with FAULTS["layout"]():
+        ok, detail = check_commit_gather(tiny_weights, **_C2_SIZE)
+    assert not ok
+    assert "differ from the naive next cache" in detail
 
 
 def test_criterion_03_layout_permutation_invariance(toy_weights):
-    rng = np.random.default_rng(303)
-    tokens = rng.integers(1, 500, size=40)
-    natural = forward_full(tokens, toy_weights).logits
-    worst = 0.0
-    for _ in range(50):
-        perm = rng.permutation(40)
-        permuted = forward_partial(tokens, perm, None, toy_weights).logits
-        restored = np.empty_like(permuted)
-        restored[perm] = permuted
-        worst = max(worst, float(np.abs(restored - natural).max()))
-    assert worst <= 1e-5, f"max per-token logit drift {worst:.2e}"
-    _report(3, "PASS", "layout-permutation invariance",
-            f"50 permutations within {worst:.1e}")
+    _passes(3, "layout-permutation invariance", check_partial_forward(
+        toy_weights, cases=50, seq_range=(40, 41), seed=303, cached=False))
 
 
 def test_criterion_04_delay_correctness(tiny_weights):
     """Cached rows byte-equal the fresh rows from one step after the reveal."""
+    # (gen_len, steps, seed, refresh interval): one token per step with and
+    # without refreshes, then two tokens per step
+    runs = ([(24, 24, seed, None if seed < 5 else 4) for seed in range(10)]
+            + [(16, 8, 5, None)])
     checked_rows = 0
-    for seed in range(10):
-        interval = None if seed < 5 else 4
-        cfg = SamplerConfig(gen_len=24, steps=24, block_size=24,
+    for gen_len, steps, seed, interval in runs:
+        cfg = SamplerConfig(gen_len=gen_len, steps=steps, block_size=gen_len,
                             sample_seed=seed,
                             cache=CacheVariant.decode(interval))
         _, trace = generate(np.arange(1, 7), cfg, tiny_weights, timed=False,
@@ -173,9 +127,10 @@ def test_criterion_04_delay_correctness(tiny_weights):
                 for later in trace.records[step + 2:]:
                     assert pos not in later.compute_set
                     assert pos in later.cached_positions
-        _register(f"c4 decode seed {seed}", trace)
+        _register(f"c4 decode L={gen_len} T={steps} seed {seed}", trace)
     _report(4, "PASS", "delay correctness",
-            f"10 seeds, {checked_rows} cached rows byte-equal their source")
+            f"{len(runs)} runs, {checked_rows} cached rows byte-equal their "
+            "source")
 
 
 def test_criterion_05_greedy_boundedness(tiny_weights):
@@ -186,23 +141,28 @@ def test_criterion_05_greedy_boundedness(tiny_weights):
     """
     window = 4
     bound = 1 + 1 + (window + 1)
+    # (prompt, gen_len, seed): the unprompted runs measure growth with
+    # length, the prompted one the cap with a prompt in the cache
+    runs = ([(np.zeros(0, dtype=np.int64), gen_len, 7)
+             for gen_len in (64, 128, 256)]
+            + [(np.arange(1, 5), 24, 5)])
     ratios = {}
-    for gen_len in (64, 128, 256):
+    for prompt, gen_len, seed in runs:
         cfg = SamplerConfig(gen_len=gen_len, steps=gen_len, block_size=gen_len,
-                            sample_seed=7, remasking=Remasking.RANDOM,
+                            sample_seed=seed, remasking=Remasking.RANDOM,
                             cache=CacheVariant.greedy(None, window))
-        _, trace = generate(np.zeros(0, dtype=np.int64), cfg, tiny_weights,
-                            timed=False)
+        _, trace = generate(prompt, cfg, tiny_weights, timed=False)
         rows = [rec.rows_computed for rec in trace.records]
         assert all(r <= bound for r in rows[1:]), \
             f"L={gen_len}: step rows {max(rows[1:])} exceed {bound}"
-        ratios[gen_len] = sum(rows) / gen_len
-        _register(f"c5 greedy L={gen_len}", trace)
+        if not prompt.size:
+            ratios[gen_len] = sum(rows) / gen_len
+        _register(f"c5 greedy P={prompt.size} L={gen_len}", trace)
     spread = max(ratios.values()) / min(ratios.values()) - 1.0
     assert spread <= 0.05, f"total_rows/L spread {spread:.3f} exceeds 5%"
     _report(5, "PASS", "greedy boundedness",
-            f"steps>=1 capped at {bound} rows; total/L ratios "
-            + ", ".join(f"L={k}: {v:.2f}" for k, v in ratios.items())
+            f"steps>=1 capped at {bound} rows in {len(runs)} runs; total/L "
+            "ratios " + ", ".join(f"L={k}: {v:.2f}" for k, v in ratios.items())
             + f" (spread {spread * 100:.1f}%)")
 
 
@@ -278,24 +238,8 @@ def test_criterion_07_wall_clock(toy_weights):
 
 
 def test_criterion_08_corruption_marginal():
-    schedule = NoiseSchedule(total_steps=128)
-    rng = np.random.default_rng(8)
-    x0 = (np.arange(100) % 120) + 1
-    mask_id = 126
-    trials = 10_000
-    details = []
-    for t in (32, 64, 96):
-        expected = 1.0 - schedule.alpha_bar(t)
-        masked = sum(
-            int((corrupt(x0, t, schedule, rng, mask_id) == mask_id).sum())
-            for _ in range(trials))
-        rate = masked / (trials * 100)
-        sigma = np.sqrt(expected * (1 - expected) / (trials * 100))
-        assert abs(rate - expected) <= 3 * sigma, \
-            f"t/T={t / 128}: rate {rate:.4f} vs {expected} (3s={3 * sigma:.4f})"
-        details.append(f"t/T={t / 128}: {rate:.4f}")
-    _report(8, "PASS", "corruption marginal",
-            "within 3 sigma at " + ", ".join(details))
+    _passes(8, "corruption marginal", check_corruption_marginal(
+        total_steps=128, t_values=(32, 64, 96), trials=10_000, seed=8))
 
 
 def test_criterion_10_dynamics(tiny_weights, tmp_path):
@@ -325,11 +269,16 @@ def test_criterion_10_dynamics(tiny_weights, tmp_path):
 
 
 def test_criterion_11_prefill_immutability(tiny_weights):
-    prompt = (np.arange(128) % 100) + 1
-    prefill = set(range(128))
-    for variant in (CacheVariant.prefill(), CacheVariant.pd(8)):
-        cfg = SamplerConfig(gen_len=32, steps=32, block_size=32, sample_seed=11,
-                            cache=variant)
+    # (prompt length, gen_len, steps, seed, variant)
+    runs = [(128, 32, 32, 11, CacheVariant.prefill()),
+            (128, 32, 32, 11, CacheVariant.pd(8)),
+            (8, 12, 6, 2, CacheVariant.prefill()),
+            (8, 12, 6, 2, CacheVariant.pd(3))]
+    for prompt_len, gen_len, steps, seed, variant in runs:
+        prompt = (np.arange(prompt_len) % 100) + 1
+        prefill = set(range(prompt_len))
+        cfg = SamplerConfig(gen_len=gen_len, steps=steps, block_size=gen_len,
+                            sample_seed=seed, cache=variant)
         _, trace = generate(prompt, cfg, tiny_weights, timed=False,
                             kv_audit=True)
         first = trace.records[0].audit.cached_after
@@ -345,10 +294,10 @@ def test_criterion_11_prefill_immutability(tiny_weights):
             assert values_f[sel_f].tobytes() == values_l[sel_l].tobytes()
         for rec in trace.records[1:]:
             assert not prefill & set(rec.compute_set)
-        _register(f"c11 {variant.describe()}", trace)
+        _register(f"c11 P={prompt_len} {variant.describe()}", trace)
     _report(11, "PASS", "prefill immutability",
             "prefill rows byte-identical from step 0 to the final step "
-            "(prefill and pd)")
+            f"({len(runs)} runs of prefill and pd)")
 
 
 def test_criterion_09_sampler_invariants():

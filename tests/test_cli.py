@@ -394,6 +394,13 @@ class TestSelftestCommand:
         assert "PASS" in capsys.readouterr().out
 
     def test_fault_injection_names_criterion(self, capsys):
+        # the layout fault patches the engine; only the commit oracle sees it
         assert main(["selftest", "--fault-inject", "layout"]) == EXIT_SELFTEST_FAIL
-        out = capsys.readouterr().out
-        assert "FAIL  layout soundness" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines
+                if not line.startswith("PASS")] == ["FAIL  commit gather oracle"]
+
+    def test_unknown_fault_rejected(self):
+        proc = run_cli("selftest", "--fault-inject", "bogus")
+        assert proc.returncode == EXIT_CONFIG
+        assert "invalid choice: 'bogus'" in proc.stderr

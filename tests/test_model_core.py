@@ -17,6 +17,7 @@ from dkvcache import (
     rope_rotate,
 )
 from dkvcache import model_core
+from dkvcache.selftest import check_partial_forward, served_cache
 
 
 def _weight_items(weights):
@@ -147,6 +148,16 @@ class TestRope:
         with pytest.raises(ValueError, match="position out of range"):
             rope_rotate(states, [16], 10000.0, 4, max_position=16)
 
+    def test_rows_built_for_positions_read(self, rng):
+        # without max_position no table is built: a far position rotates
+        # one row, and small positions match the table path byte for byte
+        far = rope_rotate(np.ones((1, 8), np.float32), [10**12], 10000.0, 8)
+        assert np.isfinite(far).all()
+        states = rng.standard_normal((5, 16)).astype(np.float32)
+        positions = [7, 0, 3, 9, 3]
+        assert (rope_rotate(states, positions, 10000.0, 8).tobytes()
+                == rope_rotate(states, positions, 10000.0, 8, 10).tobytes())
+
     @pytest.mark.parametrize("n_heads", [1, 4, 8])
     def test_matches_float64_rotation(self, rng, n_heads):
         # independent oracle: rotate each (2i, 2i+1) pair by
@@ -259,10 +270,7 @@ class TestForward:
         full = forward_full(tokens, tiny_weights)
         cached_pos = np.array([2, 4, 5])
         compute = np.array([7, 0, 3, 1, 6])
-        cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
-                        values=s.values[cached_pos],
-                        row_positions=cached_pos.copy())
-                 for i, s in enumerate(full.fresh_kv)]
+        cache = served_cache(full, cached_pos)
         part = forward_partial(tokens, compute, cache, tiny_weights)
         for i, (slab, fresh) in enumerate(zip(part.kv, part.fresh_kv)):
             np.testing.assert_array_equal(
@@ -306,21 +314,6 @@ class TestForward:
         b = forward_full(tokens, tiny_weights)
         assert a.logits.tobytes() == b.logits.tobytes()
 
-    def test_partial_matches_full_oracle(self, tiny_weights, rng):
-        # cached rows taken from a prior full pass on the same tokens
-        tokens = rng.integers(0, 100, size=8)
-        full = forward_full(tokens, tiny_weights)
-        cached_pos = np.array([2, 4, 5])
-        compute = np.array([0, 1, 3, 6, 7])
-        cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
-                        values=s.values[cached_pos],
-                        row_positions=cached_pos.copy())
-                 for i, s in enumerate(full.fresh_kv)]
-        part = forward_partial(tokens, compute, cache, tiny_weights)
-        assert np.abs(part.logits - full.logits[compute]).max() <= 1e-5
-        for i, slab in enumerate(part.fresh_kv):
-            assert cache[i].n_rows + slab.n_rows == 8
-
     def test_oversize_sequence(self, tiny_weights):
         tokens = np.zeros(tiny_weights.config.max_positions + 1, dtype=np.int64)
         with pytest.raises(ValueError, match="max_positions"):
@@ -333,11 +326,7 @@ class TestForward:
     def test_overlapping_split_rejected(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=6)
         full = forward_full(tokens, tiny_weights)
-        cached_pos = np.array([1, 2])
-        cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
-                        values=s.values[cached_pos],
-                        row_positions=cached_pos.copy())
-                 for i, s in enumerate(full.fresh_kv)]
+        cache = served_cache(full, [1, 2])
         with pytest.raises(ValueError, match="overlapping"):
             forward_partial(tokens, np.array([0, 1, 3, 4, 5]), cache,
                             tiny_weights)
@@ -346,11 +335,7 @@ class TestForward:
 
     def test_cache_layer_count_mismatch(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=6)
-        full = forward_full(tokens, tiny_weights)
-        cached_pos = np.array([1, 2])
-        cache = [KVSlab(layer=0, keys=full.fresh_kv[0].keys[cached_pos],
-                        values=full.fresh_kv[0].values[cached_pos],
-                        row_positions=cached_pos.copy())]
+        cache = served_cache(forward_full(tokens, tiny_weights), [1, 2])[:1]
         with pytest.raises(ValueError, match="layer count"):
             forward_partial(tokens, np.array([0, 3, 4, 5]), cache,
                             tiny_weights)
@@ -376,10 +361,7 @@ class TestForward:
                                       message):
         # a 6-token sequence with positions 1 and 2 cached on both layers
         tokens = rng.integers(0, 100, size=6)
-        cached_pos = np.array([1, 2])
-        cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
-                        values=s.values[cached_pos], row_positions=cached_pos)
-                 for i, s in enumerate(forward_full(tokens, tiny_weights).kv)]
+        cache = served_cache(forward_full(tokens, tiny_weights), [1, 2])
         cache, compute = corrupt(cache, np.array([0, 3, 4, 5]))
         with pytest.raises(ValueError, match=message):
             forward_partial(tokens, compute, cache, tiny_weights)
@@ -390,31 +372,11 @@ class TestLogitRows:
 
     @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
     @pytest.mark.parametrize("n_rows", [1, 2, 16, 256])
-    def test_matches_all_rows_pass(self, tiny_weights, rng, n_rows, cached):
-        seq = 400
-        tokens = rng.integers(0, 100, size=seq)
-        cached_pos = (np.sort(rng.choice(seq, size=100, replace=False))
-                      if cached else np.zeros(0, dtype=np.int64))
-        compute = rng.permutation(np.setdiff1d(np.arange(seq), cached_pos))
-        cache = None
-        if cached:
-            full = forward_full(tokens, tiny_weights)
-            cache = [KVSlab(layer=i, keys=s.keys[cached_pos],
-                            values=s.values[cached_pos], row_positions=cached_pos)
-                     for i, s in enumerate(full.fresh_kv)]
-        every = forward_partial(tokens, compute, cache, tiny_weights)
-        rows = rng.choice(len(compute), size=n_rows, replace=False)
-        part = forward_partial(tokens, compute, cache, tiny_weights,
-                               logit_rows=rows)
-        assert part.logits.shape == (n_rows, tiny_weights.config.vocab_size)
-        assert np.abs(part.logits - every.logits[rows]).max() <= 1e-5
-        for a, b in zip(part.kv, every.kv):
-            assert a.keys.tobytes() == b.keys.tobytes()
-            assert a.values.tobytes() == b.values.tobytes()
-            np.testing.assert_array_equal(a.row_positions, b.row_positions)
-        for a, b in zip(part.fresh_kv, every.fresh_kv):
-            assert a.n_rows == b.n_rows == len(compute)
-            assert a.keys.tobytes() == b.keys.tobytes()
+    def test_matches_all_rows_pass(self, tiny_weights, n_rows, cached):
+        ok, detail = check_partial_forward(
+            tiny_weights, cases=1, seq_range=(400, 401), seed=n_rows,
+            cached=cached, logit_rows=(n_rows,))
+        assert ok, detail
 
     def test_no_logit_rows(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=6)
@@ -430,16 +392,3 @@ class TestLogitRows:
         with pytest.raises(ValueError, match="logit row out of range"):
             forward_partial(tokens, np.array([3, 0, 2, 1]), None,
                             tiny_weights, logit_rows=rows)
-
-
-class TestLayoutPermutationInvariance:
-    def test_random_permutations(self, tiny_weights, rng):
-        tokens = rng.integers(0, 100, size=14)
-        natural = forward_full(tokens, tiny_weights).logits
-        for _ in range(10):
-            perm = rng.permutation(14)
-            permuted = forward_partial(tokens, perm, None, tiny_weights).logits
-            restored = np.empty_like(permuted)
-            restored[perm] = permuted
-            assert np.abs(restored - natural).max() <= 1e-5
-
