@@ -27,8 +27,8 @@ decode   keeps the positions unmasked at the start of the step, so a
 greedy   keeps everything outside the next step's greedy set: that step's
          decodes, this step's decodes and a local window around the
          configured centres. Still-masked positions are served stale from
-         cache. Per-step compute is independent of sequence length. Needs a
-         predefined (random-order) decode schedule.
+         cache. Between refreshes, per-step compute is independent of
+         sequence length. Needs a predefined (random-order) decode schedule.
 prefill  keeps the prompt: prompt rows are cached permanently and every
          generated position is recomputed.
 pd       keeps what ``decode`` keeps; before a refresh it keeps the prompt,
@@ -207,11 +207,6 @@ class ComputePlan:
     refresh_flag: bool
 
 
-def _positions(positions: Iterable[int]) -> np.ndarray:
-    """Ascending int64 array of distinct positions."""
-    return np.array(sorted(int(p) for p in positions), dtype=np.int64)
-
-
 def _complement(positions, seq_len: int) -> np.ndarray:
     """Ascending positions of ``range(seq_len)`` absent from ``positions``."""
     keep = np.ones(seq_len, dtype=bool)
@@ -307,18 +302,17 @@ class CacheEngine:
         variant: CacheVariant,
         *,
         seq_len: int,
-        prefill: Iterable[int] = (),
+        prompt_len: int = 0,
         predefined_order: Sequence[Sequence[int]] | None = None,
     ) -> None:
-        prefill = _positions(prefill)
-        if not np.array_equal(prefill, np.arange(len(prefill))):
-            raise ValueError("prefill positions must be the sequence prefix")
         if variant.kind is VariantKind.GREEDY and predefined_order is None:
             raise ValueError("greedy caching requires a predefined decode "
                              "order (random remasking)")
         self.variant = variant
         self.seq_len = seq_len
-        self.prefill = prefill
+        # read-only: ``_kept`` hands it out as the next cached positions
+        self.prefill = np.arange(prompt_len, dtype=np.int64)
+        self.prefill.setflags(write=False)
         self.predefined_order = (
             [tuple(int(p) for p in step) for step in predefined_order]
             if predefined_order is not None else None)

@@ -109,19 +109,17 @@ def _largest_remainder(
 ) -> list[int]:
     """Integer split of ``total`` by quota with 1 <= value <= high per slot.
 
-    Starts from clamped floors, then moves units toward the largest
+    Starts from clamped floors, then adds units toward the largest
     fractional shortfall (ties to the lowest index). Feasible whenever
-    len(quotas) <= total <= sum(highs).
+    len(quotas) <= total <= sum(highs). The quotas sum to ``total`` and
+    all but the last are >= 1, so only the last floor can be raised to 1
+    and the clamped floors never sum above the integer ``total``.
     """
     vals = [min(h, max(1, int(math.floor(q)))) for q, h in zip(quotas, highs)]
     while sum(vals) < total:
         i = max((i for i in range(len(vals)) if vals[i] < highs[i]),
                 key=lambda i: (quotas[i] - vals[i], -i))
         vals[i] += 1
-    while sum(vals) > total:
-        i = max((i for i in range(len(vals)) if vals[i] > 1),
-                key=lambda i: (vals[i] - quotas[i], -i))
-        vals[i] -= 1
     return vals
 
 
@@ -441,7 +439,7 @@ def generate(
     engine = CacheEngine(
         cfg.cache,
         seq_len=seq_len,
-        prefill=range(prompt.shape[0]),
+        prompt_len=prompt.shape[0],
         predefined_order=predefined,
     )
 

@@ -3,10 +3,12 @@
 Each ``check_*`` function takes its size (cases, seeds, sequence range)
 and returns ``(ok, detail)``. ``run_selftest`` calls every check small
 and prints one PASS/FAIL line per check; the acceptance suite calls the
-same checks at acceptance size. ``FAULTS`` maps each ``--fault-inject``
-name to a context manager that breaks the engine for the duration of the
-run: ``layout`` makes ``cache_engine.build_layout`` return a wrong
-reorder index, which the commit gather oracle must catch.
+same checks at acceptance size. ``check_step_schedule`` takes no size:
+it holds the package's one copy of the enumerated per-step decode
+counts, and the unit tests call it too. ``FAULTS`` maps each
+``--fault-inject`` name to a context manager that breaks the engine for
+the duration of the run: ``layout`` makes ``cache_engine.build_layout``
+return a wrong reorder index, which the commit gather oracle must catch.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .analysis import verify_trace_invariants
 
 __all__ = ["FAULTS", "check_commit_gather", "check_corruption_marginal",
            "check_partial_forward", "check_refresh_degeneracy",
-           "naive_next_cache", "run_selftest", "served_cache"]
+           "check_step_schedule", "naive_next_cache", "run_selftest",
+           "served_cache"]
 
 Check = tuple[bool, str]
 
@@ -221,7 +224,10 @@ def check_corruption_marginal(
     return True, "within 3 sigma at " + ", ".join(details)
 
 
-def _check_step_schedule() -> Check:
+def check_step_schedule() -> Check:
+    """``tokens_per_step_schedule``'s per-step counts against three
+    enumerated cases: one token per step over two blocks, two per step in
+    one block, and a largest-remainder split of 10 tokens over 4 steps."""
     cases = [
         ((128, 128, 64), [1] * 128),
         ((256, 128, 256), [2] * 128),
@@ -282,7 +288,7 @@ def run_selftest(fault_inject: str | None = None, out=print) -> bool:
         ("corruption marginal",
          lambda: check_corruption_marginal(total_steps=64, t_values=(32,),
                                            trials=2000, seed=3)),
-        ("step schedule audit", _check_step_schedule),
+        ("step schedule audit", check_step_schedule),
         ("sampler invariants", lambda: _check_sampler_invariants(weights)),
     ]
     all_ok = True

@@ -50,22 +50,6 @@ class TestCacheRatio:
         with pytest.raises(ValueError, match="empty"):
             cache_ratio(make_trace([]))
 
-    def test_decode_matches_enumeration(self, tiny_weights):
-        prompt, gen_len, steps = 4, 16, 16
-        cfg = SamplerConfig(gen_len=gen_len, steps=steps, block_size=gen_len,
-                            sample_seed=3, cache=CacheVariant.decode(None))
-        _, trace = generate(np.arange(1, prompt + 1), cfg, tiny_weights,
-                            timed=False)
-        seq_len = prompt + gen_len
-        # independent arithmetic: step 0 computes everything; step t>=1
-        # recomputes the previous step's masked set
-        masked_at = [gen_len - t for t in range(steps + 1)]
-        expected_rows = [seq_len] + [masked_at[t - 1] for t in range(1, steps)]
-        expected = np.mean([(seq_len - r) / seq_len for r in expected_rows])
-        assert cache_ratio(trace) == pytest.approx(expected)
-        assert [r.rows_computed for r in trace.records] == expected_rows
-
-
 class TestCounters:
     def test_baseline_closed_form(self, tiny_weights):
         cfg = SamplerConfig(gen_len=12, steps=6, block_size=12, sample_seed=1)
@@ -86,21 +70,6 @@ class TestCounters:
         # a row that is both costs what the unsplit count gave
         assert kv + logit == 2 * (4 * 64 * 64 + 2 * 64 * 128
                                   + 2 * 16 * 64) + 64 * 128
-
-    def test_decode_closed_form(self, tiny_weights):
-        prompt, gen_len, steps, interval = 4, 16, 16, 8
-        cfg = SamplerConfig(gen_len=gen_len, steps=steps, block_size=gen_len,
-                            sample_seed=1, cache=CacheVariant.decode(interval))
-        _, trace = generate(np.arange(1, prompt + 1), cfg, tiny_weights,
-                            timed=False)
-        seq_len = prompt + gen_len
-        expected = 0
-        for t in range(steps):
-            if t == 0 or t % interval == 0:
-                expected += seq_len
-            else:
-                expected += gen_len - (t - 1)
-        assert compute_counters(trace).total_query_rows == expected
 
     def test_synthetic_max_rows(self):
         assert compute_counters(make_trace([8, 3, 5])).per_step_max_rows == 8

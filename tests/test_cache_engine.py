@@ -12,7 +12,6 @@ from dkvcache import (
     LayoutError,
     Remasking,
     SamplerConfig,
-    WindowCenter,
     build_layout,
     forward_partial,
     generate,
@@ -100,71 +99,13 @@ class TestGreedyWindow:
         assert greedy_window([4], 4, (4, 16)) == {4, 5, 6}
 
 
-def plan_after(variant, decodes, seq_len, prefill=0, predefined=None):
-    """Drive an engine through one step per entry of ``decodes`` (the
-    positions that step reveals) and return the last step's plan."""
-    engine = CacheEngine(variant, seq_len=seq_len, prefill=range(prefill),
-                         predefined_order=predefined)
-    masked = np.arange(seq_len) >= prefill
-    for step, revealed in enumerate(decodes):
-        plan = engine.plan_step(masked=masked, step=step)
-        engine.commit(plan, [layout_slab(engine, plan, seed=step)])
-        masked[list(revealed)] = False
-    return plan
-
-
 class TestPlanComputeSet:
-    """Compute sets ``CacheEngine.plan_step`` plans: the complement of what
-    the previous step's commit kept."""
-
-    def test_decode_step_zero_full(self):
-        plan = plan_after(CacheVariant.decode(8), [(1,)], seq_len=4, prefill=1)
-        assert tuple(plan.compute_set) == (0, 1, 2, 3)
-        assert not plan.refresh_flag
-
-    def test_decode_refresh_step(self):
-        plan = plan_after(CacheVariant.decode(8), [(p,) for p in range(1, 10)],
-                          seq_len=12, prefill=1)
-        assert tuple(plan.compute_set) == tuple(range(12))
-        assert plan.refresh_flag
-
-    def test_decode_uses_previous_masked(self):
-        # masked at the start of step 2 is {3, 4, 5}
-        plan = plan_after(CacheVariant.decode(8), [(1,), (2,), (3,), (4,)],
-                          seq_len=6, prefill=1)
-        assert tuple(plan.compute_set) == (3, 4, 5)
-        assert not plan.refresh_flag
-
-    def test_greedy_worked_example(self):
-        order = {9: (9,), 8: (4,)}
-        predefined = [order.get(i, ()) for i in range(10)]
-        plan = plan_after(CacheVariant.greedy(window_size=4), predefined,
-                          seq_len=16, predefined=predefined)
-        assert tuple(plan.compute_set) == (2, 3, 4, 5, 6, 9)
-        assert not plan.refresh_flag
+    """``CacheEngine.plan_step`` refusals; the per-step rule of every variant
+    is ``test_greedy_plan.test_plans_match_reference``."""
 
     def test_greedy_needs_predefined_order(self):
         with pytest.raises(ValueError, match="predefined"):
             CacheEngine(CacheVariant.greedy(), seq_len=4)
-
-    def test_prefill_every_step(self):
-        plan = plan_after(CacheVariant.prefill(),
-                          [(4,), (5,), (6,), (7,), (), ()], seq_len=8, prefill=4)
-        assert tuple(plan.compute_set) == (4, 5, 6, 7)
-        assert not plan.refresh_flag
-
-    def test_pd_normal_step_is_delayed_caching(self):
-        # step 4 refreshes; masked at its start is {5, 6}
-        plan = plan_after(CacheVariant.pd(4),
-                          [(4,), (7,), (), (), (6,), (5,)], seq_len=8, prefill=4)
-        assert tuple(plan.compute_set) == (5, 6)
-        assert not plan.refresh_flag
-
-    def test_pd_refresh_never_touches_prefill(self):
-        plan = plan_after(CacheVariant.pd(4), [(4,), (5,), (6,), (7,)] + [()] * 5,
-                          seq_len=8, prefill=4)
-        assert tuple(plan.compute_set) == (4, 5, 6, 7)
-        assert plan.refresh_flag
 
     def test_monotone_mask_violation(self):
         # position 9 is unmasked at step 0, so step 0's commit keeps it;
@@ -173,7 +114,7 @@ class TestPlanComputeSet:
         masked = np.zeros(10, dtype=bool)
         masked[1] = True
         plan = engine.plan_step(masked=masked, step=0)
-        engine.commit(plan, [layout_slab(engine, plan, seed=0)])
+        engine.commit(plan, [make_slab(0, plan.layout)])
         masked[9] = True
         with pytest.raises(ValueError, match="masked position 9 is served"):
             engine.plan_step(masked=masked, step=1)
@@ -190,6 +131,22 @@ class TestBuildLayout:
         )
         assert tuple(plan.layout) == (2, 4, 5, 0, 1, 3, 6, 7)
         assert list(plan.reorder_index) == [0, 1, 2, 7]
+        cached = make_slab(0, [2, 4, 5])
+        fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
+        nxt = commit_gather(plan, cached, fresh)
+        assert list(nxt.row_positions) == [2, 4, 5, 7]
+        np.testing.assert_array_equal(nxt.keys[3], fresh.keys[4])
+        ref_k, ref_v = naive_next_cache([cached, fresh],
+                                        plan.next_cached_positions, 8)
+        np.testing.assert_array_equal(nxt.keys, ref_k)
+        # the naive reference has teeth: a reorder index with two entries
+        # swapped commits rows that it rejects
+        swapped = plan.reorder_index.copy()
+        swapped[[0, 3]] = swapped[[3, 0]]
+        bad = commit_gather(dataclasses.replace(plan, reorder_index=swapped),
+                            cached, fresh)
+        assert not np.array_equal(bad.keys, ref_k)
+        assert not np.array_equal(bad.values, ref_v)
 
     def test_empty_cache_degenerate(self):
         plan = build_layout(list(range(6)), [], [0, 3], 6)
@@ -207,23 +164,6 @@ class TestBuildLayout:
                                          seq_range=(2, 33), seed=seed)
         assert ok, detail
 
-    def test_naive_reference_catches_swapped_index(self):
-        # the oracle above has teeth: a plan whose reorder index has two
-        # entries swapped commits rows that the naive reference rejects
-        plan = build_layout([0, 1, 3, 6, 7], [2, 4, 5], [2, 4, 5, 7], 8)
-        swapped = plan.reorder_index.copy()
-        swapped[[0, 3]] = swapped[[3, 0]]
-        bad = dataclasses.replace(plan, reorder_index=swapped)
-        cached = make_slab(0, [2, 4, 5])
-        fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
-        ref_k, ref_v = naive_next_cache([cached, fresh],
-                                        plan.next_cached_positions, 8)
-        np.testing.assert_array_equal(
-            commit_gather(plan, cached, fresh).keys, ref_k)
-        nxt = commit_gather(bad, cached, fresh)
-        assert not np.array_equal(nxt.keys, ref_k)
-        assert not np.array_equal(nxt.values, ref_v)
-
 
 class TestConcatReorder:
     """The [cached ; fresh] slab attention reads, gathered by ``commit``."""
@@ -237,24 +177,8 @@ class TestConcatReorder:
         np.testing.assert_array_equal(nxt.values, cached.values)
         assert list(nxt.row_positions) == [1, 3]
 
-    def test_worked_example_positions(self):
-        cached = make_slab(0, [2, 4, 5])
-        fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
-        plan = build_layout([0, 1, 3, 6, 7], [2, 4, 5], [2, 4, 5, 7], 8)
-        nxt = commit_gather(plan, cached, fresh)
-        assert list(plan.layout) == [2, 4, 5, 0, 1, 3, 6, 7]
-        assert list(nxt.row_positions) == [2, 4, 5, 7]
-        np.testing.assert_array_equal(nxt.keys[3], fresh.keys[4])
-
 
 class TestScatterOutputs:
-    def test_identity(self):
-        plan = build_layout([0, 1, 2], [], [], 3)
-        rows = np.arange(6, dtype=np.float32).reshape(3, 2)
-        row_of = scatter_outputs(plan)
-        assert set(np.flatnonzero(row_of >= 0)) == {0, 1, 2}
-        np.testing.assert_array_equal(rows[row_of[1]], rows[1])
-
     def test_order_preserved(self):
         plan = ComputePlan(compute_set=np.array([3, 1]),
                            cached_positions=np.array([0, 2]),
@@ -291,60 +215,6 @@ class TestScatterOutputs:
         np.testing.assert_array_equal(regathered, rows)
 
 
-def layout_slab(engine, plan, seed):
-    """The engine's cached rows followed by random fresh rows: [cache ; fresh]."""
-    cached = engine.slabs[0] if engine.slabs else make_slab(0, [])
-    fresh = make_slab(0, plan.compute_set, seed=seed)
-    return KVSlab(layer=0, keys=np.concatenate([cached.keys, fresh.keys]),
-                  values=np.concatenate([cached.values, fresh.values]),
-                  row_positions=plan.layout)
-
-
-class TestRefreshSemantics:
-    def run_plans(self, variant, steps, seq_len=8, prefill=()):
-        engine = CacheEngine(variant, seq_len=seq_len, prefill=prefill)
-        masked = np.arange(seq_len) >= len(prefill)
-        plans = []
-        for step in range(steps):
-            plan = engine.plan_step(masked=masked, step=step)
-            plans.append(plan)
-            engine.commit(plan, [layout_slab(engine, plan, seed=step)])
-            masked[np.flatnonzero(masked)[0]] = False
-        return plans
-
-    def test_refresh_interval_one_is_baseline(self):
-        plans = self.run_plans(CacheVariant.decode(1), 6)
-        assert all(tuple(p.compute_set) == tuple(range(8)) for p in plans)
-        assert [p.refresh_flag for p in plans] == [False] + [True] * 5
-
-    def test_refresh_never_fires_when_disabled(self):
-        plans = self.run_plans(CacheVariant.decode(None), 6)
-        assert not any(p.refresh_flag for p in plans)
-
-    def test_commit_before_refresh_keeps_only_prompt(self):
-        for variant, kept in ((CacheVariant.decode(3), ()),
-                              (CacheVariant.pd(3), (0, 1))):
-            plans = self.run_plans(variant, 6, prefill=(0, 1))
-            for step, plan in enumerate(plans):
-                # steps 3 and 6 refresh; every other commit keeps the
-                # positions unmasked when its step began
-                expected = kept if step in (2, 5) else range(2 + step)
-                assert tuple(plan.next_cached_positions) == tuple(expected)
-
-    def test_greedy_refresh_cadence(self):
-        predefined = [(i + 2,) for i in range(6)]
-        engine = CacheEngine(CacheVariant.greedy(2, 4), seq_len=8,
-                             predefined_order=predefined)
-        masked = np.arange(8) >= 2
-        flags = []
-        for step in range(6):
-            plan = engine.plan_step(masked=masked, step=step)
-            flags.append(plan.refresh_flag)
-            engine.commit(plan, [layout_slab(engine, plan, seed=step)])
-            masked[list(predefined[step])] = False
-        assert flags == [False, False, True, False, True, False]
-
-
 class TestEngineRuns:
     def test_greedy_keeps_stale_masked_rows_cached(self, tiny_weights):
         cfg = SamplerConfig(gen_len=16, steps=16, block_size=16, sample_seed=5,
@@ -354,12 +224,3 @@ class TestEngineRuns:
         mid = trace.records[5]
         masked_then = {p for p, s in trace.decode_step_of().items() if s >= 5}
         assert masked_then & set(mid.cached_positions)
-
-    def test_layout_union_every_step(self, tiny_weights):
-        cfg = SamplerConfig(gen_len=12, steps=6, block_size=6, sample_seed=0,
-                            cache=CacheVariant.decode(3))
-        _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
-        for rec in trace.records:
-            union = np.sort(np.concatenate([rec.cached_positions,
-                                            rec.compute_set]))
-            np.testing.assert_array_equal(union, np.arange(trace.seq_len))

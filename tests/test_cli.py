@@ -238,14 +238,18 @@ class TestBenchCommand:
         assert rows[0]["output_match"] == "1"
 
     def test_refresh_one_matches_baseline(self, tmp_path):
+        # the second run lists no "none": bench runs the baseline itself
+        # and writes no row for it
         path, out = write_config(tmp_path)
-        assert main(["bench", "--config", str(path),
-                     "--variants", "none,decode:1",
-                     "--deterministic"]) == EXIT_OK
-        with open(out / "bench.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[1]["variant"] == "decode(N=1)"
-        assert rows[1]["output_match"] == "1"
+        for variants, row in (("none,decode:1", 1), ("decode:1,decode:8", 0)):
+            assert main(["bench", "--config", str(path),
+                         "--variants", variants,
+                         "--deterministic"]) == EXIT_OK
+            with open(out / "bench.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2
+            assert rows[row]["variant"] == "decode(N=1)"
+            assert rows[row]["output_match"] == "1"
 
     def test_repeat_median(self, tmp_path):
         path, out = write_config(tmp_path, deterministic=False)
@@ -257,11 +261,15 @@ class TestBenchCommand:
 
     def test_bad_variant_exit_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
-        # an unknown variant, then greedy under low_confidence remasking,
-        # which the sampler config rejects
-        for variants in ("none,decoe:8", "none,greedy:2:4", "none,prefill:4"):
+        # an unknown variant; greedy under low_confidence remasking, which
+        # the sampler config rejects; a refresh interval on prefill; a
+        # repeat count below 1
+        for options in (["--variants", "none,decoe:8"],
+                        ["--variants", "none,greedy:2:4"],
+                        ["--variants", "none,prefill:4"],
+                        ["--variants", "none", "--repeat", "0"]):
             assert main(["bench", "--config", str(path),
-                         "--variants", variants]) == EXIT_CONFIG
+                         *options]) == EXIT_CONFIG
             assert "config error" in capsys.readouterr().err
 
 
@@ -376,14 +384,17 @@ class TestExitCodes:
         assert named in proc.stderr
 
     def test_analyze_output_under_file_exit_2(self, tmp_path):
+        # an output directory under a regular file, then a missing trace
         path, out = write_config(tmp_path, sampler={"snapshot_layer": 1})
         assert main(["generate", "--config", str(path)]) == EXIT_OK
         (tmp_path / "blocker").write_text("a regular file\n")
-        proc = run_cli("analyze", str(out / "trace.jsonl"),
-                       "--output-dir", str(tmp_path / "blocker" / "out"))
-        assert proc.returncode == EXIT_CONFIG, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "config error" in proc.stderr
+        for argv in ([str(out / "trace.jsonl"), "--output-dir",
+                      str(tmp_path / "blocker" / "out")],
+                     [str(out / "absent.jsonl")]):
+            proc = run_cli("analyze", *argv)
+            assert proc.returncode == EXIT_CONFIG, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert "config error" in proc.stderr
 
 
 class TestSelftestCommand:

@@ -20,44 +20,25 @@ PROMPT = np.arange(1, 7)
 GEN_LEN = 24
 
 
-def reference_plan(trace, interval, window, center):
-    """Per step (compute set, cached positions) from the README: step 0 and
-    refresh steps compute everything; other steps compute the current and
-    previous decodes plus a window of ``window`` around each center
-    (previous or current decodes) clipped to the generation region;
-    everything else is served from cache."""
-    seq, prompt = trace.seq_len, trace.prompt_len
-    for t, rec in enumerate(trace.records):
-        if t == 0 or (interval is not None and t % interval == 0):
-            compute = set(range(seq))
-        else:
-            current = set(rec.decoded_positions)
-            previous = set(trace.records[t - 1].decoded_positions)
-            centers = previous if center is WindowCenter.PREVIOUS else current
-            compute = current | previous
-            for c in centers:
-                lo = max(prompt, c - math.ceil(window / 2))
-                hi = min(seq - 1, c + window // 2)
-                compute.update(range(lo, hi + 1))
-        yield tuple(sorted(compute)), tuple(sorted(set(range(seq)) - compute))
-
-
 def reference_plans(trace, variant):
-    """Per step (compute set, cached positions) for any variant, from the
-    README table and the trace's decoded positions alone: ``none`` computes
-    everything, ``prefill`` everything but the prompt, ``decode``/``pd`` the
-    positions masked when the previous step began; step 0 and refresh steps
-    compute everything, except the prompt under ``pd``."""
-    if variant.kind is VariantKind.GREEDY:
-        yield from reference_plan(trace, variant.refresh_interval,
-                                  variant.window_size, variant.window_center)
-        return
+    """Per step (compute set, cached positions, refresh flag) for any
+    variant, from the README table and the trace's decoded positions alone.
+
+    Step t refreshes when t > 0 and the variant has an interval N dividing
+    t. Step 0 and refresh steps compute everything, except the prompt under
+    ``pd``. Other steps: ``none`` computes everything, ``prefill``
+    everything but the prompt, ``decode``/``pd`` the positions masked when
+    the previous step began, and ``greedy`` the current and previous
+    decodes plus a window of ``w`` around each centre (previous or current
+    decodes) clipped to the generation region. Everything else is served
+    from cache.
+    """
     seq, prompt = trace.seq_len, trace.prompt_len
     interval = variant.refresh_interval
     decoded_at = trace.decode_step_of()
     everything = set(range(seq))
     generated = everything - set(range(prompt))
-    for t in range(len(trace.records)):
+    for t, rec in enumerate(trace.records):
         refresh = t > 0 and interval is not None and t % interval == 0
         if t == 0 or variant.kind is VariantKind.NONE:
             compute = everything
@@ -65,32 +46,26 @@ def reference_plans(trace, variant):
             compute = generated
         elif refresh:
             compute = generated if variant.kind is VariantKind.PD else everything
+        elif variant.kind is VariantKind.GREEDY:
+            current = set(rec.decoded_positions)
+            previous = set(trace.records[t - 1].decoded_positions)
+            compute = current | previous
+            w = variant.window_size
+            for c in (previous if variant.window_center is WindowCenter.PREVIOUS
+                      else current):
+                lo = max(prompt, c - math.ceil(w / 2))
+                hi = min(seq - 1, c + w // 2)
+                compute.update(range(lo, hi + 1))
         else:
             compute = {p for p in generated if decoded_at[p] >= t - 1}
-        yield tuple(sorted(compute)), tuple(sorted(everything - compute))
-
-
-@pytest.mark.parametrize("interval,center", [
-    (3, WindowCenter.PREVIOUS),
-    (None, WindowCenter.PREVIOUS),
-    (None, WindowCenter.CURRENT),
-])
-def test_greedy_plans_match_reference(tiny_weights, interval, center):
-    window = 4
-    cfg = SamplerConfig(gen_len=GEN_LEN, steps=12, block_size=12,
-                        remasking=Remasking.RANDOM, sample_seed=7,
-                        cache=CacheVariant.greedy(interval, window, center))
-    _, trace = generate(PROMPT, cfg, tiny_weights, timed=False)
-    expected = list(reference_plan(trace, interval, window, center))
-    for rec, (compute, cached) in zip(trace.records, expected):
-        assert tuple(rec.compute_set.tolist()) == compute, f"step {rec.step}"
-        assert tuple(rec.cached_positions.tolist()) == cached, f"step {rec.step}"
+        yield tuple(sorted(compute)), tuple(sorted(everything - compute)), refresh
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("text", [
     "none", "decode", "decode:5", "decode:1", "prefill", "pd", "pd:3",
-    "greedy:3:2", "greedy:8:4:current",
+    "greedy:3:2", "greedy:8:4:current", "greedy:3:4", "greedy:inf:4",
+    "greedy:inf:4:current",
 ])
 def test_plans_match_reference(tiny_weights, text, seed):
     variant = CacheVariant.parse(text)
@@ -101,9 +76,10 @@ def test_plans_match_reference(tiny_weights, text, seed):
     _, trace = generate(PROMPT, cfg, tiny_weights, timed=False)
     expected = list(reference_plans(trace, variant))
     assert len(expected) == len(trace.records)
-    for rec, (compute, cached) in zip(trace.records, expected):
+    for rec, (compute, cached, refresh) in zip(trace.records, expected):
         assert tuple(rec.compute_set.tolist()) == compute, f"step {rec.step}"
         assert tuple(rec.cached_positions.tolist()) == cached, f"step {rec.step}"
+        assert rec.refresh == refresh, f"step {rec.step}"
 
 
 def test_greedy_plans_each_step_once(tiny_weights, monkeypatch):

