@@ -131,22 +131,6 @@ class TestBuildLayout:
         )
         assert tuple(plan.layout) == (2, 4, 5, 0, 1, 3, 6, 7)
         assert list(plan.reorder_index) == [0, 1, 2, 7]
-        cached = make_slab(0, [2, 4, 5])
-        fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
-        nxt = commit_gather(plan, cached, fresh)
-        assert list(nxt.row_positions) == [2, 4, 5, 7]
-        np.testing.assert_array_equal(nxt.keys[3], fresh.keys[4])
-        ref_k, ref_v = naive_next_cache([cached, fresh],
-                                        plan.next_cached_positions, 8)
-        np.testing.assert_array_equal(nxt.keys, ref_k)
-        # the naive reference has teeth: a reorder index with two entries
-        # swapped commits rows that it rejects
-        swapped = plan.reorder_index.copy()
-        swapped[[0, 3]] = swapped[[3, 0]]
-        bad = commit_gather(dataclasses.replace(plan, reorder_index=swapped),
-                            cached, fresh)
-        assert not np.array_equal(bad.keys, ref_k)
-        assert not np.array_equal(bad.values, ref_v)
 
     def test_empty_cache_degenerate(self):
         plan = build_layout(list(range(6)), [], [0, 3], 6)
@@ -164,6 +148,23 @@ class TestBuildLayout:
                                          seq_range=(2, 33), seed=seed)
         assert ok, detail
 
+    def test_naive_reference_catches_swapped_index(self):
+        # the oracle above has teeth: a plan whose reorder index has two
+        # entries swapped commits rows that the naive reference rejects
+        plan = build_layout([0, 1, 3, 6, 7], [2, 4, 5], [2, 4, 5, 7], 8)
+        swapped = plan.reorder_index.copy()
+        swapped[[0, 3]] = swapped[[3, 0]]
+        bad = dataclasses.replace(plan, reorder_index=swapped)
+        cached = make_slab(0, [2, 4, 5])
+        fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
+        ref_k, ref_v = naive_next_cache([cached, fresh],
+                                        plan.next_cached_positions, 8)
+        np.testing.assert_array_equal(
+            commit_gather(plan, cached, fresh).keys, ref_k)
+        nxt = commit_gather(bad, cached, fresh)
+        assert not np.array_equal(nxt.keys, ref_k)
+        assert not np.array_equal(nxt.values, ref_v)
+
 
 class TestConcatReorder:
     """The [cached ; fresh] slab attention reads, gathered by ``commit``."""
@@ -176,6 +177,15 @@ class TestConcatReorder:
         np.testing.assert_array_equal(nxt.keys, cached.keys)
         np.testing.assert_array_equal(nxt.values, cached.values)
         assert list(nxt.row_positions) == [1, 3]
+
+    def test_worked_example_positions(self):
+        cached = make_slab(0, [2, 4, 5])
+        fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
+        plan = build_layout([0, 1, 3, 6, 7], [2, 4, 5], [2, 4, 5, 7], 8)
+        nxt = commit_gather(plan, cached, fresh)
+        assert list(plan.layout) == [2, 4, 5, 0, 1, 3, 6, 7]
+        assert list(nxt.row_positions) == [2, 4, 5, 7]
+        np.testing.assert_array_equal(nxt.keys[3], fresh.keys[4])
 
 
 class TestScatterOutputs:
