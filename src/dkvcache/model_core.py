@@ -239,27 +239,23 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _rope_rows(base: float, d_head: int, positions: np.ndarray):
-    """Float32 rotary rows for ``positions``, each [len(positions), d_head].
+def _rope_rows(base: float, d_head: int, positions: np.ndarray) -> np.ndarray:
+    """Complex64 rotary rows for ``positions``, [len(positions), d_head // 2].
 
-    With angle ``a = p * base**(-2i/d_head)``, the cos row of position
-    ``p`` holds ``cos a`` at dims 2i and 2i+1, and the sin row ``-sin a``
-    at 2i and ``sin a`` at 2i+1, so a rotation is
-    ``x * cos + swap_pairs(x) * sin``.
+    With angle ``a = p * base**(-2i/d_head)``, entry i of position ``p``'s
+    row is ``cos a + i sin a``, its parts the float32 roundings of the
+    float64 cos and sin, so rotating the pair (2i, 2i+1) read as one
+    complex number is one complex multiply.
     """
     inv_freq = base ** (-np.arange(d_head // 2, dtype=np.float64) * (2.0 / d_head))
     angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
-    cos = np.cos(angles).astype(np.float32)
-    sin = np.sin(angles).astype(np.float32)
-    return (np.repeat(cos, 2, axis=1),
-            np.stack([-sin, sin], axis=-1).reshape(len(positions), d_head))
+    return (np.cos(angles) + 1j * np.sin(angles)).astype(np.complex64)
 
 
 @functools.lru_cache(maxsize=8)
-def _rope_table(base: float, d_head: int, n_positions: int):
+def _rope_table(base: float, d_head: int, n_positions: int) -> np.ndarray:
     """Read-only ``_rope_rows`` of positions 0 .. n_positions - 1."""
-    cos, sin = _rope_rows(base, d_head, np.arange(n_positions))
-    return _freeze(cos), _freeze(sin)
+    return _freeze(_rope_rows(base, d_head, np.arange(n_positions)))
 
 
 def rope_rotate(
@@ -274,10 +270,12 @@ def rope_rotate(
     ``states`` is [n, n_heads * d_head]; row ``i`` is rotated by the angle
     derived from ``position_ids[i]``. The same kernel serves queries and
     keys so cached and fresh rows stay mutually consistent, and one call
-    rotates a [q | k] block as ``2 * n_heads`` heads. The cos/sin rows
-    come from tables cached per (base, d_head, max_position), or without
-    ``max_position`` are built for the positions read only, and are
-    broadcast over heads with contiguous multiply-adds.
+    rotates a [q | k] block as ``2 * n_heads`` heads. The complex rotary
+    rows come from a table cached per (base, d_head, max_position), or
+    without ``max_position`` are built for the positions read only. The
+    result is a new C-order float32 array: a copy of ``states`` whose
+    pairs, viewed as complex64, are multiplied in place by the rows,
+    broadcast over heads; ``states`` is left unchanged.
     """
     positions = np.asarray(position_ids, dtype=np.int64)
     n, width = states.shape
@@ -291,24 +289,14 @@ def rope_rotate(
             f"position out of range: {positions.max()} >= {max_position}")
     if width % d_head != 0:
         raise ValueError(f"state width {width} not a multiple of d_head {d_head}")
-    if n == 0:
-        return states.copy()
     if max_position is None:
-        cos, sin = _rope_rows(float(base), d_head, positions)
+        rot = _rope_rows(float(base), d_head, positions)
     else:
-        cos, sin = _rope_table(float(base), d_head, max_position)
-        cos, sin = cos[positions], sin[positions]
-    heads = (n, width // d_head, d_head)
-    x = states.reshape(heads)
-    out = x * cos[:, None, :]
-    swapped = np.empty_like(out)
-    pairs = x.reshape(n, -1, d_head // 2, 2)
-    swapped_pairs = swapped.reshape(pairs.shape)
-    swapped_pairs[..., 0] = pairs[..., 1]
-    swapped_pairs[..., 1] = pairs[..., 0]
-    swapped *= sin[:, None, :]
-    out += swapped
-    return out.reshape(n, width)
+        rot = _rope_table(float(base), d_head, max_position)[positions]
+    out = np.array(states, dtype=np.float32, order="C")
+    pairs = out.view(np.complex64).reshape(n, width // d_head, d_head // 2)
+    pairs *= rot[:, None, :]
+    return out
 
 
 # Scores buffer budget in elements: small query sets run several heads per
@@ -326,12 +314,15 @@ def attention(
     """Bidirectional softmax attention over all key rows.
 
     Rows of ``queries``/``keys``/``values`` are full-width vectors split
-    into ``n_heads`` column slices. Heads run in groups through one reused
+    into ``n_heads`` column slices. The queries are multiplied by
+    ``scale`` once. Heads run in groups through one reused
     [group, n_queries, n_keys] scores buffer of at most ``_SCORES_BUDGET``
     elements, or one head when a single head's scores are larger. Scores
-    are scaled, max-subtracted, exponentiated and normalised in place, so
-    weight rows are row-stochastic, and each group's output is written
-    straight into its columns of the result. There is no causal mask.
+    are max-subtracted and exponentiated in place, and each group's
+    unnormalised output is written straight into its columns of the
+    result, then divided by its row sums (one mat-vec against ones), so
+    each output row is a convex combination of value rows. There is no
+    causal mask.
     """
     if keys.shape[0] == 0:
         raise ValueError("empty key set")
@@ -346,8 +337,9 @@ def attention(
     dtype = np.result_type(queries, keys, values)
     buf = np.empty((group, nq, nk), dtype=dtype)
     out = np.empty((nq, width), dtype=dtype)
+    ones = np.ones(nk, dtype=dtype)
     # head-major views: [heads, rows, dims], keys as [heads, dims, rows]
-    q = queries.reshape(nq, n_heads, dh).transpose(1, 0, 2)
+    q = (queries * np.float32(scale)).reshape(nq, n_heads, dh).transpose(1, 0, 2)
     k = keys.reshape(nk, n_heads, dh).transpose(1, 2, 0)
     v = values.reshape(nk, n_heads, dh).transpose(1, 0, 2)
     o = out.reshape(nq, n_heads, dh).transpose(1, 0, 2)
@@ -355,11 +347,10 @@ def attention(
         heads = slice(first, min(first + group, n_heads))
         scores = buf[:heads.stop - first]
         np.matmul(q[heads], k[heads], out=scores)
-        scores *= np.float32(scale)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
         np.matmul(scores, v[heads], out=o[heads])
+        o[heads] /= (scores @ ones)[..., None]
     return out
 
 
@@ -429,7 +420,7 @@ def forward_partial(
     ``compute_set`` is an ordered position list; keys and values are
     produced for exactly those rows, in that order, in every layer. Per
     layer one matmul against ``wqkv`` projects queries, keys and values,
-    and one ``rope_rotate`` call, over a cos/sin table of ``len(tokens)``
+    and one ``rope_rotate`` call, over a rotary table of ``len(tokens)``
     rows, rotates the [q | k] block. The attention keys/values are one
     [cached rows ; fresh rows] slab per layer, i.e. the storage layout,
     allocated once and filled directly; it is returned as

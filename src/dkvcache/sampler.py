@@ -198,9 +198,14 @@ def predict_x0(
         draws = rng.random(logits.shape[0])
         ids = np.minimum((cdf < draws[:, None]).sum(axis=1),
                          logits.shape[1] - 1)
-    confidence = probs[np.arange(probs.shape[0]), ids]
-    top2 = np.partition(probs, probs.shape[1] - 2, axis=1)[:, -2:]
-    margin = top2[:, 1] - top2[:, 0]
+    rows = np.arange(probs.shape[0])
+    confidence = probs[rows, ids]
+    # the runner-up is the row max once the top entry is masked; a tied
+    # top entry stays, so a tie gives margin 0
+    top_ids = ids if temperature == 0 else np.argmax(probs, axis=1)
+    top = probs[rows, top_ids]
+    probs[rows, top_ids] = -np.inf
+    margin = top - probs.max(axis=1)
     return ids.astype(np.int64), confidence, margin
 
 

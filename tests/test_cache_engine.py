@@ -10,11 +10,7 @@ from dkvcache import (
     CacheVariant,
     KVSlab,
     LayoutError,
-    Remasking,
-    SamplerConfig,
     build_layout,
-    forward_partial,
-    generate,
     greedy_window,
     scatter_outputs,
 )
@@ -201,14 +197,6 @@ class TestScatterOutputs:
         assert rows[row_of[3]][0] == 10.0 and rows[row_of[1]][0] == 20.0
         assert row_of[0] == -1 and row_of[2] == -1  # no row, never zero-filled
 
-    def test_row_count_mismatch(self, tiny_weights):
-        # asking for a third logit row of a two-row compute set
-        plan = build_layout([1, 0], [], [], 2)
-        rows = np.append(scatter_outputs(plan)[[0, 1]], 2)
-        with pytest.raises(ValueError, match="logit row out of range"):
-            forward_partial(np.array([5, 6]), plan.compute_set, None,
-                            tiny_weights, logit_rows=rows)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31))
     def test_scatter_gather_round_trip(self, seed):
@@ -223,14 +211,3 @@ class TestScatterOutputs:
         row_of = scatter_outputs(plan)
         regathered = rows[row_of[compute]]
         np.testing.assert_array_equal(regathered, rows)
-
-
-class TestEngineRuns:
-    def test_greedy_keeps_stale_masked_rows_cached(self, tiny_weights):
-        cfg = SamplerConfig(gen_len=16, steps=16, block_size=16, sample_seed=5,
-                            remasking=Remasking.RANDOM,
-                            cache=CacheVariant.greedy(None, 2))
-        _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
-        mid = trace.records[5]
-        masked_then = {p for p, s in trace.decode_step_of().items() if s >= 5}
-        assert masked_then & set(mid.cached_positions)

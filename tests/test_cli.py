@@ -205,7 +205,6 @@ class TestGenerateCommand:
 
     def test_runtime_failure_writes_partial_trace(self, tmp_path, capsys,
                                                   monkeypatch):
-        import dkvcache.cli as cli_mod
         import dkvcache.sampler as sampler_mod
 
         calls = {"n": 0}

@@ -32,21 +32,20 @@ def _weight_items(weights):
 
 
 def naive_attention(q, k, v, scale, n_heads):
-    """Two-loop float64 reference used as the attention oracle."""
+    """Float64 reference used as the attention oracle: one softmax per
+    head and query row, normalised before the weighted value sum."""
     nq, width = q.shape
     dh = width // n_heads
     out = np.zeros((nq, width), dtype=np.float64)
     for h in range(n_heads):
         sl = slice(h * dh, (h + 1) * dh)
+        keys, values = k[:, sl].astype(np.float64), v[:, sl].astype(np.float64)
         for i in range(nq):
-            scores = np.array(
-                [float(np.dot(q[i, sl], k[j, sl])) * scale
-                 for j in range(k.shape[0])])
+            scores = keys @ q[i, sl].astype(np.float64) * scale
             scores -= scores.max()
             weights = np.exp(scores)
             weights /= weights.sum()
-            for j in range(k.shape[0]):
-                out[i, sl] += weights[j] * v[j, sl].astype(np.float64)
+            out[i, sl] = weights @ values
     return out
 
 
@@ -161,17 +160,27 @@ class TestRope:
     @pytest.mark.parametrize("n_heads", [1, 4, 8])
     def test_matches_float64_rotation(self, rng, n_heads):
         # independent oracle: rotate each (2i, 2i+1) pair by
-        # position * base**(-2i/d_head) in float64
+        # position * base**(-2i/d_head) in float64. The input is a
+        # non-contiguous view, as the [q | k] columns of a qkv block are;
+        # both the table and the positions-only path must leave it as it
+        # was and return C-order float32.
         d_head, max_positions, base = 16, 2048, 10000.0
+        width = n_heads * d_head
         positions = rng.integers(0, max_positions, size=12)
-        states = rng.standard_normal((12, n_heads * d_head)).astype(np.float32)
-        got = rope_rotate(states, positions, base, d_head, max_positions)
+        block = rng.standard_normal((12, 3 * width)).astype(np.float32)
+        before = block.copy()
+        states = block[:, :width]
         x = states.astype(np.float64).reshape(12, n_heads, d_head // 2, 2)
         theta = positions[:, None] * base ** (-np.arange(0, d_head, 2) / d_head)
         cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
         want = np.stack([x[..., 0] * cos - x[..., 1] * sin,
                          x[..., 0] * sin + x[..., 1] * cos], axis=-1)
-        np.testing.assert_allclose(got, want.reshape(12, -1), rtol=0, atol=1e-6)
+        for table in (max_positions, None):
+            got = rope_rotate(states, positions, base, d_head, table)
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert block.tobytes() == before.tobytes()
+            np.testing.assert_allclose(got, want.reshape(12, -1),
+                                       rtol=0, atol=1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31), st.integers(0, 1000))
@@ -219,13 +228,28 @@ class TestAttention:
         np.testing.assert_allclose(out, naive_attention(q, k, v, 0.5, 3),
                                    atol=1e-6)
 
+    @pytest.mark.parametrize("nq", [528, 14])
+    def test_workload_shapes_match_naive_reference(self, rng, nq):
+        # the perfbench shapes: 4 heads over 528 keys, all rows or a few
+        q = rng.standard_normal((nq, 128)).astype(np.float32)
+        k = rng.standard_normal((528, 128)).astype(np.float32)
+        v = rng.standard_normal((528, 128)).astype(np.float32)
+        scale = 1.0 / np.sqrt(32)
+        np.testing.assert_allclose(attention(q, k, v, scale, 4),
+                                   naive_attention(q, k, v, scale, 4), atol=1e-5)
+
     def test_weight_rows_stochastic(self, rng):
-        # one head over identity values: output row i is query i's weights
+        # one head over identity values: output row i is query i's weights.
+        # With queries scaled so scores reach 1e4, exp overflows float32
+        # unless each row's max is subtracted first.
         q = rng.standard_normal((5, 9)).astype(np.float32)
         k = rng.standard_normal((9, 9)).astype(np.float32)
-        weights = attention(q, k, np.eye(9, dtype=np.float32), 0.35, 1)
-        assert weights.shape == (5, 9)
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+        big = np.float32(1e4 / np.abs(0.35 * q @ k.T).max())
+        for queries in (q, q * big):
+            weights = attention(queries, k, np.eye(9, dtype=np.float32), 0.35, 1)
+            assert weights.shape == (5, 9)
+            assert np.isfinite(weights).all() and (weights >= 0).all()
+            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_peak_allocation_bounded(self, rng):
         # one reused [nq, nk] scores buffer plus the output, not one

@@ -116,6 +116,21 @@ class TestPredictX0:
         assert conf[0] == pytest.approx(0.25)
         assert margin[0] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.7])
+    def test_margin_matches_partition(self, temperature):
+        # reference: the gap between the two largest probabilities, taken
+        # with np.partition; row 0's top pair is tied, so its margin is 0
+        logits = np.random.default_rng(9).standard_normal((64, 32)).astype(np.float32)
+        logits[0, [3, 11]] = logits[0].max() + 1.0
+        ids, conf, margin = predict_x0(logits, temperature,
+                                       np.random.default_rng(2))
+        probs = sampler_mod._softmax(logits / temperature if temperature
+                                     else logits)
+        top2 = np.partition(probs, -2, axis=1)[:, -2:]
+        assert margin.tobytes() == (top2[:, 1] - top2[:, 0]).tobytes()
+        assert margin[0] == 0
+        np.testing.assert_array_equal(conf, probs[np.arange(64), ids])
+
     def test_seeded_rerun_identical(self):
         logits = np.random.default_rng(5).standard_normal((6, 16)).astype(np.float32)
         a = predict_x0(logits, 1.0, np.random.default_rng(77))
