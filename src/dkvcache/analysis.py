@@ -1,4 +1,5 @@
-"""Metrics over completed runs: cache ratio, compute counters, throughput,
+"""Metrics over completed runs: ``build_report``, the one place a trace
+becomes run-level numbers (cache ratio, tokens/s, row and MAC totals),
 and the key/value representation-dynamics measurements.
 
 All functions here are pure over finished traces, so independent runs can
@@ -16,11 +17,7 @@ import numpy as np
 from .trace import RunReport, StepTrace
 
 __all__ = [
-    "cache_ratio",
     "mac_per_row",
-    "compute_counters",
-    "Counters",
-    "throughput",
     "build_report",
     "kv_dynamics",
     "DynamicsResult",
@@ -28,18 +25,6 @@ __all__ = [
     "write_dynamics_csvs",
     "verify_trace_invariants",
 ]
-
-
-def cache_ratio(trace: StepTrace) -> float:
-    """Mean over steps of the fraction of positions served from cache.
-
-    Per step that is (seq_len - rows_computed) / seq_len; the baseline that
-    recomputes everything therefore scores exactly 0.
-    """
-    if not trace.records:
-        raise ValueError("empty trace")
-    s = trace.seq_len
-    return float(np.mean([(s - rec.rows_computed) / s for rec in trace.records]))
 
 
 def mac_per_row(seq_len: int, dims: dict) -> tuple[int, int]:
@@ -59,62 +44,38 @@ def mac_per_row(seq_len: int, dims: dict) -> tuple[int, int]:
     return kv, tail + d * dims["vocab_size"]
 
 
-@dataclass
-class Counters:
-    total_query_rows: int
-    total_logit_rows: int
-    total_macs: int
-    per_step_max_rows: int
-
-
-def compute_counters(trace: StepTrace) -> Counters:
-    """Exact query-row, logit-row and MAC totals from the per-step records;
-    every row of a run attends over ``seq_len`` keys, so each row kind has
-    one ``mac_per_row`` figure."""
+def build_report(trace: StepTrace) -> RunReport:
+    """Run-level numbers of one trace. ``cache_ratio`` is the mean over
+    steps of (seq_len - rows_computed) / seq_len, so the baseline scores
+    0; row totals are exact, and each row kind costs one ``mac_per_row``
+    figure, as every row attends over ``seq_len`` keys. ``tokens_per_second``
+    is None unless every step was timed. Raises ValueError on an empty
+    trace or zero elapsed time."""
     if not trace.records:
         raise ValueError("empty trace")
+    s = trace.seq_len
     rows = [rec.rows_computed for rec in trace.records]
     logit_rows = sum(rec.logit_rows for rec in trace.records)
-    kv, logit = mac_per_row(trace.seq_len, trace.model_dims)
-    return Counters(
+    millis = [rec.millis for rec in trace.records]
+    tokens_per_second = None
+    if None not in millis:
+        total = float(sum(millis))
+        if total <= 0:
+            raise ValueError("zero elapsed time")
+        tokens_per_second = trace.gen_len / (total / 1000.0)
+    kv, logit = mac_per_row(s, trace.model_dims)
+    return RunReport(
+        variant=trace.variant,
+        cache_ratio=float(np.mean([(s - r) / s for r in rows])),
+        tokens_per_second=tokens_per_second,
         total_query_rows=sum(rows),
         total_logit_rows=logit_rows,
         total_macs=sum(rows) * kv + logit_rows * logit,
         per_step_max_rows=max(rows),
-    )
-
-
-def throughput(trace: StepTrace) -> float | None:
-    """Generated tokens per second; None when the run was not timed."""
-    total = trace.total_millis()
-    if total is None:
-        return None
-    if total <= 0:
-        raise ValueError("zero elapsed time")
-    return trace.gen_len / (total / 1000.0)
-
-
-def build_report(trace: StepTrace, baseline: StepTrace | None = None) -> RunReport:
-    counters = compute_counters(trace)
-    report = RunReport(
-        variant=trace.variant,
-        cache_ratio=cache_ratio(trace),
-        tokens_per_second=throughput(trace),
-        total_query_rows=counters.total_query_rows,
-        total_logit_rows=counters.total_logit_rows,
-        total_macs=counters.total_macs,
-        per_step_max_rows=counters.per_step_max_rows,
         gen_len=trace.gen_len,
-        seq_len=trace.seq_len,
+        seq_len=s,
         steps=trace.total_steps,
     )
-    if baseline is not None:
-        base = compute_counters(baseline)
-        report.row_reduction_vs_baseline = (
-            1.0 - counters.total_query_rows / base.total_query_rows)
-        report.mac_reduction_vs_baseline = (
-            1.0 - counters.total_macs / base.total_macs)
-    return report
 
 
 @dataclass

@@ -292,30 +292,29 @@ def cmd_bench(args) -> int:
             for _ in range(args.repeat):
                 tokens, trace = generate(cfg.prompt, scfg, weights,
                                          timed=not cfg.deterministic)
-                tps = analysis.throughput(trace)
-                if tps is not None:
-                    speeds.append(tps)
-            return tokens, trace, statistics.median(speeds) if speeds else None
+                report = analysis.build_report(trace)
+                if report.tokens_per_second is not None:
+                    speeds.append(report.tokens_per_second)
+            return tokens, report, statistics.median(speeds) if speeds else None
 
         if not any(v.kind is VariantKind.NONE for v in variants):
-            baseline_tokens, baseline_trace, _ = run(CacheVariant.none())
+            baseline_tokens, base_report, _ = run(CacheVariant.none())
         results = []
         for variant in variants:
-            tokens, trace, tps = run(variant)
+            tokens, report, tps = run(variant)
             if variant.kind is VariantKind.NONE:
-                baseline_tokens, baseline_trace = tokens, trace
-            results.append((variant, tokens, trace, tps))
+                baseline_tokens, base_report = tokens, report
+            results.append((variant, tokens, report, tps))
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "bench.csv"
     with open(out_path, "w") as fh:
         fh.write("variant,tokens_per_s,cache_ratio,total_rows,mac_reduction,"
                  "output_match\n")
-        for variant, tokens, trace, tps in results:
-            report = analysis.build_report(trace, baseline_trace)
+        for variant, tokens, report, tps in results:
             row = [variant.describe(), "" if tps is None else f"{tps:.3f}",
                    f"{report.cache_ratio:.6f}", report.total_query_rows,
-                   f"{report.mac_reduction_vs_baseline:.6f}",
+                   f"{1.0 - report.total_macs / base_report.total_macs:.6f}",
                    int(np.array_equal(tokens, baseline_tokens))]
             fh.write(",".join(map(str, row)) + "\n")
     print(f"wrote {out_path}")

@@ -326,11 +326,11 @@ def decode_step(
 
     The plan fixes the compute set, and from it the logit rows: the
     positions whose logits the sampler reads. Outside greedy those are the
-    candidates, the positions masked, in the active block and computed
-    this step; under greedy, only the step's predefined decodes, which
-    must be candidates. The forward pass produces K/V for every compute
-    row but logits only for the logit rows, so ``predict_x0`` sees exactly
-    one row per logit row.
+    candidates, the masked positions of the active block, all of which the
+    plan computes; under greedy, the step's predefined decodes, read as
+    they are (``forward_partial`` rejects one the plan left uncomputed).
+    The forward pass produces K/V for every compute row but logits only
+    for the logit rows, so ``predict_x0`` sees one row per logit row.
     """
     mcfg = weights.config
     t = state.step
@@ -342,14 +342,11 @@ def decode_step(
     start_time = time.perf_counter() if timed else None
     plan = engine.plan_step(masked=state.masked, step=t)
     row_of = scatter_outputs(plan)
-    in_block = np.flatnonzero(state.masked[block[0]:block[1]]) + block[0]
-    read = in_block[row_of[in_block] >= 0]  # the candidates
-    if engine.predefined_order is not None:
+    if engine.predefined_order is None:
+        # the candidates: plan_step serves no masked position from cache
+        read = np.flatnonzero(state.masked[block[0]:block[1]]) + block[0]
+    else:
         chosen = engine.predefined_order[t]
-        if not np.isin(chosen, read).all():
-            raise RuntimeError(
-                f"step {t}: predefined decode positions missing from the "
-                "compute set")
         read = np.asarray(chosen, dtype=np.int64)
     result = forward_partial(state.tokens, plan.compute_set,
                              engine.cache_slabs(), weights,

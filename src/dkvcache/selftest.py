@@ -8,7 +8,8 @@ it holds the package's one copy of the enumerated per-step decode
 counts, and the unit tests call it too. ``FAULTS`` maps each
 ``--fault-inject`` name to a context manager that breaks the engine for
 the duration of the run: ``layout`` makes ``cache_engine.build_layout``
-return a wrong reorder index, which the commit gather oracle must catch.
+return a wrong reorder index, which the commit gather oracle must catch;
+``rope`` reverses every rotation, which only the rotary reference sees.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from unittest import mock
 
 import numpy as np
 
-from . import cache_engine
+from . import cache_engine, model_core
 from .cache_engine import CacheEngine, CacheVariant
 from .model_core import (ForwardResult, KVSlab, ModelConfig, ModelWeights,
-                         forward_full, forward_partial, init_weights)
+                         forward_full, forward_partial, init_weights,
+                         rope_rotate)
 from .sampler import (NoiseSchedule, Remasking, SamplerConfig, corrupt,
                       generate, tokens_per_step_schedule)
 from .trace import StepTrace
@@ -31,8 +33,8 @@ from .analysis import verify_trace_invariants
 
 __all__ = ["FAULTS", "check_commit_gather", "check_corruption_marginal",
            "check_partial_forward", "check_refresh_degeneracy",
-           "check_step_schedule", "naive_next_cache", "run_selftest",
-           "served_cache"]
+           "check_rotary_reference", "check_step_schedule",
+           "naive_next_cache", "run_selftest", "served_cache"]
 
 Check = tuple[bool, str]
 
@@ -200,6 +202,36 @@ def check_commit_gather(
     return True, f"{cases} cases, K/V exact, logits within {worst:.1e}"
 
 
+def check_rotary_reference(*, n_heads: int, seed: int) -> Check:
+    """``rope_rotate`` of a non-contiguous view, as the [q | k] columns of
+    a qkv block are, against a float64 rotation of each (2i, 2i+1) pair
+    by position * base**(-2i/d_head): the table and the positions-only
+    path must leave the input as it was and return C-order float32 within
+    1e-6 of the rotation."""
+    rng = np.random.default_rng(seed)
+    d_head, max_positions, base = 16, 2048, 10000.0
+    width = n_heads * d_head
+    positions = rng.integers(0, max_positions, size=12)
+    block = rng.standard_normal((12, 3 * width)).astype(np.float32)
+    before, states = block.copy(), block[:, :width]
+    x = states.astype(np.float64).reshape(12, n_heads, d_head // 2, 2)
+    theta = positions[:, None] * base ** (-np.arange(0, d_head, 2) / d_head)
+    cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+    want = np.stack([x[..., 0] * cos - x[..., 1] * sin,
+                     x[..., 0] * sin + x[..., 1] * cos], axis=-1)
+    worst = 0.0
+    for table in (max_positions, None):
+        got = rope_rotate(states, positions, base, d_head, table)
+        if got.dtype != np.float32 or not got.flags.c_contiguous:
+            return False, f"max_position {table}: not C-order float32"
+        if block.tobytes() != before.tobytes():
+            return False, f"max_position {table}: the input was changed"
+        worst = max(worst, float(np.abs(got - want.reshape(12, -1)).max()))
+        if not worst <= 1e-6:
+            return False, f"max_position {table}: max diff {worst:.2e} > 1e-06"
+    return True, f"both paths within {worst:.1e} of the float64 rotation"
+
+
 def check_corruption_marginal(
     *, total_steps: int, t_values: tuple[int, ...], trials: int, seed: int,
 ) -> Check:
@@ -266,8 +298,22 @@ def _misordered_layout():
     return mock.patch.object(cache_engine, "build_layout", build_layout)
 
 
+@contextlib.contextmanager
+def _conjugated_rope():
+    """Conjugate every rotary row, so each rotation turns the wrong way;
+    the cached table is cleared on entry and on exit."""
+    real = model_core._rope_rows
+    model_core._rope_table.cache_clear()
+    try:
+        with mock.patch.object(model_core, "_rope_rows",
+                               lambda *args: np.conj(real(*args))):
+            yield
+    finally:
+        model_core._rope_table.cache_clear()
+
+
 # --fault-inject name -> a context manager that breaks the engine
-FAULTS = {"layout": _misordered_layout}
+FAULTS = {"layout": _misordered_layout, "rope": _conjugated_rope}
 
 
 def run_selftest(fault_inject: str | None = None, out=print) -> bool:
@@ -289,6 +335,8 @@ def run_selftest(fault_inject: str | None = None, out=print) -> bool:
          lambda: check_corruption_marginal(total_steps=64, t_values=(32,),
                                            trials=2000, seed=3)),
         ("step schedule audit", check_step_schedule),
+        ("rotary reference",
+         lambda: check_rotary_reference(n_heads=4, seed=123)),
         ("sampler invariants", lambda: _check_sampler_invariants(weights)),
     ]
     all_ok = True

@@ -76,11 +76,6 @@ class StepTrace:
     def total_rows(self) -> int:
         return sum(rec.rows_computed for rec in self.records)
 
-    def total_millis(self) -> float | None:
-        if any(rec.millis is None for rec in self.records):
-            return None
-        return float(sum(rec.millis for rec in self.records))
-
     def decode_step_of(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for rec in self.records:
@@ -131,7 +126,7 @@ class StepTrace:
 
 @dataclass
 class RunReport:
-    """Flat summary of one run, suitable for JSON export."""
+    """Flat summary of one run from ``analysis.build_report``, for JSON."""
 
     variant: str
     cache_ratio: float
@@ -143,8 +138,6 @@ class RunReport:
     gen_len: int
     seq_len: int
     steps: int
-    row_reduction_vs_baseline: float | None = None
-    mac_reduction_vs_baseline: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)

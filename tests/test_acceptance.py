@@ -15,10 +15,8 @@ import pytest
 from dkvcache import CacheVariant, Remasking, SamplerConfig, generate
 from dkvcache.cli import _thread_cap
 from dkvcache.analysis import (
-    cache_ratio,
-    compute_counters,
+    build_report,
     kv_dynamics,
-    throughput,
     verify_trace_invariants,
     write_dynamics_csvs,
 )
@@ -188,8 +186,8 @@ def test_criterion_06_compute_reduction(toy_weights):
         **kwargs, cache=CacheVariant.none()), toy_weights, timed=False)
     _, dec_trace = generate(prompt, SamplerConfig(
         **kwargs, cache=CacheVariant.decode(8)), toy_weights, timed=False)
-    base_rows = compute_counters(base_trace).total_query_rows
-    dec_rows = compute_counters(dec_trace).total_query_rows
+    base_rows = build_report(base_trace).total_query_rows
+    dec_rows = build_report(dec_trace).total_query_rows
 
     assert base_rows == 256 * 320
     expected = _decode_rows_closed_form(64, 256, 256, 8, [1] * 256)
@@ -200,7 +198,7 @@ def test_criterion_06_compute_reduction(toy_weights):
     logit_rows = [256 - t for t in range(256)]
     for trace in (base_trace, dec_trace):
         assert [rec.logit_rows for rec in trace.records] == logit_rows
-        assert compute_counters(trace).total_logit_rows == sum(logit_rows)
+        assert build_report(trace).total_logit_rows == sum(logit_rows)
     reduction = 1.0 - dec_rows / base_rows
     assert reduction >= 0.40, f"row reduction {reduction:.3f} below 40%"
     _register("c6 none", base_trace)
@@ -220,11 +218,10 @@ def test_criterion_07_wall_clock(toy_weights):
             **kwargs, cache=CacheVariant.none()), toy_weights, timed=True)
         _, dec_trace = generate(prompt, SamplerConfig(
             **kwargs, cache=CacheVariant.decode(8)), toy_weights, timed=True)
-    base_tps = throughput(base_trace)
-    dec_tps = throughput(dec_trace)
+    base, dec = build_report(base_trace), build_report(dec_trace)
+    base_tps, dec_tps = base.tokens_per_second, dec.tokens_per_second
     speedup = dec_tps / base_tps
-    rows_cut = 1.0 - (compute_counters(dec_trace).total_query_rows
-                      / compute_counters(base_trace).total_query_rows)
+    rows_cut = 1.0 - dec.total_query_rows / base.total_query_rows
     _register("c7 none", base_trace)
     _register("c7 decode8", dec_trace)
     detail = (f"{base_tps:.1f} -> {dec_tps:.1f} tok/s ({speedup:.2f}x), "
@@ -308,7 +305,7 @@ def test_criterion_09_sampler_invariants():
             verify_trace_invariants(trace)
         except ValueError as exc:
             pytest.fail(f"{label}: {exc}")
-        assert cache_ratio(trace) >= 0.0
+        assert build_report(trace).cache_ratio >= 0.0
     _report(9, "PASS", "sampler invariants",
             f"immutability, monotonicity, containment and zero residual "
             f"masks over {len(_TRACES)} traces")

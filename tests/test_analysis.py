@@ -4,11 +4,8 @@ import pytest
 from dkvcache import CacheVariant, SamplerConfig, generate
 from dkvcache.analysis import (
     build_report,
-    cache_ratio,
-    compute_counters,
     kv_dynamics,
     mac_per_row,
-    throughput,
     verify_trace_invariants,
     write_dynamics_csvs,
 )
@@ -40,71 +37,72 @@ def make_trace(rows_per_step, seq_len=8, gen_len=8, millis=None):
 
 class TestCacheRatio:
     def test_baseline_zero(self):
-        assert cache_ratio(make_trace([8, 8, 8, 8])) == 0.0
+        assert build_report(make_trace([8, 8, 8, 8])).cache_ratio == 0.0
 
     def test_arithmetic_example(self):
         # cached row counts 0,2,4,6 over 4 steps of an 8-token sequence
-        assert cache_ratio(make_trace([8, 6, 4, 2])) == pytest.approx(0.375)
+        report = build_report(make_trace([8, 6, 4, 2]))
+        assert report.cache_ratio == pytest.approx(0.375)
 
     def test_empty_trace(self):
         with pytest.raises(ValueError, match="empty"):
-            cache_ratio(make_trace([]))
+            build_report(make_trace([]))
 
 class TestCounters:
     def test_baseline_closed_form(self, tiny_weights):
         cfg = SamplerConfig(gen_len=12, steps=6, block_size=12, sample_seed=1)
         _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
-        counters = compute_counters(trace)
-        assert counters.total_query_rows == 6 * 16
-        assert counters.per_step_max_rows == 16
+        report = build_report(trace)
+        assert report.total_query_rows == 6 * 16
+        assert report.per_step_max_rows == 16
         # logits only for the masked rows: 12, 10, ..., 2 at the steps' starts
         assert [r.logit_rows for r in trace.records] == [12, 10, 8, 6, 4, 2]
-        assert counters.total_logit_rows == 42
+        assert report.total_logit_rows == 42
         # d 64, d_ff 128, 2 layers, vocab 128, 16 keys: every row pays both
         # layers' Q/K/V projections and layer 0's attention, O and FFN; a
         # logit row adds layer 1's attention, O and FFN plus the head
         tail = 64 * 64 + 2 * 64 * 128 + 2 * 16 * 64
         kv, logit = 2 * 3 * 64 * 64 + tail, tail + 64 * 128
         assert mac_per_row(16, trace.model_dims) == (kv, logit)
-        assert counters.total_macs == 6 * 16 * kv + 42 * logit
+        assert report.total_macs == 6 * 16 * kv + 42 * logit
         # a row that is both costs what the unsplit count gave
         assert kv + logit == 2 * (4 * 64 * 64 + 2 * 64 * 128
                                   + 2 * 16 * 64) + 64 * 128
 
     def test_synthetic_max_rows(self):
-        assert compute_counters(make_trace([8, 3, 5])).per_step_max_rows == 8
+        assert build_report(make_trace([8, 3, 5])).per_step_max_rows == 8
 
 
 class TestThroughput:
     def test_arithmetic(self):
         trace = make_trace([8] * 4, gen_len=128, seq_len=128,
                            millis=[500.0] * 4)
-        assert throughput(trace) == pytest.approx(64.0)
+        assert build_report(trace).tokens_per_second == pytest.approx(64.0)
 
     def test_absent_without_timing(self):
-        assert throughput(make_trace([8, 8])) is None
+        assert build_report(make_trace([8, 8])).tokens_per_second is None
 
     def test_zero_elapsed(self):
         trace = make_trace([8], millis=[0.0])
         with pytest.raises(ValueError, match="zero elapsed"):
-            throughput(trace)
+            build_report(trace)
 
 
 class TestReport:
-    def test_reductions_vs_baseline(self, tiny_weights):
-        prompt = np.arange(1, 5)
-        base_cfg = dict(gen_len=12, steps=6, block_size=12, sample_seed=4)
-        _, base = generate(prompt, SamplerConfig(**base_cfg), tiny_weights,
-                           timed=False)
-        _, cached = generate(prompt, SamplerConfig(
-            **base_cfg, cache=CacheVariant.decode(None)), tiny_weights,
-            timed=False)
-        report = build_report(cached, baseline=base)
+    def test_cached_run_fields(self, tiny_weights):
+        cfg = SamplerConfig(gen_len=12, steps=6, block_size=12, sample_seed=4,
+                            cache=CacheVariant.decode(None))
+        _, cached = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
+        report = build_report(cached)
         assert report.cache_ratio > 0
-        assert 0 < report.row_reduction_vs_baseline < 1
+        assert report.total_query_rows < 6 * 16
         assert report.tokens_per_second is None
         data = report.to_dict()
         assert data["variant"] == "decode(N=inf)"
+        assert list(data) == [
+            "variant", "cache_ratio", "tokens_per_second", "total_query_rows",
+            "total_logit_rows", "total_macs", "per_step_max_rows", "gen_len",
+            "seq_len", "steps"]
 
 
 class TestDynamics:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import dkvcache
 from dkvcache import CacheVariant, ConfigError, tokens_per_step_schedule
+from dkvcache.analysis import build_report
 from dkvcache.cli import (
     EXIT_CONFIG,
     EXIT_NO_SNAPSHOTS,
@@ -235,6 +237,18 @@ class TestBenchCommand:
         assert rows[0]["variant"] == "none"
         assert int(rows[1]["total_rows"]) < int(rows[0]["total_rows"])
         assert rows[0]["output_match"] == "1"
+        # mac_reduction against the baseline, from the runs' own reports
+        cfg = load_run_config(path)
+        weights = dkvcache.init_weights(cfg.model)
+        macs = {}
+        for variant in ("none", "decode:8"):
+            _, trace = dkvcache.generate(cfg.prompt, replace(
+                cfg.sampler, cache=CacheVariant.parse(variant)), weights,
+                timed=False)
+            macs[variant] = build_report(trace).total_macs
+        assert rows[0]["mac_reduction"] == "0.000000"
+        assert rows[1]["mac_reduction"] == (
+            f"{1 - macs['decode:8'] / macs['none']:.6f}")
 
     def test_refresh_one_matches_baseline(self, tmp_path):
         # the second run lists no "none": bench runs the baseline itself
@@ -403,12 +417,15 @@ class TestSelftestCommand:
         assert time.perf_counter() - start < 120
         assert "PASS" in capsys.readouterr().out
 
-    def test_fault_injection_names_criterion(self, capsys):
-        # the layout fault patches the engine; only the commit oracle sees it
-        assert main(["selftest", "--fault-inject", "layout"]) == EXIT_SELFTEST_FAIL
+    @pytest.mark.parametrize("fault, check", [
+        ("layout", "commit gather oracle"), ("rope", "rotary reference")],
+        ids=["layout", "rope"])
+    def test_fault_injection_names_criterion(self, capsys, fault, check):
+        # each fault breaks one mechanism; only its own check sees it
+        assert main(["selftest", "--fault-inject", fault]) == EXIT_SELFTEST_FAIL
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines
-                if not line.startswith("PASS")] == ["FAIL  commit gather oracle"]
+                if not line.startswith("PASS")] == [f"FAIL  {check}"]
 
     def test_unknown_fault_rejected(self):
         proc = run_cli("selftest", "--fault-inject", "bogus")

@@ -17,7 +17,8 @@ from dkvcache import (
     rope_rotate,
 )
 from dkvcache import model_core
-from dkvcache.selftest import check_partial_forward, served_cache
+from dkvcache.selftest import (check_partial_forward, check_rotary_reference,
+                               served_cache)
 
 
 def _weight_items(weights):
@@ -158,29 +159,9 @@ class TestRope:
                 == rope_rotate(states, positions, 10000.0, 8, 10).tobytes())
 
     @pytest.mark.parametrize("n_heads", [1, 4, 8])
-    def test_matches_float64_rotation(self, rng, n_heads):
-        # independent oracle: rotate each (2i, 2i+1) pair by
-        # position * base**(-2i/d_head) in float64. The input is a
-        # non-contiguous view, as the [q | k] columns of a qkv block are;
-        # both the table and the positions-only path must leave it as it
-        # was and return C-order float32.
-        d_head, max_positions, base = 16, 2048, 10000.0
-        width = n_heads * d_head
-        positions = rng.integers(0, max_positions, size=12)
-        block = rng.standard_normal((12, 3 * width)).astype(np.float32)
-        before = block.copy()
-        states = block[:, :width]
-        x = states.astype(np.float64).reshape(12, n_heads, d_head // 2, 2)
-        theta = positions[:, None] * base ** (-np.arange(0, d_head, 2) / d_head)
-        cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
-        want = np.stack([x[..., 0] * cos - x[..., 1] * sin,
-                         x[..., 0] * sin + x[..., 1] * cos], axis=-1)
-        for table in (max_positions, None):
-            got = rope_rotate(states, positions, base, d_head, table)
-            assert got.dtype == np.float32 and got.flags.c_contiguous
-            assert block.tobytes() == before.tobytes()
-            np.testing.assert_allclose(got, want.reshape(12, -1),
-                                       rtol=0, atol=1e-6)
+    def test_matches_float64_rotation(self, n_heads):
+        ok, detail = check_rotary_reference(n_heads=n_heads, seed=123)
+        assert ok, detail
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31), st.integers(0, 1000))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import dkvcache.sampler as sampler_mod
 from dkvcache import (
+    CacheEngine,
     CacheVariant,
     ConfigError,
     VariantKind,
@@ -393,16 +394,30 @@ class TestLogitRows:
 
     def test_predefined_decode_must_be_a_candidate(self, tiny_weights,
                                                    monkeypatch):
-        # a predefined decode that is no longer masked is refused
-        real = sampler_mod._draw_decode_order
-
-        def revisit(sched, prompt_len, rng):
-            order = real(sched, prompt_len, rng)
-            return [order[0]] + [order[0]] + order[2:]
-
-        monkeypatch.setattr(sampler_mod, "_draw_decode_order", revisit)
+        # greedy reads its predefined decodes as they are: one the plan
+        # serves from cache has no logit row, which forward_partial
+        # refuses, and one decoded twice leaves positions masked
         cfg = SamplerConfig(gen_len=16, steps=8, block_size=8, sample_seed=3,
                             remasking=Remasking.RANDOM,
                             cache=CacheVariant.parse("greedy:inf:16"))
-        with pytest.raises(GenerationError, match="predefined decode"):
+        real_kept = CacheEngine._kept
+
+        def keep_upcoming(engine, masked, step):
+            order = engine.predefined_order
+            upcoming = order[step + 1] if step + 1 < len(order) else ()
+            return np.union1d(real_kept(engine, masked, step), upcoming)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CacheEngine, "_kept", keep_upcoming)
+            with pytest.raises(GenerationError,
+                               match="logit row out of range"):
+                generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
+        real_order = sampler_mod._draw_decode_order
+
+        def revisit(sched, prompt_len, rng):
+            order = real_order(sched, prompt_len, rng)
+            return [order[0]] + [order[0]] + order[2:]
+
+        monkeypatch.setattr(sampler_mod, "_draw_decode_order", revisit)
+        with pytest.raises(GenerationError, match="2 positions still masked"):
             generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
