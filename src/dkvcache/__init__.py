@@ -16,6 +16,7 @@ from .model_core import (
     forward_partial,
     init_weights,
     rope_rotate,
+    rope_rows,
 )
 from .cache_engine import (
     CacheEngine,
@@ -75,6 +76,7 @@ __all__ = [
     "predict_x0",
     "Remasking",
     "rope_rotate",
+    "rope_rows",
     "RunReport",
     "SamplerConfig",
     "scatter_outputs",

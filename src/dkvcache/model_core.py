@@ -35,6 +35,7 @@ __all__ = [
     "KVSlab",
     "ForwardResult",
     "init_weights",
+    "rope_rows",
     "rope_rotate",
     "attention",
     "forward_full",
@@ -239,14 +240,17 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _rope_rows(base: float, d_head: int, positions: np.ndarray) -> np.ndarray:
+def rope_rows(positions, base: float, d_head: int) -> np.ndarray:
     """Complex64 rotary rows for ``positions``, [len(positions), d_head // 2].
 
     With angle ``a = p * base**(-2i/d_head)``, entry i of position ``p``'s
     row is ``cos a + i sin a``, its parts the float32 roundings of the
     float64 cos and sin, so rotating the pair (2i, 2i+1) read as one
-    complex number is one complex multiply.
+    complex number is one complex multiply; any position >= 0 has a row.
     """
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.size and positions.min() < 0:
+        raise ValueError("position out of range: negative position id")
     inv_freq = base ** (-np.arange(d_head // 2, dtype=np.float64) * (2.0 / d_head))
     angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
     return (np.cos(angles) + 1j * np.sin(angles)).astype(np.complex64)
@@ -254,48 +258,29 @@ def _rope_rows(base: float, d_head: int, positions: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _rope_table(base: float, d_head: int, n_positions: int) -> np.ndarray:
-    """Read-only ``_rope_rows`` of positions 0 .. n_positions - 1."""
-    return _freeze(_rope_rows(base, d_head, np.arange(n_positions)))
+    """Read-only ``rope_rows`` of positions 0 .. n_positions - 1."""
+    return _freeze(rope_rows(np.arange(n_positions), base, d_head))
 
 
-def rope_rotate(
-    states: np.ndarray,
-    position_ids,
-    base: float,
-    d_head: int,
-    max_position: int | None = None,
-) -> np.ndarray:
-    """Apply rotary rotation per interleaved head pair (dims 2i, 2i+1).
+def rope_rotate(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rotate each interleaved head pair (dims 2i, 2i+1) of ``states`` row
+    ``r`` by ``rows[r]``, complex rotary rows from ``rope_rows``.
 
-    ``states`` is [n, n_heads * d_head]; row ``i`` is rotated by the angle
-    derived from ``position_ids[i]``. The same kernel serves queries and
-    keys so cached and fresh rows stay mutually consistent, and one call
-    rotates a [q | k] block as ``2 * n_heads`` heads. The complex rotary
-    rows come from a table cached per (base, d_head, max_position), or
-    without ``max_position`` are built for the positions read only. The
-    result is a new C-order float32 array: a copy of ``states`` whose
-    pairs, viewed as complex64, are multiplied in place by the rows,
-    broadcast over heads; ``states`` is left unchanged.
+    ``states`` is [n, heads * d_head] with ``rows`` [n, d_head // 2]; the
+    same kernel serves queries and keys so cached and fresh rows stay
+    mutually consistent, and one call rotates a [q | k] block as
+    ``2 * n_heads`` heads. The result is a new C-order float32 array: a
+    copy of ``states`` whose pairs, viewed as complex64, are multiplied in
+    place by the rows, broadcast over heads; ``states`` is left unchanged.
     """
-    positions = np.asarray(position_ids, dtype=np.int64)
-    n, width = states.shape
-    if positions.shape[0] != n:
-        raise ValueError(
-            f"got {positions.shape[0]} position ids for {n} rows")
-    if n and positions.min() < 0:
-        raise ValueError("position out of range: negative position id")
-    if max_position is not None and n and positions.max() >= max_position:
-        raise ValueError(
-            f"position out of range: {positions.max()} >= {max_position}")
-    if width % d_head != 0:
-        raise ValueError(f"state width {width} not a multiple of d_head {d_head}")
-    if max_position is None:
-        rot = _rope_rows(float(base), d_head, positions)
-    else:
-        rot = _rope_table(float(base), d_head, max_position)[positions]
+    (n, width), half = states.shape, rows.shape[1]
+    if rows.shape[0] != n:
+        raise ValueError(f"got {rows.shape[0]} rotary rows for {n} rows")
+    if width % (2 * half) != 0:
+        raise ValueError(f"state width {width} not a multiple of d_head {2 * half}")
     out = np.array(states, dtype=np.float32, order="C")
-    pairs = out.view(np.complex64).reshape(n, width // d_head, d_head // 2)
-    pairs *= rot[:, None, :]
+    pairs = out.view(np.complex64).reshape(n, width // (2 * half), half)
+    pairs *= rows[:, None, :]
     return out
 
 
@@ -420,8 +405,9 @@ def forward_partial(
     ``compute_set`` is an ordered position list; keys and values are
     produced for exactly those rows, in that order, in every layer. Per
     layer one matmul against ``wqkv`` projects queries, keys and values,
-    and one ``rope_rotate`` call, over a rotary table of ``len(tokens)``
-    rows, rotates the [q | k] block. The attention keys/values are one
+    and one ``rope_rotate`` call rotates the [q | k] block by the compute
+    set's rotary rows, gathered once per call, after the range check, from
+    a table of ``len(tokens)`` rows. The attention keys/values are one
     [cached rows ; fresh rows] slab per layer, i.e. the storage layout,
     allocated once and filled directly; it is returned as
     ``ForwardResult.kv`` for the cache commit to gather from. The cached
@@ -450,14 +436,14 @@ def forward_partial(
             raise ValueError(
                 f"logit row out of range: outside [0, {comp.shape[0]})")
 
+    rot = _rope_table(float(config.rope_base), config.d_head, seq_len)[comp]
     h = weights.embedding[tokens[comp]]
     scale = 1.0 / math.sqrt(config.d_head)
     last = len(weights.layers) - 1
     kv: list[KVSlab] = []
     for idx, layer in enumerate(weights.layers):
         qkv = _rms_norm(h, layer.attn_gain) @ layer.wqkv
-        qk = rope_rotate(qkv[:, :2 * d], comp, config.rope_base,
-                         config.d_head, seq_len)
+        qk = rope_rotate(qkv[:, :2 * d], rot)
         keys = np.empty((row_positions.shape[0], d), dtype=np.float32)
         values = np.empty_like(keys)
         if n_cached:

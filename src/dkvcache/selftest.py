@@ -9,13 +9,15 @@ counts, and the unit tests call it too. ``FAULTS`` maps each
 ``--fault-inject`` name to a context manager that breaks the engine for
 the duration of the run: ``layout`` makes ``cache_engine.build_layout``
 return a wrong reorder index, which the commit gather oracle must catch;
-``rope`` reverses every rotation, which only the rotary reference sees.
+``rope`` reverses every rotation and ``rope-freq`` builds the rotary rows
+with twice the base; only the rotary reference sees either.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 from typing import Callable
 from unittest import mock
 
@@ -205,9 +207,11 @@ def check_commit_gather(
 def check_rotary_reference(*, n_heads: int, seed: int) -> Check:
     """``rope_rotate`` of a non-contiguous view, as the [q | k] columns of
     a qkv block are, against a float64 rotation of each (2i, 2i+1) pair
-    by position * base**(-2i/d_head): the table and the positions-only
-    path must leave the input as it was and return C-order float32 within
-    1e-6 of the rotation."""
+    by position * base**(-2i/d_head), with the rows of both sources:
+    ``rope_rows`` of the positions, and ``_rope_table``'s rows at them.
+    Each must leave the input as it was and return C-order float32 within
+    1e-6 of the rotation. Both are looked up on the module, so a fault
+    that patches ``rope_rows`` is seen by both."""
     rng = np.random.default_rng(seed)
     d_head, max_positions, base = 16, 2048, 10000.0
     width = n_heads * d_head
@@ -220,16 +224,18 @@ def check_rotary_reference(*, n_heads: int, seed: int) -> Check:
     want = np.stack([x[..., 0] * cos - x[..., 1] * sin,
                      x[..., 0] * sin + x[..., 1] * cos], axis=-1)
     worst = 0.0
-    for table in (max_positions, None):
-        got = rope_rotate(states, positions, base, d_head, table)
+    table = model_core._rope_table(base, d_head, max_positions)
+    for source, rows in (("rope_rows", model_core.rope_rows(positions, base, d_head)),
+                         ("table", table[positions])):
+        got = rope_rotate(states, rows)
         if got.dtype != np.float32 or not got.flags.c_contiguous:
-            return False, f"max_position {table}: not C-order float32"
+            return False, f"{source}: not C-order float32"
         if block.tobytes() != before.tobytes():
-            return False, f"max_position {table}: the input was changed"
+            return False, f"{source}: the input was changed"
         worst = max(worst, float(np.abs(got - want.reshape(12, -1)).max()))
         if not worst <= 1e-6:
-            return False, f"max_position {table}: max diff {worst:.2e} > 1e-06"
-    return True, f"both paths within {worst:.1e} of the float64 rotation"
+            return False, f"{source}: max diff {worst:.2e} > 1e-06"
+    return True, f"both sources within {worst:.1e} of the float64 rotation"
 
 
 def check_corruption_marginal(
@@ -299,21 +305,26 @@ def _misordered_layout():
 
 
 @contextlib.contextmanager
-def _conjugated_rope():
-    """Conjugate every rotary row, so each rotation turns the wrong way;
-    the cached table is cleared on entry and on exit."""
-    real = model_core._rope_rows
+def _rope_fault(wrong_rows):
+    """Build every rotary row as ``wrong_rows(real_rope_rows, positions,
+    base, d_head)`` for the run, the cached table cleared on entry and on
+    exit so the engine's rows come from ``wrong_rows`` too."""
+    real = model_core.rope_rows
     model_core._rope_table.cache_clear()
     try:
-        with mock.patch.object(model_core, "_rope_rows",
-                               lambda *args: np.conj(real(*args))):
+        with mock.patch.object(model_core, "rope_rows",
+                               functools.partial(wrong_rows, real)):
             yield
     finally:
         model_core._rope_table.cache_clear()
 
 
 # --fault-inject name -> a context manager that breaks the engine
-FAULTS = {"layout": _misordered_layout, "rope": _conjugated_rope}
+FAULTS = {"layout": _misordered_layout,
+          "rope": functools.partial(  # each rotation turns the wrong way
+              _rope_fault, lambda real, *args: np.conj(real(*args))),
+          "rope-freq": functools.partial(  # twice the base
+              _rope_fault, lambda real, pos, base, d: real(pos, 2 * base, d))}
 
 
 def run_selftest(fault_inject: str | None = None, out=print) -> bool:

@@ -26,6 +26,7 @@ from dkvcache.selftest import (
     check_corruption_marginal,
     check_partial_forward,
     check_refresh_degeneracy,
+    check_rotary_reference,
 )
 
 # traces produced by the heavier criteria, re-checked by criterion 9
@@ -295,6 +296,31 @@ def test_criterion_11_prefill_immutability(tiny_weights):
     _report(11, "PASS", "prefill immutability",
             "prefill rows byte-identical from step 0 to the final step "
             f"({len(runs)} runs of prefill and pd)")
+
+
+def _rotary_reference():
+    """Criterion 12's size: every head count, seeds 1200-1209 each."""
+    for n_heads in (1, 4, 8):
+        for seed in range(1200, 1210):
+            ok, detail = check_rotary_reference(n_heads=n_heads, seed=seed)
+            if not ok:
+                return False, f"n_heads {n_heads}, seed {seed}: {detail}"
+    return True, ("30 cases (n_heads 1, 4, 8 x seeds 1200-1209) within "
+                  "1e-6 of the float64 rotation")
+
+
+def test_criterion_12_rotary_reference():
+    """Both rotary row sources against a float64 rotation."""
+    _passes(12, "rotary reference", _rotary_reference())
+
+
+def test_criterion_12_fails_under_rope_fault():
+    # a reversed rotation and wrong frequencies each pass criteria 1-11
+    for fault in ("rope", "rope-freq"):
+        with FAULTS[fault]():
+            ok, detail = _rotary_reference()
+        assert not ok, fault
+        assert "max diff" in detail, detail
 
 
 def test_criterion_09_sampler_invariants():

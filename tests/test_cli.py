@@ -418,8 +418,9 @@ class TestSelftestCommand:
         assert "PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fault, check", [
-        ("layout", "commit gather oracle"), ("rope", "rotary reference")],
-        ids=["layout", "rope"])
+        ("layout", "commit gather oracle"), ("rope", "rotary reference"),
+        ("rope-freq", "rotary reference")],
+        ids=["layout", "rope", "rope-freq"])
     def test_fault_injection_names_criterion(self, capsys, fault, check):
         # each fault breaks one mechanism; only its own check sees it
         assert main(["selftest", "--fault-inject", fault]) == EXIT_SELFTEST_FAIL

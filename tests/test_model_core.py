@@ -15,6 +15,7 @@ from dkvcache import (
     forward_partial,
     init_weights,
     rope_rotate,
+    rope_rows,
 )
 from dkvcache import model_core
 from dkvcache.selftest import (check_partial_forward, check_rotary_reference,
@@ -123,12 +124,12 @@ def _as_dict(cfg):
 class TestRope:
     def test_zero_position_identity(self, rng):
         states = rng.standard_normal((5, 8)).astype(np.float32)
-        out = rope_rotate(states, [0] * 5, 10000.0, 4)
+        out = rope_rotate(states, rope_rows([0] * 5, 10000.0, 4))
         np.testing.assert_array_equal(out, states)
 
     def test_pair_norms_preserved(self, rng):
         states = rng.standard_normal((6, 16)).astype(np.float32)
-        out = rope_rotate(states, [3, 9, 100, 0, 7, 41], 10000.0, 8)
+        out = rope_rotate(states, rope_rows([3, 9, 100, 0, 7, 41], 10000.0, 8))
         before = np.hypot(states[:, 0::2], states[:, 1::2])
         after = np.hypot(out[:, 0::2], out[:, 1::2])
         np.testing.assert_allclose(after, before, atol=1e-6)
@@ -136,27 +137,31 @@ class TestRope:
     def test_row_order_irrelevant(self, rng):
         a = rng.standard_normal((1, 8)).astype(np.float32)
         b = rng.standard_normal((1, 8)).astype(np.float32)
-        fwd = rope_rotate(np.vstack([a, b]), [3, 5], 10000.0, 4)
-        rev = rope_rotate(np.vstack([b, a]), [5, 3], 10000.0, 4)
+        fwd = rope_rotate(np.vstack([a, b]), rope_rows([3, 5], 10000.0, 4))
+        rev = rope_rotate(np.vstack([b, a]), rope_rows([5, 3], 10000.0, 4))
         np.testing.assert_array_equal(fwd[0], rev[1])
         np.testing.assert_array_equal(fwd[1], rev[0])
 
-    def test_position_out_of_range(self, rng):
-        states = rng.standard_normal((1, 8)).astype(np.float32)
+    def test_position_out_of_range(self):
+        # positions past the sequence are forward_partial's check
         with pytest.raises(ValueError, match="position out of range"):
-            rope_rotate(states, [-1], 10000.0, 4)
-        with pytest.raises(ValueError, match="position out of range"):
-            rope_rotate(states, [16], 10000.0, 4, max_position=16)
+            rope_rows([-1], 10000.0, 4)
 
-    def test_rows_built_for_positions_read(self, rng):
-        # without max_position no table is built: a far position rotates
-        # one row, and small positions match the table path byte for byte
-        far = rope_rotate(np.ones((1, 8), np.float32), [10**12], 10000.0, 8)
-        assert np.isfinite(far).all()
-        states = rng.standard_normal((5, 16)).astype(np.float32)
+    def test_rows_built_for_positions_read(self):
+        # rows are built for the positions given only: a far position
+        # gets one row, and small ones match the table's rows byte for byte
+        far = rope_rows([10**12], 10000.0, 8)
+        assert far.shape == (1, 4) and np.isfinite(far).all()
         positions = [7, 0, 3, 9, 3]
-        assert (rope_rotate(states, positions, 10000.0, 8).tobytes()
-                == rope_rotate(states, positions, 10000.0, 8, 10).tobytes())
+        assert (rope_rows(positions, 10000.0, 8).tobytes()
+                == model_core._rope_table(10000.0, 8, 10)[positions].tobytes())
+
+    def test_shape_mismatch_rejected(self, rng):
+        states = rng.standard_normal((2, 8)).astype(np.float32)
+        with pytest.raises(ValueError, match="got 1 rotary rows for 2 rows"):
+            rope_rotate(states, rope_rows([0], 10000.0, 8))
+        with pytest.raises(ValueError, match="not a multiple of d_head 16"):
+            rope_rotate(states, rope_rows([0, 1], 10000.0, 16))
 
     @pytest.mark.parametrize("n_heads", [1, 4, 8])
     def test_matches_float64_rotation(self, n_heads):
@@ -168,7 +173,7 @@ class TestRope:
     def test_norm_preserved_property(self, seed, position):
         gen = np.random.default_rng(seed)
         states = gen.standard_normal((1, 8)).astype(np.float32)
-        out = rope_rotate(states, [position], 10000.0, 8)
+        out = rope_rotate(states, rope_rows([position], 10000.0, 8))
         np.testing.assert_allclose(
             np.linalg.norm(out), np.linalg.norm(states), rtol=1e-5)
 
@@ -293,15 +298,16 @@ class TestForward:
         h = tiny_weights.embedding[tokens].astype(np.float64)
         x = (h / np.sqrt(np.mean(h * h, axis=-1, keepdims=True) + 1e-6)
              * layer.attn_gain).astype(np.float32)
-        keys = rope_rotate(x @ layer.wk, np.arange(10), cfg.rope_base,
-                           cfg.d_head, cfg.max_positions)
+        keys = rope_rotate(x @ layer.wk,
+                           rope_rows(np.arange(10), cfg.rope_base, cfg.d_head))
         fresh = forward_full(tokens, tiny_weights).fresh_kv[0]
         np.testing.assert_allclose(fresh.keys, keys, rtol=0, atol=1e-6)
         np.testing.assert_allclose(fresh.values, x @ layer.wv, rtol=0, atol=1e-6)
 
     def test_rope_table_sized_by_sequence(self, tiny_weights, rng,
                                           monkeypatch):
-        # one table row per sequence position, not per max_positions
+        # one table row per sequence position, not per max_positions, and
+        # one table lookup per pass, not one per layer
         sizes = []
         table = model_core._rope_table
 
@@ -310,8 +316,12 @@ class TestForward:
             return table(base, d_head, n_positions)
 
         monkeypatch.setattr(model_core, "_rope_table", spy)
-        forward_full(rng.integers(0, 100, size=6), tiny_weights)
-        assert sizes and set(sizes) == {6}
+        tokens = rng.integers(0, 100, size=6)
+        full = forward_full(tokens, tiny_weights)
+        assert sizes == [6]
+        forward_partial(tokens, [4, 0, 5], served_cache(full, [1, 2, 3]),
+                        tiny_weights)
+        assert sizes == [6, 6]
 
     def test_repeated_run_bit_identical(self, tiny_weights, rng):
         tokens = rng.integers(0, 100, size=10)
