@@ -22,10 +22,8 @@ from .cache_engine import (
     CacheEngine,
     CacheVariant,
     ComputePlan,
-    LayoutError,
     VariantKind,
     WindowCenter,
-    build_layout,
     greedy_window,
     scatter_outputs,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "analysis",
     "alpha_bar",
     "attention",
-    "build_layout",
     "CacheEngine",
     "CacheVariant",
     "ComputePlan",
@@ -69,7 +66,6 @@ __all__ = [
     "greedy_window",
     "init_weights",
     "KVSlab",
-    "LayoutError",
     "ModelConfig",
     "ModelWeights",
     "NoiseSchedule",

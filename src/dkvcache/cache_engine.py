@@ -7,13 +7,12 @@ caching: a position becomes cacheable only after its token id has been
 revealed, and its rows are taken from the forward pass one step after the
 reveal, when the fresh computation has already seen the revealed id.
 
-Per layer the cache stores rows left-contiguous in storage layout order;
-fresh rows for the step's compute set are appended on the right. The
-position ids travel with the rows, so the rotary rotation stays keyed to
-original positions and attention is layout-agnostic. Updating the cache
-for the next step is a single row gather, from the [cached ; fresh] rows
-the forward pass attended over, through a reorder index that is computed
-once per step and shared across layers.
+Per layer the cache is one store in natural position order: row p holds
+position p. It is allocated by step 0's forward pass and reused by every
+later step, whose pass writes its compute set's fresh rows at their
+positions. Keys carry the rotary rotation of their own position, so
+attention reads the store as it is. Updating the cache for the next step
+moves no data: the commit only records which positions stay cached.
 
 Variants
 --------
@@ -37,12 +36,13 @@ pd       keeps what ``decode`` keeps; before a refresh it keeps the prompt,
 A refresh is nothing more than the commit before it keeping nothing (the
 prompt under ``pd``). Step 0 computes everything: nothing is cached yet.
 
-The engine trusts the plans it builds. ``build_layout`` only rejects a
-next cached position absent from the layout, and ``commit`` checks
-nothing. ``forward_partial`` checks the cached/compute partition once
-per step. Plan soundness is ``selftest``'s commit gather oracle: the rows
-``commit`` keeps must equal a natural-order scatter of the cached and
-fresh rows gathered at the next cached positions.
+Because every step computes exactly the complement of its cache, every
+row of the store is valid after the step's write. The engine trusts the
+plans it builds, and ``commit`` checks nothing. ``forward_partial`` checks
+the cached/compute partition once per step. Plan soundness is
+``selftest``'s kept rows oracle: after a served partial pass and a commit,
+the store's rows at the next cached positions must equal the rows of
+their last computation.
 """
 
 from __future__ import annotations
@@ -58,21 +58,15 @@ import numpy as np
 from .model_core import KVSlab, check_types
 
 __all__ = [
-    "LayoutError",
     "VariantKind",
     "WindowCenter",
     "CacheVariant",
     "ComputePlan",
     "CacheEngine",
     "greedy_window",
-    "build_layout",
     "scatter_outputs",
     "write_cache_debug",
 ]
-
-
-class LayoutError(ValueError):
-    """Cache layout bookkeeping is inconsistent."""
 
 
 class VariantKind(str, Enum):
@@ -191,20 +185,22 @@ class CacheVariant:
 
 @dataclass
 class ComputePlan:
-    """One step's layout decision; every position field is an int64 array.
+    """One step's position sets; every position field is an int64 array.
 
-    ``layout`` is [cached_positions ; compute_set], a permutation of the
-    whole sequence, and gives the original position of each layout row.
-    ``reorder_index`` selects, from layout rows, the rows that form the
-    next step's cache (``next_cached_positions`` order).
+    ``cached_positions`` are served from the store this step and
+    ``compute_set``, their complement, is computed and written into it;
+    ``next_cached_positions`` are the positions the commit keeps.
     """
 
     compute_set: np.ndarray
     cached_positions: np.ndarray
-    layout: np.ndarray
-    reorder_index: np.ndarray
     next_cached_positions: np.ndarray
     refresh_flag: bool
+
+    @property
+    def reorder_index(self) -> np.ndarray:
+        # perfbench's tracing.TRACED is its only reader: the commit's row count
+        return self.next_cached_positions
 
 
 def _complement(positions, seq_len: int) -> np.ndarray:
@@ -241,40 +237,6 @@ def greedy_window(
     return out
 
 
-def build_layout(
-    compute_set: Sequence[int],
-    cached_positions: Sequence[int],
-    next_cached_positions: Sequence[int],
-    seq_len: int,
-    refresh_flag: bool = False,
-) -> ComputePlan:
-    """Assemble the [cached ; fresh] layout and the next-step reorder index.
-
-    The reorder index is computed once here and shared by every layer's
-    gather during the commit; the only check is for an absent next position.
-    """
-    compute = np.asarray(compute_set, dtype=np.int64)
-    cached = np.asarray(cached_positions, dtype=np.int64)
-    nxt = np.asarray(next_cached_positions, dtype=np.int64)
-    layout = np.concatenate([cached, compute])
-    # layout row of each position, -1 where absent
-    row_of = np.full(seq_len, -1, dtype=np.int64)
-    np.put(row_of, layout, np.arange(layout.shape[0]), mode="clip")
-    reorder = np.take(row_of, nxt, mode="clip")
-    absent = (reorder < 0) | (nxt < 0) | (nxt >= seq_len)
-    if absent.any():
-        raise LayoutError(f"next cached position {nxt[absent][0]} is absent "
-                          "from the layout")
-    return ComputePlan(
-        compute_set=compute,
-        cached_positions=cached,
-        layout=layout,
-        reorder_index=reorder,
-        next_cached_positions=nxt,
-        refresh_flag=refresh_flag,
-    )
-
-
 def scatter_outputs(plan: ComputePlan) -> np.ndarray:
     """Map original positions to their compute rows.
 
@@ -282,15 +244,16 @@ def scatter_outputs(plan: ComputePlan) -> np.ndarray:
     index ``forward_partial`` takes as a logit row), or -1 for positions
     outside the compute set: they carry no logits this step.
     """
-    row_of = np.full(len(plan.layout), -1, dtype=np.int64)
+    seq_len = len(plan.compute_set) + len(plan.cached_positions)
+    row_of = np.full(seq_len, -1, dtype=np.int64)
     row_of[plan.compute_set] = np.arange(len(plan.compute_set))
     return row_of
 
 
 class CacheEngine:
-    """Stateful per-generation cache: plans a step, then commits fresh rows.
+    """Stateful per-generation cache: plans a step, then commits it.
 
-    The engine owns the per-layer slabs and the cached positions (an
+    The engine owns the per-layer stores and the cached positions (an
     ascending int64 array). Each step recomputes exactly the positions
     the cache does not hold, so the one decision per step is which
     positions its commit keeps for the next step. One plan is produced
@@ -320,10 +283,9 @@ class CacheEngine:
         self.slabs: list[KVSlab] = []
 
     def cache_slabs(self) -> list[KVSlab] | None:
-        """Current per-layer cache, or None when nothing is cached."""
-        if not self.cached_positions.size:
-            return None
-        return self.slabs
+        """The per-layer stores, each with the cached positions as its
+        ``row_positions``; None before the first commit."""
+        return self.slabs or None
 
     def _refreshes(self, step: int) -> bool:
         interval = self.variant.refresh_interval
@@ -369,28 +331,25 @@ class CacheEngine:
             if served.size:
                 raise ValueError(f"masked position {served[0]} is served from "
                                  f"cache at step {step}")
-        return build_layout(
-            _complement(cached, self.seq_len),
-            cached,
-            self._kept(masked, step),
-            self.seq_len,
+        return ComputePlan(
+            compute_set=_complement(cached, self.seq_len),
+            cached_positions=cached,
+            next_cached_positions=self._kept(masked, step),
             refresh_flag=self._refreshes(step),
         )
 
     def commit(self, plan: ComputePlan, kv: Sequence[KVSlab]) -> None:
-        """Gather the next cache from the slabs attention read.
+        """Keep ``plan.next_cached_positions`` for the next step.
 
-        ``kv[layer]`` holds that layer's rows in the plan's layout order
-        [cached ; fresh] (``ForwardResult.kv``); the next cache is one
-        gather through ``plan.reorder_index`` per layer. The gathered rows
-        are copies, so cached bytes survive any number of steps unchanged.
-        The rows are trusted to be in the plan's layout order.
+        ``kv`` is the natural-order store the step's pass wrote
+        (``ForwardResult.kv``): a new one at step 0, which the engine
+        adopts, and the engine's own after that. No row moves: the next
+        step is served the same arrays with the next cached positions.
         """
-        index = plan.reorder_index
-        self.slabs = [KVSlab(layer=idx, keys=slab.keys[index],
-                             values=slab.values[index],
+        self.slabs = [KVSlab(layer=slab.layer, keys=slab.keys,
+                             values=slab.values,
                              row_positions=plan.next_cached_positions)
-                      for idx, slab in enumerate(kv)]
+                      for slab in kv]
         self.cached_positions = plan.next_cached_positions
 
 

@@ -3,11 +3,13 @@
 The model exists to exercise cache scheduling, so it supports two entry
 points: a full forward pass, and a partial pass that recomputes hidden
 states only for a chosen compute set while attending over cached key/value
-rows injected for the remaining positions, and that can restrict the last
-layer's tail and the vocab head to the rows whose logits are read.
-Cached keys keep the rotary rotation from the step that produced them,
-which makes attention position-correct regardless of how rows are ordered
-in storage.
+rows for the remaining positions, and that can restrict the last layer's
+tail and the vocab head to the rows whose logits are read. Attention
+reads one natural-order store per layer, row p holding position p: the
+pass writes the compute set's fresh rows at their positions and leaves
+every other row as it was. Cached keys keep the rotary rotation from the
+step that produced them, which makes attention position-correct whatever
+step wrote a row.
 
 Everything is float32. Forward passes are deterministic: identical inputs
 produce bit-identical outputs as long as the BLAS thread count does not
@@ -137,10 +139,13 @@ class ModelWeights:
 
 @dataclass
 class KVSlab:
-    """Per-layer key/value rows in storage layout order.
+    """Per-layer key/value rows, in one of two shapes.
 
-    ``row_positions[i]`` is the original sequence position of row ``i``.
-    Keys already carry the rotary rotation for their original position.
+    Compact: row ``i`` holds original position ``row_positions[i]``.
+    Store: ``keys`` and ``values`` have one row per sequence position in
+    natural order, row ``p`` holding position ``p``, and ``row_positions``
+    lists the positions whose rows are valid. Keys already carry the
+    rotary rotation for their original position.
     """
 
     layer: int
@@ -155,24 +160,23 @@ class KVSlab:
 
 @dataclass
 class ForwardResult:
-    """Logits for the logit rows plus, per layer, the K/V rows attention
-    read, in layout order [cached ; fresh]. All layers share one
-    ``row_positions`` array: the cached positions, then the compute set,
-    whose length is ``n_fresh``.
+    """Logits for the logit rows plus, per layer, the natural-order store
+    attention read. Every row of it is valid, so its ``row_positions`` is
+    every position. A store the caller passed in is written in place, so
+    ``kv`` is that store and a later pass on it rewrites its rows.
     """
 
     logits: np.ndarray
     kv: list[KVSlab]
-    n_fresh: int
+    compute_set: np.ndarray
 
     @property
     def fresh_kv(self) -> list[KVSlab]:
-        """The rows computed this call, per layer: views of each slab's tail."""
-        start = self.kv[0].n_rows - self.n_fresh
-        return [KVSlab(layer=s.layer, keys=s.keys[start:],
-                       values=s.values[start:],
-                       row_positions=s.row_positions[start:])
-                for s in self.kv]
+        """The rows computed this call, per layer, in compute-set order:
+        copies of the store's rows at the compute set."""
+        comp = self.compute_set
+        return [KVSlab(layer=s.layer, keys=s.keys[comp], values=s.values[comp],
+                       row_positions=comp) for s in self.kv]
 
 
 def _uniform(rng: np.random.Generator, d_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -358,7 +362,7 @@ def _validate_cache(
 ) -> np.ndarray:
     """Check the cache's structure and that cached and compute positions
     partition ``range(seq_len)`` (ranges first, then one O(seq_len) count);
-    return the layout [cached ; compute]. ``None`` or ``[]`` is no cache."""
+    return the cached positions. ``None`` or ``[]`` is no cache."""
     if not cache:
         cached = np.zeros(0, dtype=np.int64)
     else:
@@ -371,9 +375,11 @@ def _validate_cache(
         for i, slab in enumerate(cache):
             if slab.layer != i:
                 raise ValueError(f"cache slab at index {i} claims layer {slab.layer}")
-            if slab.keys.shape[0] != n or slab.values.shape[0] != n:
+            # compact (one row per cached position) or a store (one per position)
+            rows = slab.keys.shape[0]
+            if rows not in (n, seq_len) or slab.values.shape[0] != rows:
                 raise ValueError(f"layer {i}: cache row/position mismatch "
-                                 f"(keys {slab.keys.shape[0]}, values "
+                                 f"(keys {rows}, values "
                                  f"{slab.values.shape[0]}, positions {n})")
             # the engine's slabs share one positions array: no comparison
             if (slab.row_positions is not cached
@@ -390,7 +396,29 @@ def _validate_cache(
         raise ValueError(
             "incomplete split: cached and compute positions must partition "
             "the sequence")
-    return combined
+    return cached
+
+
+def _open_store(cache, cached: np.ndarray, seq_len: int, width: int,
+                n_layers: int) -> list[KVSlab]:
+    """Every layer's natural-order store: a store slab as it is, else new
+    arrays with a compact slab's rows scattered to their positions."""
+    everywhere, store = np.arange(seq_len), []
+    for idx in range(n_layers):
+        slab = cache[idx] if cache else None
+        if slab is not None and slab.keys.shape[0] != slab.n_rows:
+            keys, values = slab.keys, slab.values
+        else:
+            keys, values = np.empty((2, seq_len, width), dtype=np.float32)
+            if slab is not None:
+                keys[cached], values[cached] = slab.keys, slab.values
+        store.append(KVSlab(idx, keys, values, everywhere))
+    return store
+
+
+def _write_fresh(store: KVSlab, positions, keys, values) -> None:
+    """Write fresh rows into ``store``: row ``i`` at ``positions[i]``."""
+    store.keys[positions], store.values[positions] = keys, values
 
 
 def forward_partial(
@@ -400,17 +428,18 @@ def forward_partial(
     weights: ModelWeights,
     logit_rows=None,
 ) -> ForwardResult:
-    """Forward pass over the compute set only, attending over cache + fresh rows.
+    """Forward pass over the compute set only, attending over every position.
 
     ``compute_set`` is an ordered position list; keys and values are
     produced for exactly those rows, in that order, in every layer. Per
     layer one matmul against ``wqkv`` projects queries, keys and values,
     and one ``rope_rotate`` call rotates the [q | k] block by the compute
     set's rotary rows, gathered once per call, after the range check, from
-    a table of ``len(tokens)`` rows. The attention keys/values are one
-    [cached rows ; fresh rows] slab per layer, i.e. the storage layout,
-    allocated once and filled directly; it is returned as
-    ``ForwardResult.kv`` for the cache commit to gather from. The cached
+    a table of ``len(tokens)`` rows. The fresh keys and values are written
+    into the layer's natural-order store at their positions, and attention
+    reads the whole store. A store slab in ``cache`` is that store, written
+    in place; compact slabs are scattered into a new store once and left
+    unchanged; with no cache the new store is all fresh rows. The cached
     rows must have been rotated with their original positions.
 
     ``logit_rows`` indexes the compute set and picks the rows that get
@@ -427,8 +456,7 @@ def forward_partial(
     _validate_tokens(tokens, config)
     seq_len = tokens.shape[0]
     comp = np.asarray(compute_set, dtype=np.int64)
-    row_positions = _validate_cache(cache, comp, seq_len, config)
-    n_cached, d = row_positions.shape[0] - comp.shape[0], config.d_model
+    cached = _validate_cache(cache, comp, seq_len, config)
     if logit_rows is not None:
         logit_rows = np.asarray(logit_rows, dtype=np.int64)
         if logit_rows.ndim != 1 or logit_rows.size and (
@@ -436,30 +464,24 @@ def forward_partial(
             raise ValueError(
                 f"logit row out of range: outside [0, {comp.shape[0]})")
 
+    d = config.d_model
+    store = _open_store(cache, cached, seq_len, d, config.n_layers)
     rot = _rope_table(float(config.rope_base), config.d_head, seq_len)[comp]
     h = weights.embedding[tokens[comp]]
     scale = 1.0 / math.sqrt(config.d_head)
     last = len(weights.layers) - 1
-    kv: list[KVSlab] = []
-    for idx, layer in enumerate(weights.layers):
+    for idx, (layer, kv) in enumerate(zip(weights.layers, store)):
         qkv = _rms_norm(h, layer.attn_gain) @ layer.wqkv
         qk = rope_rotate(qkv[:, :2 * d], rot)
-        keys = np.empty((row_positions.shape[0], d), dtype=np.float32)
-        values = np.empty_like(keys)
-        if n_cached:
-            keys[:n_cached] = cache[idx].keys
-            values[:n_cached] = cache[idx].values
-        keys[n_cached:] = qk[:, d:]
-        values[n_cached:] = qkv[:, 2 * d:]
+        _write_fresh(kv, comp, qk[:, d:], qkv[:, 2 * d:])
         queries = qk[:, :d]
         if idx == last and logit_rows is not None:
             queries, h = queries[logit_rows], h[logit_rows]
-        h += attention(queries, keys, values, scale, config.n_heads) @ layer.wo
+        h += attention(queries, kv.keys, kv.values, scale,
+                       config.n_heads) @ layer.wo
         h += _gelu(_rms_norm(h, layer.ffn_gain) @ layer.w1) @ layer.w2
-        kv.append(KVSlab(layer=idx, keys=keys, values=values,
-                         row_positions=row_positions))
     logits = _rms_norm(h, weights.final_gain) @ weights.head
-    return ForwardResult(logits=logits, kv=kv, n_fresh=comp.shape[0])
+    return ForwardResult(logits=logits, kv=store, compute_set=comp)
 
 
 def forward_full(tokens, weights: ModelWeights) -> ForwardResult:

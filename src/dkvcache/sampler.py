@@ -381,18 +381,16 @@ def decode_step(
         compute_set=plan.compute_set,
     )
     if cfg.snapshot_layer is not None:
-        # the layout covers every position: one scatter to natural order
+        # the store is in natural order; copied, since the next step writes it
         slab = result.kv[cfg.snapshot_layer]
-        record.key_snapshot = np.empty_like(slab.keys)
-        record.value_snapshot = np.empty_like(slab.values)
-        record.key_snapshot[slab.row_positions] = slab.keys
-        record.value_snapshot[slab.row_positions] = slab.values
+        record.key_snapshot = slab.keys.copy()
+        record.value_snapshot = slab.values.copy()
     if kv_audit:
         record.audit = StepAudit(
             fresh=[(s.row_positions.copy(), s.keys.copy(), s.values.copy())
                    for s in result.fresh_kv],
-            cached_after=[(s.row_positions.copy(), s.keys.copy(),
-                           s.values.copy()) for s in engine.slabs],
+            cached_after=[(s.row_positions.copy(), s.keys[s.row_positions],
+                           s.values[s.row_positions]) for s in engine.slabs],
         )
 
     state.masked[list(chosen)] = False

@@ -7,8 +7,9 @@ same checks at acceptance size. ``check_step_schedule`` takes no size:
 it holds the package's one copy of the enumerated per-step decode
 counts, and the unit tests call it too. ``FAULTS`` maps each
 ``--fault-inject`` name to a context manager that breaks the engine for
-the duration of the run: ``layout`` makes ``cache_engine.build_layout``
-return a wrong reorder index, which the commit gather oracle must catch;
+the duration of the run: ``layout`` makes every pass that serves a cache
+swap a fresh row with a cached one in the store, which only the kept
+rows oracle sees, since attention reads every row either way;
 ``rope`` reverses every rotation and ``rope-freq`` builds the rotary rows
 with twice the base; only the rotary reference sees either.
 """
@@ -23,8 +24,8 @@ from unittest import mock
 
 import numpy as np
 
-from . import cache_engine, model_core
-from .cache_engine import CacheEngine, CacheVariant
+from . import model_core
+from .cache_engine import CacheEngine, CacheVariant, ComputePlan
 from .model_core import (ForwardResult, KVSlab, ModelConfig, ModelWeights,
                          forward_full, forward_partial, init_weights,
                          rope_rotate)
@@ -33,7 +34,7 @@ from .sampler import (NoiseSchedule, Remasking, SamplerConfig, corrupt,
 from .trace import StepTrace
 from .analysis import verify_trace_invariants
 
-__all__ = ["FAULTS", "check_commit_gather", "check_corruption_marginal",
+__all__ = ["FAULTS", "check_corruption_marginal", "check_kept_rows",
            "check_partial_forward", "check_refresh_degeneracy",
            "check_rotary_reference", "check_step_schedule",
            "naive_next_cache", "run_selftest", "served_cache"]
@@ -143,8 +144,7 @@ def check_partial_forward(
                                f"logits of shape {part.logits.shape}")
             worst = max(worst, float(np.abs(part.logits
                                             - every.logits[rows]).max()))
-            if part.n_fresh != every.n_fresh or any(
-                    a.keys.tobytes() != b.keys.tobytes()
+            if any(a.keys.tobytes() != b.keys.tobytes()
                     or a.values.tobytes() != b.values.tobytes()
                     or not np.array_equal(a.row_positions, b.row_positions)
                     for a, b in zip(part.kv, every.kv)):
@@ -168,36 +168,50 @@ def naive_next_cache(slabs: list[KVSlab], next_positions, seq_len: int):
     return keys[next_positions], values[next_positions]
 
 
-def check_commit_gather(
+def check_kept_rows(
     weights: ModelWeights, *, cases: int, seq_range: tuple[int, int],
     seed: int,
 ) -> Check:
-    """Run the served-subset partial pass, then commit a random next cached
-    set through the engine's own ``build_layout`` and ``commit``. Every
-    layer's next cache must be byte-equal to ``naive_next_cache`` of the
-    served and fresh rows, and the logits within ``LOGIT_TOL`` of the full
-    pass.
+    """Run the served-subset partial pass, recording its fresh rows as
+    they are handed to ``model_core._write_fresh``, then commit a random
+    next cached set through a ``CacheEngine``. The engine must keep the
+    pass's store arrays, not copies, with the next positions, and every
+    layer's rows at them must be byte-equal to ``naive_next_cache`` of the
+    served and the recorded rows: the rows of their last computation. The
+    logits must be within ``LOGIT_TOL`` of the full pass.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, written = 0.0, []
+    write = model_core._write_fresh  # the one a fault patched, if any
+
+    def recording(store, positions, keys, values):
+        written.append(KVSlab(store.layer, keys.copy(), values.copy(),
+                              positions))
+        write(store, positions, keys, values)
+
     for case in range(cases):
         tokens, cached_pos, compute = _draw_split(rng, seq_range)
-        cache, part, drift = _served_pass(weights, tokens, cached_pos, compute)
+        written.clear()
+        with mock.patch.object(model_core, "_write_fresh", recording):
+            cache, part, drift = _served_pass(weights, tokens, cached_pos,
+                                              compute)
+        fresh = written[-weights.config.n_layers:]  # the partial pass's
         worst = max(worst, drift)
         seq = len(tokens)
         next_pos = np.sort(rng.choice(seq, size=int(rng.integers(0, seq + 1)),
                                       replace=False))
-        # looked up on the module, so a fault that patches it is seen
-        plan = cache_engine.build_layout(compute, cached_pos, next_pos, seq)
         engine = CacheEngine(CacheVariant.decode(), seq_len=seq)
-        engine.commit(plan, part.kv)
+        engine.commit(ComputePlan(compute, cached_pos, next_pos, False), part.kv)
         for layer, slab in enumerate(engine.slabs):
-            keys, values = naive_next_cache(
-                [cache[layer], part.fresh_kv[layer]], next_pos, seq)
-            if not (slab.keys.tobytes() == keys.tobytes()
-                    and slab.values.tobytes() == values.tobytes()
+            keys, values = naive_next_cache([cache[layer], fresh[layer]],
+                                            next_pos, seq)
+            if slab.keys is not part.kv[layer].keys or (
+                    slab.values is not part.kv[layer].values):
+                return False, f"case {case}, layer {layer}: the commit copied"
+            if not (slab.keys[next_pos].tobytes() == keys.tobytes()
+                    and slab.values[next_pos].tobytes() == values.tobytes()
                     and np.array_equal(slab.row_positions, next_pos)):
-                return False, (f"case {case}, layer {layer}: committed K/V "
+                return False, (f"case {case}, layer {layer}: kept K/V "
                                "differ from the naive next cache")
     if worst > LOGIT_TOL:
         return False, f"max logit diff {worst:.2e} > {LOGIT_TOL:g}"
@@ -289,19 +303,21 @@ def _check_sampler_invariants(weights: ModelWeights) -> Check:
     return True, "immutability, monotonicity and containment hold"
 
 
-def _misordered_layout():
-    """Point the first entry of every non-empty reorder index at the next
-    layout row, so each commit caches one row under the wrong position."""
-    real = cache_engine.build_layout
+def _swapped_write():
+    """After each layer's write, swap the first fresh row with the first
+    cached row, if any: every row is still in the store once, so attention
+    within the pass is unchanged, but two positions cache the wrong rows."""
+    write = model_core._write_fresh
 
-    def build_layout(*args, **kwargs):
-        plan = real(*args, **kwargs)
-        index = plan.reorder_index
-        if index.size:
-            index[0] = (index[0] + 1) % len(plan.layout)
-        return plan
+    def swapped(store, positions, keys, values):
+        write(store, positions, keys, values)
+        cached = np.setdiff1d(np.arange(len(store.keys)), positions)
+        if cached.size and len(positions):
+            pair = [positions[0], cached[0]]
+            store.keys[pair] = store.keys[pair[::-1]]
+            store.values[pair] = store.values[pair[::-1]]
 
-    return mock.patch.object(cache_engine, "build_layout", build_layout)
+    return mock.patch.object(model_core, "_write_fresh", swapped)
 
 
 @contextlib.contextmanager
@@ -320,7 +336,7 @@ def _rope_fault(wrong_rows):
 
 
 # --fault-inject name -> a context manager that breaks the engine
-FAULTS = {"layout": _misordered_layout,
+FAULTS = {"layout": _swapped_write,
           "rope": functools.partial(  # each rotation turns the wrong way
               _rope_fault, lambda real, *args: np.conj(real(*args))),
           "rope-freq": functools.partial(  # twice the base
@@ -339,9 +355,9 @@ def run_selftest(fault_inject: str | None = None, out=print) -> bool:
         ("partial forward oracle",
          lambda: check_partial_forward(weights, cases=5, seq_range=(8, 25),
                                        seed=5, logit_rows=(1, 2, 7))),
-        ("commit gather oracle",
-         lambda: check_commit_gather(weights, cases=20, seq_range=(4, 33),
-                                     seed=7)),
+        ("kept rows oracle",
+         lambda: check_kept_rows(weights, cases=20, seq_range=(4, 33),
+                                 seed=7)),
         ("corruption marginal",
          lambda: check_corruption_marginal(total_steps=64, t_values=(32,),
                                            trials=2000, seed=3)),

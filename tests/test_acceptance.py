@@ -22,8 +22,8 @@ from dkvcache.analysis import (
 )
 from dkvcache.selftest import (
     FAULTS,
-    check_commit_gather,
     check_corruption_marginal,
+    check_kept_rows,
     check_partial_forward,
     check_refresh_degeneracy,
     check_rotary_reference,
@@ -69,17 +69,17 @@ _C2_SIZE = dict(cases=100, seq_range=(4, 65), seed=202)
 
 
 def test_criterion_02_commit_gather_oracle(tiny_weights):
-    """Layout path vs naive natural-order gather/scatter, 100 random cases."""
+    """Kept store rows vs their last computation, 100 random cases."""
     start = time.perf_counter()
-    result = check_commit_gather(tiny_weights, **_C2_SIZE)
+    result = check_kept_rows(tiny_weights, **_C2_SIZE)
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"criterion 2 exceeded its 1 min budget ({elapsed:.0f}s)"
-    _passes(2, "commit gather oracle", result)
+    _passes(2, "kept rows oracle", result)
 
 
 def test_criterion_02_fails_under_layout_fault(tiny_weights):
     with FAULTS["layout"]():
-        ok, detail = check_commit_gather(tiny_weights, **_C2_SIZE)
+        ok, detail = check_kept_rows(tiny_weights, **_C2_SIZE)
     assert not ok
     assert "differ from the naive next cache" in detail
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +7,17 @@ from dkvcache import (
     CacheEngine,
     CacheVariant,
     KVSlab,
-    LayoutError,
-    build_layout,
+    Remasking,
+    SamplerConfig,
+    forward_full,
+    forward_partial,
+    generate,
     greedy_window,
     scatter_outputs,
 )
+from dkvcache import model_core, sampler as sampler_mod
 from dkvcache.cache_engine import ComputePlan
-from dkvcache.selftest import check_commit_gather, naive_next_cache
+from dkvcache.selftest import check_kept_rows, naive_next_cache, served_cache
 
 
 def make_slab(layer, positions, width=4, seed=0):
@@ -29,14 +31,33 @@ def make_slab(layer, positions, width=4, seed=0):
     )
 
 
-def commit_gather(plan, cached, fresh):
-    """Commit the [cached ; fresh] slab of one layer; return the next cache."""
-    engine = CacheEngine(CacheVariant.decode(), seq_len=len(plan.layout))
-    engine.commit(plan, [KVSlab(
-        layer=0, keys=np.concatenate([cached.keys, fresh.keys]),
-        values=np.concatenate([cached.values, fresh.values]),
-        row_positions=plan.layout)])
-    return engine.slabs[0]
+def plan(compute, cached, next_cached):
+    return ComputePlan(*(np.asarray(p, dtype=np.int64)
+                         for p in (compute, cached, next_cached)), False)
+
+
+def served_step(weights, tokens, cached, compute, next_cached):
+    """Commit a full pass keeping ``cached``, run the partial pass over
+    ``compute`` on the engine's store, then commit ``next_cached``.
+    Returns the engine, the partial pass and two references made before
+    the store was written: the served rows, and the same partial pass on
+    a compact cache of them."""
+    seq = len(tokens)
+    full = forward_full(tokens, weights)
+    served = served_cache(full, cached)
+    reference = forward_partial(tokens, compute, served, weights)
+    engine = CacheEngine(CacheVariant.decode(), seq_len=seq)
+    engine.commit(plan(np.arange(seq), [], cached), full.kv)
+    part = forward_partial(tokens, compute, engine.cache_slabs(), weights)
+    engine.commit(plan(compute, cached, next_cached), part.kv)
+    return engine, part, served, reference
+
+
+def row_bytes(slab, position):
+    """``position``'s (keys, values) row bytes in a compact slab or a store."""
+    compact = slab.keys.shape[0] == slab.n_rows
+    row = list(slab.row_positions).index(position) if compact else position
+    return slab.keys[row].tobytes(), slab.values[row].tobytes()
 
 
 class TestCacheVariant:
@@ -109,91 +130,161 @@ class TestPlanComputeSet:
         engine = CacheEngine(CacheVariant.decode(), seq_len=10)
         masked = np.zeros(10, dtype=bool)
         masked[1] = True
-        plan = engine.plan_step(masked=masked, step=0)
-        engine.commit(plan, [make_slab(0, plan.layout)])
+        step0 = engine.plan_step(masked=masked, step=0)
+        engine.commit(step0, [make_slab(0, np.arange(10))])
         masked[9] = True
         with pytest.raises(ValueError, match="masked position 9 is served"):
             engine.plan_step(masked=masked, step=1)
 
 
 class TestBuildLayout:
+    """The layout a step attends over: one natural-order store per layer,
+    row p holding position p, written in place by each pass."""
+
     def test_worked_eight_token_example(self):
-        # cached [2,4,5], masked [0,1,3,6,7]; next cached adds position 7
-        plan = build_layout(
-            compute_set=[0, 1, 3, 6, 7],
-            cached_positions=[2, 4, 5],
-            next_cached_positions=[2, 4, 5, 7],
-            seq_len=8,
-        )
-        assert tuple(plan.layout) == (2, 4, 5, 0, 1, 3, 6, 7)
-        assert list(plan.reorder_index) == [0, 1, 2, 7]
+        # cached [2,4,5]; 7 was revealed last step, so it is recomputed
+        # once more and then kept: compute [0,1,3,6,7], next [2,4,5,7]
+        engine = CacheEngine(CacheVariant.decode(), seq_len=8)
+        engine.commit(plan(range(8), [], [2, 4, 5]), [make_slab(0, range(8))])
+        masked = np.isin(np.arange(8), [0, 1, 3, 6])
+        step = engine.plan_step(masked=masked, step=1)
+        assert list(step.compute_set) == [0, 1, 3, 6, 7]
+        assert list(step.cached_positions) == [2, 4, 5]
+        assert list(step.next_cached_positions) == [2, 4, 5, 7]
+        assert step.reorder_index is step.next_cached_positions
 
-    def test_empty_cache_degenerate(self):
-        plan = build_layout(list(range(6)), [], [0, 3], 6)
-        assert tuple(plan.layout) == (0, 1, 2, 3, 4, 5)
-        assert list(plan.reorder_index) == [0, 3]
+    def test_empty_cache_degenerate(self, tiny_weights, rng):
+        # no cache: a new store of fresh rows only, every position valid
+        tokens = rng.integers(0, 100, size=6)
+        result = forward_partial(tokens, np.arange(6), None, tiny_weights)
+        full = forward_full(tokens, tiny_weights)
+        engine = CacheEngine(CacheVariant.decode(), seq_len=6)
+        engine.commit(plan(range(6), [], [0, 3]), result.kv)
+        for layer, slab in enumerate(engine.slabs):
+            assert slab.keys is result.kv[layer].keys
+            assert list(slab.row_positions) == [0, 3]
+            for pos in range(6):
+                assert row_bytes(result.kv[layer], pos) == row_bytes(
+                    full.kv[layer], pos)
 
-    def test_missing_next_position(self):
-        with pytest.raises(LayoutError, match="absent"):
-            build_layout([0, 1], [2], [5], 3)
+    def test_missing_next_position(self, tiny_weights):
+        # the commit trusts its plan; the next pass's partition check
+        # refuses a kept position outside the sequence
+        tokens = np.array([1, 2, 3])
+        engine = CacheEngine(CacheVariant.decode(), seq_len=3)
+        engine.commit(plan(range(3), [], [5]),
+                      forward_full(tokens, tiny_weights).kv)
+        with pytest.raises(ValueError, match="out of range"):
+            forward_partial(tokens, [0, 1, 2], engine.cache_slabs(),
+                            tiny_weights)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31))
     def test_gather_matches_naive_reference(self, tiny_weights, seed):
-        ok, detail = check_commit_gather(tiny_weights, cases=1,
-                                         seq_range=(2, 33), seed=seed)
+        ok, detail = check_kept_rows(tiny_weights, cases=1,
+                                     seq_range=(2, 33), seed=seed)
         assert ok, detail
 
     def test_naive_reference_catches_swapped_index(self):
-        # the oracle above has teeth: a plan whose reorder index has two
-        # entries swapped commits rows that the naive reference rejects
-        plan = build_layout([0, 1, 3, 6, 7], [2, 4, 5], [2, 4, 5, 7], 8)
-        swapped = plan.reorder_index.copy()
-        swapped[[0, 3]] = swapped[[3, 0]]
-        bad = dataclasses.replace(plan, reorder_index=swapped)
+        # the oracle above has teeth: a store whose first two fresh rows
+        # were written under each other's positions fails the reference
         cached = make_slab(0, [2, 4, 5])
         fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
-        ref_k, ref_v = naive_next_cache([cached, fresh],
-                                        plan.next_cached_positions, 8)
-        np.testing.assert_array_equal(
-            commit_gather(plan, cached, fresh).keys, ref_k)
-        nxt = commit_gather(bad, cached, fresh)
-        assert not np.array_equal(nxt.keys, ref_k)
-        assert not np.array_equal(nxt.values, ref_v)
+        swapped = KVSlab(0, fresh.keys, fresh.values, np.array([1, 0, 3, 6, 7]))
+        kept = np.array([0, 2, 4, 5, 7])
+        ref_k, ref_v = naive_next_cache([cached, fresh], kept, 8)
+        for written, matches in ((fresh, True), (swapped, False)):
+            store = make_slab(0, range(8), seed=3)
+            for slab in (cached, written):
+                model_core._write_fresh(store, slab.row_positions, slab.keys,
+                                        slab.values)
+            assert np.array_equal(store.keys[kept], ref_k) is matches
+            assert np.array_equal(store.values[kept], ref_v) is matches
 
 
 class TestConcatReorder:
-    """The [cached ; fresh] slab attention reads, gathered by ``commit``."""
+    """What a commit keeps: the store's rows at the next cached positions,
+    in place, with no row moved."""
 
-    def test_identity_prefix_keeps_cache(self):
-        cached = make_slab(0, [1, 3])
-        fresh = make_slab(0, [0, 2], seed=5)
-        plan = build_layout([0, 2], [1, 3], [1, 3], 4)
-        nxt = commit_gather(plan, cached, fresh)
-        np.testing.assert_array_equal(nxt.keys, cached.keys)
-        np.testing.assert_array_equal(nxt.values, cached.values)
-        assert list(nxt.row_positions) == [1, 3]
+    def test_identity_prefix_keeps_cache(self, tiny_weights, rng):
+        tokens = rng.integers(0, 100, size=4)
+        engine, _, served, _ = served_step(tiny_weights, tokens, [1, 3],
+                                           [0, 2], [1, 3])
+        for layer, slab in enumerate(engine.slabs):
+            assert list(slab.row_positions) == [1, 3]
+            for pos in (1, 3):
+                assert row_bytes(slab, pos) == row_bytes(served[layer], pos)
 
-    def test_worked_example_positions(self):
-        cached = make_slab(0, [2, 4, 5])
-        fresh = make_slab(0, [0, 1, 3, 6, 7], seed=9)
-        plan = build_layout([0, 1, 3, 6, 7], [2, 4, 5], [2, 4, 5, 7], 8)
-        nxt = commit_gather(plan, cached, fresh)
-        assert list(plan.layout) == [2, 4, 5, 0, 1, 3, 6, 7]
-        assert list(nxt.row_positions) == [2, 4, 5, 7]
-        np.testing.assert_array_equal(nxt.keys[3], fresh.keys[4])
+    def test_worked_example_positions(self, tiny_weights, rng):
+        tokens = rng.integers(0, 100, size=8)
+        engine, part, served, reference = served_step(
+            tiny_weights, tokens, [2, 4, 5], [0, 1, 3, 6, 7], [2, 4, 5, 7])
+        for layer, slab in enumerate(engine.slabs):
+            assert slab.keys is part.kv[layer].keys  # no row moved
+            assert list(slab.row_positions) == [2, 4, 5, 7]
+            assert row_bytes(slab, 7) == row_bytes(reference.kv[layer], 7)
+            for pos in (2, 4, 5):
+                assert row_bytes(slab, pos) == row_bytes(served[layer], pos)
+
+
+class TestStore:
+    """One natural-order store per generation, written only at each
+    step's compute set."""
+
+    VARIANTS = ["none", "decode:3", "pd:2", "prefill", "greedy:2:2"]
+
+    @staticmethod
+    def run_steps(weights, monkeypatch, variant):
+        """Generate under ``variant``; per step, (the cache passed in, the
+        store returned, whether every row outside the compute set kept
+        its bytes)."""
+        steps = []
+        real = sampler_mod.forward_partial
+
+        def watched(tokens, compute, cache, *args, **kwargs):
+            before = None if cache is None else [
+                (s.keys.copy(), s.values.copy()) for s in cache]
+            result = real(tokens, compute, cache, *args, **kwargs)
+            outside = np.setdiff1d(np.arange(len(tokens)), compute)
+            kept = before is None or all(
+                k[outside].tobytes() == s.keys[outside].tobytes()
+                and v[outside].tobytes() == s.values[outside].tobytes()
+                for (k, v), s in zip(before, result.kv))
+            steps.append((cache, result.kv, kept))
+            return result
+
+        monkeypatch.setattr(sampler_mod, "forward_partial", watched)
+        remasking = (Remasking.RANDOM if variant.startswith("greedy")
+                     else Remasking.LOW_CONFIDENCE)
+        generate(np.arange(1, 7), SamplerConfig(
+            gen_len=16, steps=8, block_size=16, remasking=remasking,
+            sample_seed=4, cache=CacheVariant.parse(variant)), weights,
+            timed=False)
+        return steps
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_allocated_once(self, tiny_weights, monkeypatch, variant):
+        steps = self.run_steps(tiny_weights, monkeypatch, variant)
+        first = steps[0][1]
+        assert steps[0][0] is None
+        for cache, store, _ in steps[1:]:
+            for layer, slab in enumerate(first):
+                assert cache[layer].keys is slab.keys
+                assert cache[layer].values is slab.values
+                assert store[layer].keys is slab.keys
+                assert store[layer].values is slab.values
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_outside_compute_set_unchanged(self, tiny_weights,
+                                                monkeypatch, variant):
+        steps = self.run_steps(tiny_weights, monkeypatch, variant)
+        assert [kept for _, _, kept in steps] == [True] * len(steps)
 
 
 class TestScatterOutputs:
     def test_order_preserved(self):
-        plan = ComputePlan(compute_set=np.array([3, 1]),
-                           cached_positions=np.array([0, 2]),
-                           layout=np.array([0, 2, 3, 1]),
-                           reorder_index=np.zeros(0, dtype=np.int64),
-                           next_cached_positions=np.zeros(0, dtype=np.int64),
-                           refresh_flag=False)
         rows = np.array([[10.0], [20.0]], dtype=np.float32)
-        row_of = scatter_outputs(plan)
+        row_of = scatter_outputs(plan([3, 1], [0, 2], []))
         assert rows[row_of[3]][0] == 10.0 and rows[row_of[1]][0] == 20.0
         assert row_of[0] == -1 and row_of[2] == -1  # no row, never zero-filled
 
@@ -206,8 +297,7 @@ class TestScatterOutputs:
         cached = np.sort(rng.choice(seq, size=n_cached, replace=False))
         compute = np.setdiff1d(np.arange(seq), cached)
         rng.shuffle(compute)
-        plan = build_layout(compute.tolist(), cached.tolist(), [], seq)
         rows = rng.random((len(compute), 3), dtype=np.float32)
-        row_of = scatter_outputs(plan)
+        row_of = scatter_outputs(plan(compute, cached, []))
         regathered = rows[row_of[compute]]
         np.testing.assert_array_equal(regathered, rows)

@@ -418,7 +418,7 @@ class TestSelftestCommand:
         assert "PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fault, check", [
-        ("layout", "commit gather oracle"), ("rope", "rotary reference"),
+        ("layout", "kept rows oracle"), ("rope", "rotary reference"),
         ("rope-freq", "rotary reference")],
         ids=["layout", "rope", "rope-freq"])
     def test_fault_injection_names_criterion(self, capsys, fault, check):

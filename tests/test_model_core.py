@@ -275,7 +275,9 @@ class TestForward:
             np.testing.assert_array_equal(full.logits, part.logits)
 
     def test_kv_is_layout_order(self, tiny_weights, rng):
-        # kv holds [cached ; fresh] per layer; fresh_kv is its fresh tail
+        # kv is the natural-order store: row p holds position p, the
+        # served rows at the cached positions; fresh_kv copies the rest
+        # out in compute-set order
         tokens = rng.integers(0, 100, size=8)
         full = forward_full(tokens, tiny_weights)
         cached_pos = np.array([2, 4, 5])
@@ -283,13 +285,26 @@ class TestForward:
         cache = served_cache(full, cached_pos)
         part = forward_partial(tokens, compute, cache, tiny_weights)
         for i, (slab, fresh) in enumerate(zip(part.kv, part.fresh_kv)):
-            np.testing.assert_array_equal(
-                slab.row_positions, np.concatenate([cached_pos, compute]))
-            assert slab.keys[:3].tobytes() == cache[i].keys.tobytes()
-            assert slab.values[:3].tobytes() == cache[i].values.tobytes()
+            np.testing.assert_array_equal(slab.row_positions, np.arange(8))
+            assert slab.keys[cached_pos].tobytes() == cache[i].keys.tobytes()
+            assert (slab.values[cached_pos].tobytes()
+                    == cache[i].values.tobytes())
             np.testing.assert_array_equal(fresh.row_positions, compute)
-            assert np.shares_memory(fresh.keys, slab.keys)
-            np.testing.assert_array_equal(fresh.keys, slab.keys[3:])
+            assert not np.shares_memory(fresh.keys, slab.keys)
+            assert slab.keys[compute].tobytes() == fresh.keys.tobytes()
+            assert slab.values[compute].tobytes() == fresh.values.tobytes()
+
+    def test_compact_cache_unchanged(self, tiny_weights, rng):
+        # compact slabs are scattered into a new store, never written
+        tokens = rng.integers(0, 100, size=8)
+        cache = served_cache(forward_full(tokens, tiny_weights), [2, 4, 5])
+        before = [(s.keys.tobytes(), s.values.tobytes(),
+                   s.row_positions.tobytes()) for s in cache]
+        part = forward_partial(tokens, [7, 0, 3, 1, 6], cache, tiny_weights)
+        assert [(s.keys.tobytes(), s.values.tobytes(),
+                 s.row_positions.tobytes()) for s in cache] == before
+        assert not any(np.shares_memory(s.keys, c.keys)
+                       for s, c in zip(part.kv, cache))
 
     def test_fused_projection_matches_separate(self, tiny_weights, rng):
         # layer 0's fresh K/V against separate wk/wv products and rotary
