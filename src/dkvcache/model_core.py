@@ -7,9 +7,10 @@ rows for the remaining positions, and that can restrict the last layer's
 tail and the vocab head to the rows whose logits are read. Attention
 reads one natural-order store per layer, row p holding position p: the
 pass writes the compute set's fresh rows at their positions and leaves
-every other row as it was. Cached keys keep the rotary rotation from the
-step that produced them, which makes attention position-correct whatever
-step wrote a row.
+every other row as it was. Keys are held as [d_model, seq] memory, so
+each head's keys are one contiguous block. Cached keys keep the rotary
+rotation from the step that produced them, which makes attention
+position-correct whatever step wrote a row.
 
 Everything is float32. Forward passes are deterministic: identical inputs
 produce bit-identical outputs as long as the BLAS thread count does not
@@ -144,8 +145,12 @@ class KVSlab:
     Compact: row ``i`` holds original position ``row_positions[i]``.
     Store: ``keys`` and ``values`` have one row per sequence position in
     natural order, row ``p`` holding position ``p``, and ``row_positions``
-    lists the positions whose rows are valid. Keys already carry the
-    rotary rotation for their original position.
+    lists the positions whose rows are valid. A store that
+    ``forward_partial`` allocates keeps its keys feature-major: ``keys``
+    is the [seq, d_model] transpose of a C-order [d_model, seq] array, so
+    each head's keys are one contiguous block and a fresh key is written
+    as a column of it. Keys already carry the rotary rotation for their
+    original position.
     """
 
     layer: int
@@ -224,7 +229,9 @@ def init_weights(config: ModelConfig) -> ModelWeights:
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     out = np.square(x)
-    scale = 1.0 / np.sqrt(np.mean(out, axis=-1, keepdims=True) + _RMS_EPS)
+    # the mean as np.mean computes it, without its Python wrapper
+    mean = np.add.reduce(out, axis=-1, keepdims=True) / np.float32(x.shape[-1])
+    scale = 1.0 / np.sqrt(mean + _RMS_EPS)
     np.multiply(x, scale, out=out)
     out *= gain
     return out
@@ -303,7 +310,11 @@ def attention(
     """Bidirectional softmax attention over all key rows.
 
     Rows of ``queries``/``keys``/``values`` are full-width vectors split
-    into ``n_heads`` column slices. The queries are multiplied by
+    into ``n_heads`` column slices. Each head's keys are read as a
+    [d_head, n_keys] block of ``keys.T``, a view in either layout: one
+    contiguous block when ``keys`` is a feature-major store, a strided one
+    that BLAS reads transposed when ``keys`` is C-order. The two layouts
+    agree to rounding, not always to the bit. The queries are multiplied by
     ``scale`` once. Heads run in groups through one reused
     [group, n_queries, n_keys] scores buffer of at most ``_SCORES_BUDGET``
     elements, or one head when a single head's scores are larger. Scores
@@ -327,9 +338,9 @@ def attention(
     buf = np.empty((group, nq, nk), dtype=dtype)
     out = np.empty((nq, width), dtype=dtype)
     ones = np.ones(nk, dtype=dtype)
-    # head-major views: [heads, rows, dims], keys as [heads, dims, rows]
+    # per-head views: [heads, rows, dims], keys as [heads, dims, rows]
     q = (queries * np.float32(scale)).reshape(nq, n_heads, dh).transpose(1, 0, 2)
-    k = keys.reshape(nk, n_heads, dh).transpose(1, 2, 0)
+    k = keys.T.reshape(n_heads, dh, nk)
     v = values.reshape(nk, n_heads, dh).transpose(1, 0, 2)
     o = out.reshape(nq, n_heads, dh).transpose(1, 0, 2)
     for first in range(0, n_heads, group):
@@ -402,14 +413,17 @@ def _validate_cache(
 def _open_store(cache, cached: np.ndarray, seq_len: int, width: int,
                 n_layers: int) -> list[KVSlab]:
     """Every layer's natural-order store: a store slab as it is, else new
-    arrays with a compact slab's rows scattered to their positions."""
+    arrays with a compact slab's rows scattered to their positions. New
+    keys are the transpose of a C-order [width, seq_len] array (see
+    ``KVSlab``); new values are C-order [seq_len, width]."""
     everywhere, store = np.arange(seq_len), []
     for idx in range(n_layers):
         slab = cache[idx] if cache else None
         if slab is not None and slab.keys.shape[0] != slab.n_rows:
             keys, values = slab.keys, slab.values
         else:
-            keys, values = np.empty((2, seq_len, width), dtype=np.float32)
+            keys = np.empty((width, seq_len), dtype=np.float32).T
+            values = np.empty((seq_len, width), dtype=np.float32)
             if slab is not None:
                 keys[cached], values[cached] = slab.keys, slab.values
         store.append(KVSlab(idx, keys, values, everywhere))
@@ -417,7 +431,8 @@ def _open_store(cache, cached: np.ndarray, seq_len: int, width: int,
 
 
 def _write_fresh(store: KVSlab, positions, keys, values) -> None:
-    """Write fresh rows into ``store``: row ``i`` at ``positions[i]``."""
+    """Write fresh rows into ``store``: row ``i`` at ``positions[i]`` (a
+    column of a feature-major key store's memory)."""
     store.keys[positions], store.values[positions] = keys, values
 
 

@@ -280,6 +280,12 @@ class TestStore:
         steps = self.run_steps(tiny_weights, monkeypatch, variant)
         assert [kept for _, _, kept in steps] == [True] * len(steps)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_keys_feature_major(self, tiny_weights, monkeypatch, variant):
+        steps = self.run_steps(tiny_weights, monkeypatch, variant)
+        assert all(slab.keys.T.flags.c_contiguous
+                   for _, store, _ in steps for slab in store)
+
 
 class TestScatterOutputs:
     def test_order_preserved(self):

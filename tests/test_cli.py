@@ -203,7 +203,9 @@ class TestGenerateCommand:
         assert main(["generate", "--config", str(path),
                      "--snapshots", "1"]) == EXIT_OK
         keys = np.load(out / "snapshots_keys.npy")
-        assert keys.shape == (8, 24, 64)
+        # the key store is [d_model, seq] in memory; the file's header
+        # says C order, so np.load gives C-order [steps, seq, d_model]
+        assert keys.shape == (8, 24, 64) and keys.flags.c_contiguous
 
     def test_runtime_failure_writes_partial_trace(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -121,6 +121,18 @@ def _as_dict(cfg):
         "mask_token_id", "max_positions", "rope_base", "weight_seed")}
 
 
+class TestRmsNorm:
+    @pytest.mark.parametrize("width", [64, 96, 100, 128])
+    def test_matches_mean_form(self, rng, width):
+        # the reduce-and-divide mean gives np.mean's bits
+        x = (rng.standard_normal((300, width))
+             * 10.0 ** rng.uniform(-3, 3, (300, 1))).astype(np.float32)
+        gain = rng.uniform(0.5, 1.5, width).astype(np.float32)
+        mean = np.mean(np.square(x), axis=-1, keepdims=True)
+        want = x * (1.0 / np.sqrt(mean + model_core._RMS_EPS)) * gain
+        assert model_core._rms_norm(x, gain).tobytes() == want.tobytes()
+
+
 class TestRope:
     def test_zero_position_identity(self, rng):
         states = rng.standard_normal((5, 8)).astype(np.float32)
@@ -224,6 +236,20 @@ class TestAttention:
         np.testing.assert_allclose(attention(q, k, v, scale, 4),
                                    naive_attention(q, k, v, scale, 4), atol=1e-5)
 
+    @pytest.mark.parametrize("nq,nk", [(528, 528), (14, 528), (3, 144)])
+    def test_feature_major_keys(self, rng, nq, nk):
+        # a store's [d, seq] key memory against the oracle and against the
+        # same keys in C order, which BLAS reads through a strided view
+        q = rng.standard_normal((nq, 128)).astype(np.float32)
+        k = rng.standard_normal((nk, 128)).astype(np.float32)
+        v = rng.standard_normal((nk, 128)).astype(np.float32)
+        feature_major = np.ascontiguousarray(k.T).T
+        out = attention(q, feature_major, v, 0.17, 4)
+        np.testing.assert_allclose(out, naive_attention(q, k, v, 0.17, 4),
+                                   atol=1e-5)
+        np.testing.assert_allclose(out, attention(q, k, v, 0.17, 4),
+                                   rtol=0, atol=1e-6)
+
     def test_weight_rows_stochastic(self, rng):
         # one head over identity values: output row i is query i's weights.
         # With queries scaled so scores reach 1e4, exp overflows float32
@@ -305,6 +331,16 @@ class TestForward:
                  s.row_positions.tobytes()) for s in cache] == before
         assert not any(np.shares_memory(s.keys, c.keys)
                        for s, c in zip(part.kv, cache))
+
+    def test_new_stores_keys_feature_major(self, tiny_weights, rng):
+        # no cache, and a compact cache scattered into a new store
+        tokens = rng.integers(0, 100, size=8)
+        full = forward_full(tokens, tiny_weights)
+        part = forward_partial(tokens, [7, 0, 3, 1, 6],
+                               served_cache(full, [2, 4, 5]), tiny_weights)
+        for result in (full, part):
+            assert all(s.keys.T.flags.c_contiguous for s in result.kv)
+            assert all(s.values.flags.c_contiguous for s in result.kv)
 
     def test_fused_projection_matches_separate(self, tiny_weights, rng):
         # layer 0's fresh K/V against separate wk/wv products and rotary

@@ -15,6 +15,7 @@ from time import perf_counter
 import pytest
 
 import dkvcache
+from dkvcache.selftest import FAULTS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = ("workloads", "checks", "tracing")
@@ -48,6 +49,14 @@ def test_setup_gate_passes(bench, weights):
     seq_len = workloads.WORKLOADS["greedy-random"].seq_len
     assert checks.reference_check(dkvcache, weights, seq_len, seed=3) == []
     assert checks.variant_gate(dkvcache, weights, seed=3) == []
+
+
+def test_variant_gate_sees_layout_fault(bench, weights):
+    # the byte-level audit reads the fresh and kept rows of the
+    # feature-major key store; a fresh row swapped with a cached one fails it
+    with FAULTS["layout"]():
+        failures = bench["checks"].variant_gate(dkvcache, weights, seed=3)
+    assert any("is not the row computed for it" in f for f in failures)
 
 
 @pytest.mark.parametrize("name", ["decode-long", "greedy-random"])
