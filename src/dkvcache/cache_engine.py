@@ -257,7 +257,9 @@ class CacheEngine:
     ascending int64 array). Each step recomputes exactly the positions
     the cache does not hold, so the one decision per step is which
     positions its commit keeps for the next step. One plan is produced
-    per step and shared read-only across layers.
+    per step and shared read-only across layers. ``predefined_order`` is
+    the sampler's random decode order, step t's decodes at entry t, kept
+    as given; only greedy reads it, to plan around the next decodes.
     """
 
     def __init__(
@@ -276,9 +278,7 @@ class CacheEngine:
         # read-only: ``_kept`` hands it out as the next cached positions
         self.prefill = np.arange(prompt_len, dtype=np.int64)
         self.prefill.setflags(write=False)
-        self.predefined_order = (
-            [tuple(int(p) for p in step) for step in predefined_order]
-            if predefined_order is not None else None)
+        self.predefined_order = predefined_order
         self.cached_positions = _NOTHING
         self.slabs: list[KVSlab] = []
 

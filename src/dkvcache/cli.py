@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import ctypes
 import dataclasses
 import json
@@ -308,15 +309,17 @@ def cmd_bench(args) -> int:
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "bench.csv"
-    with open(out_path, "w") as fh:
-        fh.write("variant,tokens_per_s,cache_ratio,total_rows,mac_reduction,"
-                 "output_match\n")
+    with open(out_path, "w", newline="") as fh:
+        # greedy's variant name holds commas; the writer quotes it
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow("variant tokens_per_s cache_ratio total_rows "
+                        "mac_reduction output_match".split())
         for variant, tokens, report, tps in results:
             row = [variant.describe(), "" if tps is None else f"{tps:.3f}",
                    f"{report.cache_ratio:.6f}", report.total_query_rows,
                    f"{1.0 - report.total_macs / base_report.total_macs:.6f}",
                    int(np.array_equal(tokens, baseline_tokens))]
-            fh.write(",".join(map(str, row)) + "\n")
+            writer.writerow(row)
     print(f"wrote {out_path}")
     return EXIT_OK
 

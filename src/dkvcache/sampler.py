@@ -216,13 +216,18 @@ def select_to_unmask(
     strategy: Remasking,
     k: int,
     active_block: tuple[int, int],
-    rng: np.random.Generator,
 ) -> tuple[int, ...]:
     """Pick the k positions to finalize this step; the rest stay masked.
 
+    Ranks by confidence or by margin; random remasking ranks nothing, its
+    decode order is drawn once per generation by ``_draw_decode_order``.
     Candidates are restricted to the active block. Score ties break
     toward the lowest position index so reruns are deterministic.
     """
+    if strategy is Remasking.RANDOM:
+        raise ValueError("random remasking does not rank candidates: its "
+                         "decode order is drawn once per generation by "
+                         "_draw_decode_order")
     positions = np.asarray(positions, dtype=np.int64)
     lo, hi = active_block
     in_block = (positions >= lo) & (positions < hi)
@@ -231,9 +236,6 @@ def select_to_unmask(
         raise ValueError(
             f"cannot finalize {k} tokens: only {pool.shape[0]} masked "
             "positions in the active block")
-    if strategy is Remasking.RANDOM:
-        chosen = rng.choice(pool, size=k, replace=False)
-        return tuple(sorted(int(p) for p in chosen))
     scores = confidence if strategy is Remasking.LOW_CONFIDENCE else margin
     scores = np.asarray(scores)[in_block]
     order = np.lexsort((pool, -scores))
@@ -275,13 +277,20 @@ class SamplerConfig:
 
 @dataclass
 class GenerationState:
-    """Mutable state of one generation; single-owner, stepped sequentially."""
+    """Mutable state of one generation; single-owner, stepped sequentially.
+
+    ``order`` is the decode order of random remasking, drawn before step 0
+    by ``_draw_decode_order``: step t finalizes exactly ``order[t]``,
+    whatever the cache variant. It is None under confidence remasking,
+    which ranks each step's candidates instead.
+    """
 
     tokens: np.ndarray
     prompt_len: int
     masked: np.ndarray  # bool per sequence position
     step: int
     rng: np.random.Generator
+    order: list[tuple[int, ...]] | None = None
 
 
 class GenerationError(RuntimeError):
@@ -297,19 +306,20 @@ def _draw_decode_order(
     prompt_len: int,
     rng: np.random.Generator,
 ) -> list[tuple[int, ...]]:
-    """Predraw the random decode order (uniform within each block)."""
-    per_block_steps: dict[int, list[int]] = {}
-    for step, b in enumerate(sched.block_of):
-        per_block_steps.setdefault(b, []).append(step)
-    order: list[tuple[int, ...]] = [() for _ in sched.counts]
-    for b, (start, end) in enumerate(sched.blocks):
-        perm = rng.permutation(np.arange(prompt_len + start, prompt_len + end))
-        offset = 0
-        for step in per_block_steps[b]:
-            k = sched.counts[step]
-            order[step] = tuple(sorted(int(p) for p in perm[offset:offset + k]))
-            offset += k
-    return order
+    """The decode order of random remasking, drawn once per generation.
+
+    Each block's positions are permuted uniformly and split over the
+    block's steps by the schedule's counts; entry t holds step t's
+    decodes, sorted. ``generate`` draws it before step 0 for every cache
+    variant, so one seed decodes the same positions under each.
+    """
+    perm = np.concatenate([
+        rng.permutation(np.arange(prompt_len + start, prompt_len + end))
+        for start, end in sched.blocks])
+    # a block's steps are consecutive, so its decodes are consecutive too
+    bounds = np.cumsum((0, *sched.counts)).tolist()
+    return [tuple(sorted(perm[lo:hi].tolist()))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def decode_step(
@@ -325,12 +335,13 @@ def decode_step(
     """Run one denoising step, mutating ``state`` and returning its record.
 
     The plan fixes the compute set, and from it the logit rows: the
-    positions whose logits the sampler reads. Outside greedy those are the
-    candidates, the masked positions of the active block, all of which the
-    plan computes; under greedy, the step's predefined decodes, read as
-    they are (``forward_partial`` rejects one the plan left uncomputed).
-    The forward pass produces K/V for every compute row but logits only
-    for the logit rows, so ``predict_x0`` sees one row per logit row.
+    positions whose logits the sampler reads. Under random remasking those
+    are the step's decodes from ``state.order``, read as they are
+    (``forward_partial`` rejects one the plan left uncomputed); under
+    confidence remasking, the candidates, the masked positions of the
+    active block, all of which the plan computes. The forward pass
+    produces K/V for every compute row but logits only for the logit
+    rows, so ``predict_x0`` sees one row per logit row.
     """
     mcfg = weights.config
     t = state.step
@@ -342,11 +353,11 @@ def decode_step(
     start_time = time.perf_counter() if timed else None
     plan = engine.plan_step(masked=state.masked, step=t)
     row_of = scatter_outputs(plan)
-    if engine.predefined_order is None:
+    if state.order is None:
         # the candidates: plan_step serves no masked position from cache
         read = np.flatnonzero(state.masked[block[0]:block[1]]) + block[0]
     else:
-        chosen = engine.predefined_order[t]
+        chosen = state.order[t]
         read = np.asarray(chosen, dtype=np.int64)
     result = forward_partial(state.tokens, plan.compute_set,
                              engine.cache_slabs(), weights,
@@ -357,9 +368,9 @@ def decode_step(
     # the absorbing state is not a clean token; never propose it as x0
     rows[:, mcfg.mask_token_id] = -np.inf
     ids, confidence, margin = predict_x0(rows, cfg.temperature, state.rng)
-    if engine.predefined_order is None:
+    if state.order is None:
         chosen = select_to_unmask(read, confidence, margin,
-                                  cfg.remasking, k, block, state.rng)
+                                  cfg.remasking, k, block)
     id_of = dict(zip(read.tolist(), ids.tolist()))
     decoded_ids = tuple(id_of[p] for p in chosen)
     for pos, tok in zip(chosen, decoded_ids):
@@ -433,14 +444,13 @@ def generate(
 
     sched = tokens_per_step_schedule(cfg.gen_len, cfg.steps, cfg.block_size)
     rng = np.random.default_rng(cfg.sample_seed)
-    predefined = None
-    if cfg.cache.kind is VariantKind.GREEDY:
-        predefined = _draw_decode_order(sched, prompt.shape[0], rng)
+    order = (_draw_decode_order(sched, prompt.shape[0], rng)
+             if cfg.remasking is Remasking.RANDOM else None)
     engine = CacheEngine(
         cfg.cache,
         seq_len=seq_len,
         prompt_len=prompt.shape[0],
-        predefined_order=predefined,
+        predefined_order=order,
     )
 
     tokens = np.full(seq_len, mcfg.mask_token_id, dtype=np.int64)
@@ -451,6 +461,7 @@ def generate(
         masked=tokens == mcfg.mask_token_id,
         step=0,
         rng=rng,
+        order=order,
     )
     records: list[StepRecord] = []
 

@@ -55,22 +55,25 @@ def check_refresh_degeneracy(
     steps: int, block_size: int, first_seed: int = 0,
     on_trace: Callable[[str, StepTrace], None] | None = None,
 ) -> Check:
-    """``decode:1`` against ``none``: the same sequence and, step by step,
-    the same decoded positions and ids, bit for bit.
+    """``decode:1``, and under random remasking ``greedy:1`` too, against
+    ``none``: the same sequence and, step by step, the same decoded
+    positions and ids, bit for bit.
 
     Seed ``i`` samples with ``first_seed + i``. The first half of the
-    seeds remask randomly on ``weights``; the second half remask by low
-    confidence, each on weights re-seeded to ``100 + i``. ``on_trace``
-    receives every trace the check produces.
+    seeds remask randomly on ``weights``, where every variant decodes the
+    one order drawn before step 0; the second half remask by low
+    confidence, which greedy does not take, each on weights re-seeded to
+    ``100 + i``. ``on_trace`` receives every trace the check produces.
     """
     for i in range(seeds):
         remasking, case_weights = Remasking.RANDOM, weights
+        variants = (CacheVariant.decode(1), CacheVariant.greedy(1))
         if i >= seeds // 2:
-            remasking = Remasking.LOW_CONFIDENCE
+            remasking, variants = Remasking.LOW_CONFIDENCE, variants[:1]
             case_weights = init_weights(
                 dataclasses.replace(weights.config, weight_seed=100 + i))
         runs = []
-        for variant in (CacheVariant.none(), CacheVariant.decode(1)):
+        for variant in (CacheVariant.none(), *variants):
             cfg = SamplerConfig(gen_len=gen_len, steps=steps,
                                 block_size=block_size, remasking=remasking,
                                 sample_seed=first_seed + i, cache=variant)
@@ -79,12 +82,14 @@ def check_refresh_degeneracy(
                 on_trace(f"seed {first_seed + i} {variant.describe()}", trace)
             runs.append((tokens, [(r.decoded_positions, r.decoded_ids)
                                   for r in trace.records]))
-        (plain, plain_steps), (cached, cached_steps) = runs
-        if not np.array_equal(plain, cached):
-            return False, f"seed {first_seed + i}: sequences differ"
-        if plain_steps != cached_steps:
-            return False, (f"seed {first_seed + i}: per-step decoded "
-                           "positions or ids differ")
+        (plain, plain_steps), *cached_runs = runs
+        for variant, (cached, cached_steps) in zip(variants, cached_runs):
+            label = f"seed {first_seed + i} {variant.describe()}"
+            if not np.array_equal(plain, cached):
+                return False, f"{label}: sequences differ"
+            if plain_steps != cached_steps:
+                return False, (f"{label}: per-step decoded positions or ids "
+                               "differ")
     return True, f"{seeds}/{seeds} seeds bit-identical"
 
 

@@ -266,6 +266,18 @@ class TestBenchCommand:
             assert rows[row]["variant"] == "decode(N=1)"
             assert rows[row]["output_match"] == "1"
 
+    def test_greedy_refresh_one_matches_baseline(self, tmp_path):
+        # under random remasking every variant decodes one predrawn order,
+        # so greedy recomputing every row on every step is the baseline
+        path, out = write_config(tmp_path, sampler={"remasking": "random"})
+        assert main(["bench", "--config", str(path),
+                     "--variants", "none,greedy:1:4",
+                     "--deterministic"]) == EXIT_OK
+        with open(out / "bench.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[1]["variant"] == "greedy(N=1,w=4,center=previous)"
+        assert rows[1]["output_match"] == "1"
+
     def test_repeat_median(self, tmp_path):
         path, out = write_config(tmp_path, deterministic=False)
         assert main(["bench", "--config", str(path),

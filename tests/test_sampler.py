@@ -156,42 +156,74 @@ class TestPredictX0:
 
 
 class TestSelectToUnmask:
-    def test_top_confidence(self, rng):
+    def test_top_confidence(self):
         chosen = select_to_unmask(
             [3, 5, 7], np.array([0.9, 0.5, 0.7]), np.array([0.0, 0.0, 0.0]),
-            Remasking.LOW_CONFIDENCE, 1, (0, 10), rng)
+            Remasking.LOW_CONFIDENCE, 1, (0, 10))
         assert chosen == (3,)
 
-    def test_top_margin(self, rng):
+    def test_top_margin(self):
         chosen = select_to_unmask(
             [3, 5], np.array([0.0, 0.0]), np.array([0.30, 0.05]),
-            Remasking.TOP_MARGIN, 1, (0, 10), rng)
+            Remasking.TOP_MARGIN, 1, (0, 10))
         assert chosen == (3,)
 
-    def test_random_seeded_rerun(self):
-        args = ([0, 1, 2, 3, 4, 5, 6, 7], np.zeros(8), np.zeros(8),
-                Remasking.RANDOM, 2, (0, 8))
-        first = select_to_unmask(*args, np.random.default_rng(42))
-        second = select_to_unmask(*args, np.random.default_rng(42))
-        assert first == second
-        assert len(first) == 2 and all(0 <= p < 8 for p in first)
+    def test_random_is_rejected(self):
+        # random remasking's order is drawn once per generation; ranking
+        # here would silently pick by margin
+        with pytest.raises(ValueError, match="_draw_decode_order"):
+            select_to_unmask([0, 1, 2, 3], np.zeros(4), np.zeros(4),
+                             Remasking.RANDOM, 2, (0, 4))
 
-    def test_block_restriction(self, rng):
+    def test_block_restriction(self):
         chosen = select_to_unmask(
             [1, 5, 9], np.array([0.9, 0.1, 0.95]), np.zeros(3),
-            Remasking.LOW_CONFIDENCE, 1, (4, 8), rng)
+            Remasking.LOW_CONFIDENCE, 1, (4, 8))
         assert chosen == (5,)  # 1 and 9 fall outside the block
 
-    def test_k_exceeds_pool(self, rng):
+    def test_k_exceeds_pool(self):
         with pytest.raises(ValueError, match="only"):
             select_to_unmask([2], np.array([0.5]), np.array([0.5]),
-                             Remasking.RANDOM, 2, (0, 10), rng)
+                             Remasking.LOW_CONFIDENCE, 2, (0, 10))
 
-    def test_ties_break_low_position(self, rng):
+    def test_ties_break_low_position(self):
         chosen = select_to_unmask(
             [4, 2, 6], np.array([0.5, 0.5, 0.5]), np.zeros(3),
-            Remasking.LOW_CONFIDENCE, 2, (0, 10), rng)
+            Remasking.LOW_CONFIDENCE, 2, (0, 10))
         assert chosen == (2, 4)
+
+
+class TestDecodeOrder:
+    """Random remasking draws its decode order once per generation, the
+    same for every cache variant."""
+
+    def test_draw_follows_the_schedule(self):
+        sched = tokens_per_step_schedule(40, 12, 16)
+        order = sampler_mod._draw_decode_order(
+            sched, 5, np.random.default_rng(42))
+        assert order == sampler_mod._draw_decode_order(
+            sched, 5, np.random.default_rng(42))
+        for step, positions in enumerate(order):
+            lo, hi = sched.blocks[sched.block_of[step]]
+            assert len(positions) == sched.counts[step]
+            assert list(positions) == sorted(positions)
+            assert all(5 + lo <= p < 5 + hi for p in positions)
+        drawn = [p for positions in order for p in positions]
+        assert sorted(drawn) == list(range(5, 45))
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_every_variant_decodes_the_same_positions(self, tiny_weights,
+                                                      temperature):
+        decoded = {}
+        for variant in ("none", "decode:8", "prefill", "pd:8", "greedy:8:4"):
+            cfg = SamplerConfig(gen_len=32, steps=16, block_size=16,
+                                sample_seed=4, temperature=temperature,
+                                remasking=Remasking.RANDOM,
+                                cache=CacheVariant.parse(variant))
+            _, trace = generate(np.arange(1, 9), cfg, tiny_weights,
+                                timed=False)
+            decoded[variant] = [r.decoded_positions for r in trace.records]
+        assert all(steps == decoded["none"] for steps in decoded.values())
 
 
 class TestSamplerConfig:
@@ -337,8 +369,11 @@ class TestLogitRows:
         monkeypatch.setattr(sampler_mod, "predict_x0", counting)
         return seen
 
+    # under random remasking every variant, not only greedy, reads just
+    # the step's decodes
     @pytest.mark.parametrize("variant", ["greedy:4:2", "greedy:inf:0",
-                                         "greedy:2:4:current"])
+                                         "greedy:2:4:current", "none",
+                                         "decode:3", "prefill"])
     def test_greedy_reads_the_decodes(self, tiny_weights, monkeypatch,
                                       variant):
         seen = self.count_rows(monkeypatch)
