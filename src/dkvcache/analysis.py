@@ -148,14 +148,15 @@ def kv_dynamics(
     if np.ndim(keys) != 3 or np.shape(keys) != np.shape(values):
         raise ValueError("snapshots missing or malformed")
     steps = keys.shape[0]
+    if steps < 2:
+        raise ValueError(f"{steps} snapshot step(s); dynamics need at least "
+                         "two (rerun generate with more steps)")
     decode_steps = np.asarray(decode_steps)
     if (decode_steps.shape != keys.shape[1:2]
             or not np.issubdtype(decode_steps.dtype, np.integer)
             or ((decode_steps < -1) | (decode_steps >= steps)).any()):
         raise ValueError(f"decode steps must be {keys.shape[1]} integers in "
                          f"[-1, {steps}), one per position")
-    if steps < 2:
-        raise ValueError("need at least two snapshots for dynamics")
     key_eu, key_cos = _pairwise(keys)
     val_eu, val_cos = _pairwise(values)
 

@@ -4,13 +4,16 @@ The run config is a strict JSON file: unknown keys are rejected so typos
 in variant names surface immediately. Under ``--deterministic`` the BLAS
 thread pool is capped at one thread and wall-clock fields are suppressed,
 which makes every output file byte-reproducible for a fixed config.
+Otherwise the BLAS library's own variables (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``) set the pool.
 
 Commands raise; ``main`` alone turns a failure into an exit code. 0 is
 success, 1 a failed selftest, 2 a config, input file or output path
 problem (``ConfigError`` or ``OSError``) or a model too large to
 allocate (``MemoryError``), 3 a failed generation
-(``GenerationError``; ``generate`` writes the partial trace first) and 4
-no usable snapshots for ``analyze``, which that command reports itself.
+(``GenerationError``; ``generate`` writes the partial trace first), 4
+no usable snapshots for ``analyze``, which that command reports itself,
+and 141 a closed stdout (``BrokenPipeError``), which prints nothing.
 Any other exception is a bug and keeps its traceback.
 """
 
@@ -47,6 +50,7 @@ EXIT_SELFTEST_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_NO_SNAPSHOTS = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: a shell's status for a killed writer
 
 
 @dataclass
@@ -176,26 +180,14 @@ def _openblas_threads():
 
 @contextlib.contextmanager
 def _thread_cap(deterministic: bool):
-    """Honor DKV_THREADS; deterministic mode pins the kernels to one thread.
+    """Pin the BLAS kernels to one thread in deterministic mode; otherwise
+    leave the pool as the BLAS library's own variables set it.
 
     The cap goes through threadpoolctl when it is installed, otherwise
     through numpy's bundled OpenBLAS. Deterministic mode is refused when
     neither can apply it.
     """
-    env = os.environ.get("DKV_THREADS")
-    try:
-        limit = None if env is None else int(env)
-    except ValueError:
-        limit = 0
-    if limit is not None and limit < 1:
-        raise ConfigError(f"DKV_THREADS={env} is not a positive integer")
-    if deterministic:
-        if limit not in (None, 1):
-            raise ConfigError(
-                f"DKV_THREADS={env} conflicts with deterministic mode "
-                "(must be 1)")
-        limit = 1
-    if limit is None:
+    if not deterministic:
         yield
         return
     try:
@@ -203,20 +195,17 @@ def _thread_cap(deterministic: bool):
     except ImportError:
         pass
     else:
-        with threadpool_limits(limits=limit):
+        with threadpool_limits(limits=1):
             yield
         return
     blas = _openblas_threads()
     if blas is None:
-        if deterministic:
-            raise ConfigError(
-                "deterministic mode cannot cap BLAS threads: neither "
-                "threadpoolctl nor numpy's bundled OpenBLAS is available")
-        yield
-        return
+        raise ConfigError(
+            "deterministic mode cannot cap BLAS threads: neither "
+            "threadpoolctl nor numpy's bundled OpenBLAS is available")
     get, set_ = blas
     previous = get()
-    set_(limit)
+    set_(1)
     try:
         yield
     finally:
@@ -336,13 +325,7 @@ def cmd_analyze(args) -> int:
               "sampler.snapshot_layer (or --snapshots LAYER)", file=sys.stderr)
         return EXIT_NO_SNAPSHOTS
     try:
-        keys, values, decode_steps = (np.load(p) for p in needed)
-        if np.ndim(keys) == 3 and len(keys) < 2:
-            print(f"{len(keys)} snapshot step(s) found next to the trace; "
-                  "dynamics need at least two (rerun generate with more "
-                  "steps)", file=sys.stderr)
-            return EXIT_NO_SNAPSHOTS
-        result = analysis.kv_dynamics(keys, values, decode_steps)
+        result = analysis.kv_dynamics(*(np.load(p) for p in needed))
     except (OSError, EOFError, ValueError) as exc:  # EOFError: empty file
         print(f"unusable snapshots next to the trace: {exc}", file=sys.stderr)
         return EXIT_NO_SNAPSHOTS
@@ -398,7 +381,13 @@ def main(argv=None) -> int:
     """Run one command; the only place a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; devnull keeps the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ConfigError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

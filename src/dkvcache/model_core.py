@@ -17,8 +17,8 @@ produce bit-identical outputs as long as the BLAS thread count does not
 change between calls.
 
 ``forward_partial`` checks a cache's structure and the cached/compute
-partition once per call, but not row values: non-finite numbers can only
-enter through the config, which rejects them.
+partition as it opens the store, once per call, but not row values:
+non-finite numbers can only enter through the config, which rejects them.
 """
 
 from __future__ import annotations
@@ -365,39 +365,23 @@ def _validate_tokens(tokens: np.ndarray, config: ModelConfig) -> None:
         raise ValueError("invalid token id: outside [0, vocab_size)")
 
 
-def _validate_cache(
-    cache: list[KVSlab] | None,
-    compute_set: np.ndarray,
-    seq_len: int,
-    config: ModelConfig,
-) -> np.ndarray:
-    """Check the cache's structure and that cached and compute positions
-    partition ``range(seq_len)`` (ranges first, then one O(seq_len) count);
-    return the cached positions. ``None`` or ``[]`` is no cache."""
-    if not cache:
-        cached = np.zeros(0, dtype=np.int64)
-    else:
-        if len(cache) != config.n_layers:
-            raise ValueError(
-                f"cache layer count mismatch: got {len(cache)}, "
-                f"expected {config.n_layers}")
-        cached = cache[0].row_positions
-        n = cached.shape[0]
-        for i, slab in enumerate(cache):
-            if slab.layer != i:
-                raise ValueError(f"cache slab at index {i} claims layer {slab.layer}")
-            # compact (one row per cached position) or a store (one per position)
-            rows = slab.keys.shape[0]
-            if rows not in (n, seq_len) or slab.values.shape[0] != rows:
-                raise ValueError(f"layer {i}: cache row/position mismatch "
-                                 f"(keys {rows}, values "
-                                 f"{slab.values.shape[0]}, positions {n})")
-            # the engine's slabs share one positions array: no comparison
-            if (slab.row_positions is not cached
-                    and not np.array_equal(slab.row_positions, cached)):
-                raise ValueError(
-                    "cache row/position mismatch: layers disagree on cached "
-                    "positions")
+def _open_store(cache: list[KVSlab] | None, compute_set: np.ndarray,
+                seq_len: int, config: ModelConfig) -> list[KVSlab]:
+    """Check ``cache`` and return every layer's natural-order store.
+
+    Before any indexing, the layer count and that cached and compute
+    positions partition ``range(seq_len)`` (ranges first, then one
+    O(seq_len) count); ``None`` or ``[]`` is no cache. Then one pass checks
+    each slab and opens it: one row per cached position is compact, its
+    rows scattered into new arrays at their positions; otherwise
+    ``seq_len`` rows are a store, used as it is. New keys are the
+    transpose of a C-order [width, seq_len] array (see ``KVSlab``); new
+    values are C-order [seq_len, width].
+    """
+    if cache and len(cache) != config.n_layers:
+        raise ValueError(f"cache layer count mismatch: got {len(cache)}, "
+                         f"expected {config.n_layers}")
+    cached = cache[0].row_positions if cache else np.zeros(0, dtype=np.int64)
     combined = np.concatenate([cached, compute_set])
     if combined.size and (combined.min() < 0 or combined.max() >= seq_len):
         raise ValueError(f"position out of range: outside [0, {seq_len})")
@@ -407,25 +391,32 @@ def _validate_cache(
         raise ValueError(
             "incomplete split: cached and compute positions must partition "
             "the sequence")
-    return cached
-
-
-def _open_store(cache, cached: np.ndarray, seq_len: int, width: int,
-                n_layers: int) -> list[KVSlab]:
-    """Every layer's natural-order store: a store slab as it is, else new
-    arrays with a compact slab's rows scattered to their positions. New
-    keys are the transpose of a C-order [width, seq_len] array (see
-    ``KVSlab``); new values are C-order [seq_len, width]."""
+    n, width = cached.shape[0], config.d_model
     everywhere, store = np.arange(seq_len), []
-    for idx in range(n_layers):
+    for idx in range(config.n_layers):
         slab = cache[idx] if cache else None
-        if slab is not None and slab.keys.shape[0] != slab.n_rows:
-            keys, values = slab.keys, slab.values
-        else:
+        rows = n if slab is None else slab.keys.shape[0]
+        if slab is not None:
+            if slab.layer != idx:
+                raise ValueError(
+                    f"cache slab at index {idx} claims layer {slab.layer}")
+            if rows not in (n, seq_len) or slab.values.shape[0] != rows:
+                raise ValueError(f"layer {idx}: cache row/position mismatch "
+                                 f"(keys {rows}, values "
+                                 f"{slab.values.shape[0]}, positions {n})")
+            # the engine's slabs share one positions array: no comparison
+            if (slab.row_positions is not cached
+                    and not np.array_equal(slab.row_positions, cached)):
+                raise ValueError(
+                    "cache row/position mismatch: layers disagree on cached "
+                    "positions")
+        if rows == n:
             keys = np.empty((width, seq_len), dtype=np.float32).T
             values = np.empty((seq_len, width), dtype=np.float32)
             if slab is not None:
                 keys[cached], values[cached] = slab.keys, slab.values
+        else:
+            keys, values = slab.keys, slab.values
         store.append(KVSlab(idx, keys, values, everywhere))
     return store
 
@@ -471,7 +462,6 @@ def forward_partial(
     _validate_tokens(tokens, config)
     seq_len = tokens.shape[0]
     comp = np.asarray(compute_set, dtype=np.int64)
-    cached = _validate_cache(cache, comp, seq_len, config)
     if logit_rows is not None:
         logit_rows = np.asarray(logit_rows, dtype=np.int64)
         if logit_rows.ndim != 1 or logit_rows.size and (
@@ -480,7 +470,7 @@ def forward_partial(
                 f"logit row out of range: outside [0, {comp.shape[0]})")
 
     d = config.d_model
-    store = _open_store(cache, cached, seq_len, d, config.n_layers)
+    store = _open_store(cache, comp, seq_len, config)
     rot = _rope_table(float(config.rope_base), config.d_head, seq_len)[comp]
     h = weights.embedding[tokens[comp]]
     scale = 1.0 / math.sqrt(config.d_head)

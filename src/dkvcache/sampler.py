@@ -397,8 +397,9 @@ def decode_step(
         record.key_snapshot = slab.keys.copy()
         record.value_snapshot = slab.values.copy()
     if kv_audit:
+        # fresh_kv's keys and values are already copies of the store's rows
         record.audit = StepAudit(
-            fresh=[(s.row_positions.copy(), s.keys.copy(), s.values.copy())
+            fresh=[(s.row_positions.copy(), s.keys, s.values)
                    for s in result.fresh_kv],
             cached_after=[(s.row_positions.copy(), s.keys[s.row_positions],
                            s.values[s.row_positions]) for s in engine.slabs],

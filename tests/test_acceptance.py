@@ -41,10 +41,6 @@ def _report(num, status, name, detail):
     print(f"\nACCEPTANCE {num:02d} {status} {name}: {detail}")
 
 
-def _thread_cap_one():
-    return _thread_cap(True)
-
-
 def _passes(num, name, result):
     """Assert one check's (ok, detail) and print its status line."""
     ok, detail = result
@@ -214,7 +210,7 @@ def test_criterion_07_wall_clock(toy_weights):
     """Informational: caching should beat the baseline on one CPU thread."""
     prompt = (np.arange(16) % 400) + 1
     kwargs = dict(gen_len=512, steps=256, block_size=512, sample_seed=11)
-    with _thread_cap_one():
+    with _thread_cap(True):
         _, base_trace = generate(prompt, SamplerConfig(
             **kwargs, cache=CacheVariant.none()), toy_weights, timed=True)
         _, dec_trace = generate(prompt, SamplerConfig(

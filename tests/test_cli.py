@@ -16,6 +16,7 @@ import dkvcache
 from dkvcache import CacheVariant, ConfigError, tokens_per_step_schedule
 from dkvcache.analysis import build_report
 from dkvcache.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_NO_SNAPSHOTS,
     EXIT_OK,
@@ -301,23 +302,12 @@ class TestBenchCommand:
 
 
 class TestThreadCap:
-    def test_deterministic_caps_blas_at_one(self, monkeypatch):
-        monkeypatch.delenv("DKV_THREADS", raising=False)
+    def test_deterministic_caps_blas_at_one(self):
         get, _ = _openblas_threads()
         before = get()
         with _thread_cap(True):
             assert get() == 1
         assert get() == before
-
-    @pytest.mark.parametrize("command", [
-        ["generate"], ["bench", "--variants", "none"]])
-    def test_bad_env_exit_2(self, tmp_path, monkeypatch, capsys, command):
-        for deterministic, env in ((True, "2"), (False, "abc"), (False, "0"),
-                                   (False, "²")):
-            path, _ = write_config(tmp_path, deterministic=deterministic)
-            monkeypatch.setenv("DKV_THREADS", env)
-            assert main([*command, "--config", str(path)]) == EXIT_CONFIG
-            assert "DKV_THREADS" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -352,14 +342,15 @@ def _npz_renamed(path):
     path.with_suffix(".npz").replace(path)
 
 
-def run_cli(*argv):
+def run_cli(*argv, stdout=subprocess.PIPE, **env):
     """Run the CLI in a fresh interpreter, as a shell would, so an uncaught
-    exception shows up as a traceback on stderr and exit status 1."""
+    exception shows up as a traceback on stderr and exit status 1; ``env``
+    adds environment variables."""
     src = str(Path(dkvcache.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "dkvcache.cli", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
 
 
 class TestExitCodes:
@@ -409,6 +400,22 @@ class TestExitCodes:
         assert proc.stderr.startswith("config error: ")
         assert len(proc.stderr.splitlines()) == 1
         assert named in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exit_141(self, tmp_path, unbuffered):
+        # the pipe's read end is closed before the CLI starts, as when
+        # `dkvcache generate ... | true` has already exited
+        path, _ = write_config(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli("generate", "--config", str(path),
+                           stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE, proc.stderr
+        assert proc.stderr == ""
 
     def test_analyze_output_under_file_exit_2(self, tmp_path):
         # an output directory under a regular file, then a missing trace

@@ -397,6 +397,10 @@ class TestForward:
         (lambda c, comp: ([KVSlab(0, c[0].keys[:1], c[0].values,
                                   c[0].row_positions), c[1]], comp),
          "row/position mismatch"),
+        # a store's keys (one row per position) with compact values
+        (lambda c, comp: ([KVSlab(0, np.vstack([c[0].keys] * 3), c[0].values,
+                                  c[0].row_positions), c[1]], comp),
+         "row/position mismatch"),
         (lambda c, comp: ([c[0], KVSlab(1, c[1].keys, c[1].values,
                                         np.array([1, 3]))], comp),
          "layers disagree"),
@@ -404,8 +408,9 @@ class TestForward:
         (lambda c, comp: (c, np.array([0, 3, 4])), "incomplete"),
         (lambda c, comp: (c, np.array([-1, 3, 4, 5])), "out of range"),
         (lambda c, comp: (c, np.array([0, 3, 4, 6])), "out of range"),
-    ], ids=["layer-count", "wrong-layer", "row-count", "positions-disagree",
-            "overlap", "incomplete", "negative", "at-seq-len"])
+    ], ids=["layer-count", "wrong-layer", "row-count", "store-values",
+            "positions-disagree", "overlap", "incomplete", "negative",
+            "at-seq-len"])
     def test_malformed_cache_rejected(self, tiny_weights, rng, corrupt,
                                       message):
         # a 6-token sequence with positions 1 and 2 cached on both layers

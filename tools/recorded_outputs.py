@@ -46,7 +46,6 @@ def _cli(src: Path, command: str, config: dict, work: Path, args=()) -> None:
     path = work / "config.json"
     path.write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop("DKV_THREADS", None)
     subprocess.run([sys.executable, "-m", "dkvcache.cli", command,
                     "--config", str(path), "--deterministic", *args],
                    env=env, check=True, stdout=subprocess.DEVNULL)
