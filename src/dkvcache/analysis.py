@@ -84,12 +84,19 @@ class TokenStat:
     decode_step: int
     pre_mean: float
     post_mean: float
-    max_change_step: int
-    top2_max_steps: tuple[int, int]
-    top2_min_steps: tuple[int, int]
+    top2_max_steps: tuple[int, ...]
+    top2_min_steps: tuple[int, ...]
     reveal_change: float
     median_change: float
-    spike: bool
+
+    @property
+    def max_change_step(self) -> int:
+        return self.top2_max_steps[0]
+
+    @property
+    def spike(self) -> bool:
+        # NaN, a reveal at the final step, compares False
+        return self.reveal_change > self.median_change
 
 
 @dataclass
@@ -143,7 +150,9 @@ def kv_dynamics(
     position ``p`` was revealed (-1 for prompt positions). Emits pairwise
     step distance matrices, per-token pre/post-reveal change means, and
     the fraction of tokens whose change at the reveal transition exceeds
-    their own median step change. Malformed inputs raise ValueError.
+    their own median step change. Each token's top-2 largest and smallest
+    change steps hold one step when the run has one transition (two
+    steps). Malformed inputs raise ValueError.
     """
     if np.ndim(keys) != 3 or np.shape(keys) != np.shape(values):
         raise ValueError("snapshots missing or malformed")
@@ -162,41 +171,29 @@ def kv_dynamics(
 
     changes = np.linalg.norm(keys[1:] - keys[:-1], axis=2)  # [steps-1, seq]
     stats: list[TokenStat] = []
-    spikes = []
     for pos in range(keys.shape[1]):
         reveal = int(decode_steps[pos])
         if reveal < 0:
             continue
         series = changes[:, pos]
-        order = np.argsort(series, kind="stable")
-        top_max = (int(order[-1]) + 1, int(order[-2]) + 1)
-        top_min = (int(order[0]) + 1, int(order[1]) + 1)
+        order = [int(step) for step in np.argsort(series, kind="stable") + 1]
         pre = float(series[:reveal].mean()) if reveal > 0 else float("nan")
         post = (float(series[reveal + 1:].mean())
                 if reveal + 1 < series.shape[0] else float("nan"))
-        if reveal < series.shape[0]:
-            reveal_change = float(series[reveal])
-            median = float(np.median(series))
-            spike = reveal_change > median
-            spikes.append(spike)
-        else:
-            # revealed at the final step: no later snapshot to observe
-            reveal_change = float("nan")
-            median = float(np.median(series))
-            spike = False
         stats.append(TokenStat(
             position=pos,
             decode_step=reveal,
             pre_mean=pre,
             post_mean=post,
-            max_change_step=int(order[-1]) + 1,
-            top2_max_steps=top_max,
-            top2_min_steps=top_min,
-            reveal_change=reveal_change,
-            median_change=median,
-            spike=spike,
+            top2_max_steps=tuple(order[::-1][:2]),
+            top2_min_steps=tuple(order[:2]),
+            # revealed at the final step: no later snapshot to observe
+            reveal_change=(float(series[reveal])
+                           if reveal < series.shape[0] else float("nan")),
+            median_change=float(np.median(series)),
         ))
-    fraction = float(np.mean(spikes)) if spikes else 0.0
+    observed = [s.spike for s in stats if s.decode_step < changes.shape[0]]
+    fraction = float(np.mean(observed)) if observed else 0.0
     return DynamicsResult(
         key_euclidean=key_eu,
         key_cosine=key_cos,

@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
-    "check_types",
     "ModelConfig",
     "LayerWeights",
     "ModelWeights",

@@ -1,17 +1,18 @@
 """Embedded fast self-test: one body per oracle, sized by its caller.
 
-Each ``check_*`` function takes its size (cases, seeds, sequence range)
-and returns ``(ok, detail)``. ``run_selftest`` calls every check small
-and prints one PASS/FAIL line per check; the acceptance suite calls the
-same checks at acceptance size. ``check_step_schedule`` takes no size:
-it holds the package's one copy of the enumerated per-step decode
-counts, and the unit tests call it too. ``FAULTS`` maps each
-``--fault-inject`` name to a context manager that breaks the engine for
-the duration of the run: ``layout`` makes every pass that serves a cache
-swap a fresh row with a cached one in the store, which only the kept
-rows oracle sees, since attention reads every row either way;
-``rope`` reverses every rotation and ``rope-freq`` builds the rotary rows
-with twice the base; only the rotary reference sees either.
+Each ``check_*`` function takes its size (cases, seeds, head counts,
+sequence range) and returns ``(ok, detail)``. ``run_selftest`` calls
+every check small and prints one PASS/FAIL line per check; acceptance
+criteria 1, 2, 3, 8 and 12 call the same checks at acceptance size.
+``check_step_schedule`` takes no size: it holds the package's one copy
+of the enumerated per-step decode counts, and the unit tests call it
+too. ``FAULTS`` maps each ``--fault-inject`` name to a context manager
+that breaks the engine for the duration of the run: ``layout`` makes
+every pass that serves a cache swap a fresh row with a cached one in the
+store, which only the kept rows oracle sees, since attention reads every
+row either way; ``rope`` reverses every rotation and ``rope-freq`` builds
+the rotary rows with twice the base; only the rotary reference sees
+either.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-from typing import Callable
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,6 @@ from .model_core import (ForwardResult, KVSlab, ModelConfig, ModelWeights,
                          rope_rotate)
 from .sampler import (NoiseSchedule, Remasking, SamplerConfig, corrupt,
                       generate, tokens_per_step_schedule)
-from .trace import StepTrace
 from .analysis import verify_trace_invariants
 
 __all__ = ["FAULTS", "check_corruption_marginal", "check_kept_rows",
@@ -53,7 +53,6 @@ _TINY = ModelConfig(
 def check_refresh_degeneracy(
     weights: ModelWeights, *, seeds: int, prompt: np.ndarray, gen_len: int,
     steps: int, block_size: int, first_seed: int = 0,
-    on_trace: Callable[[str, StepTrace], None] | None = None,
 ) -> Check:
     """``decode:1``, and under random remasking ``greedy:1`` too, against
     ``none``: the same sequence and, step by step, the same decoded
@@ -63,7 +62,7 @@ def check_refresh_degeneracy(
     seeds remask randomly on ``weights``, where every variant decodes the
     one order drawn before step 0; the second half remask by low
     confidence, which greedy does not take, each on weights re-seeded to
-    ``100 + i``. ``on_trace`` receives every trace the check produces.
+    ``100 + i``.
     """
     for i in range(seeds):
         remasking, case_weights = Remasking.RANDOM, weights
@@ -78,8 +77,6 @@ def check_refresh_degeneracy(
                                 block_size=block_size, remasking=remasking,
                                 sample_seed=first_seed + i, cache=variant)
             tokens, trace = generate(prompt, cfg, case_weights, timed=False)
-            if on_trace is not None:
-                on_trace(f"seed {first_seed + i} {variant.describe()}", trace)
             runs.append((tokens, [(r.decoded_positions, r.decoded_ids)
                                   for r in trace.records]))
         (plain, plain_steps), *cached_runs = runs
@@ -223,37 +220,43 @@ def check_kept_rows(
     return True, f"{cases} cases, K/V exact, logits within {worst:.1e}"
 
 
-def check_rotary_reference(*, n_heads: int, seed: int) -> Check:
-    """``rope_rotate`` of a non-contiguous view, as the [q | k] columns of
-    a qkv block are, against a float64 rotation of each (2i, 2i+1) pair
-    by position * base**(-2i/d_head), with the rows of both sources:
-    ``rope_rows`` of the positions, and ``_rope_table``'s rows at them.
-    Each must leave the input as it was and return C-order float32 within
-    1e-6 of the rotation. Both are looked up on the module, so a fault
-    that patches ``rope_rows`` is seen by both."""
-    rng = np.random.default_rng(seed)
+def check_rotary_reference(*, head_counts: tuple[int, ...],
+                           seeds: range) -> Check:
+    """For each head count and seed: ``rope_rotate`` of a non-contiguous
+    view, as the [q | k] columns of a qkv block are, against a float64
+    rotation of each (2i, 2i+1) pair by position * base**(-2i/d_head),
+    with the rows of both sources: ``rope_rows`` of the positions, and
+    ``_rope_table``'s rows at them. Each must leave the input as it was
+    and return C-order float32 within 1e-6 of the rotation. Both are
+    looked up on the module, so a fault that patches ``rope_rows`` is
+    seen by both."""
     d_head, max_positions, base = 16, 2048, 10000.0
-    width = n_heads * d_head
-    positions = rng.integers(0, max_positions, size=12)
-    block = rng.standard_normal((12, 3 * width)).astype(np.float32)
-    before, states = block.copy(), block[:, :width]
-    x = states.astype(np.float64).reshape(12, n_heads, d_head // 2, 2)
-    theta = positions[:, None] * base ** (-np.arange(0, d_head, 2) / d_head)
-    cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
-    want = np.stack([x[..., 0] * cos - x[..., 1] * sin,
-                     x[..., 0] * sin + x[..., 1] * cos], axis=-1)
-    worst = 0.0
     table = model_core._rope_table(base, d_head, max_positions)
-    for source, rows in (("rope_rows", model_core.rope_rows(positions, base, d_head)),
-                         ("table", table[positions])):
-        got = rope_rotate(states, rows)
-        if got.dtype != np.float32 or not got.flags.c_contiguous:
-            return False, f"{source}: not C-order float32"
-        if block.tobytes() != before.tobytes():
-            return False, f"{source}: the input was changed"
-        worst = max(worst, float(np.abs(got - want.reshape(12, -1)).max()))
-        if not worst <= 1e-6:
-            return False, f"{source}: max diff {worst:.2e} > 1e-06"
+    freqs = base ** (-np.arange(0, d_head, 2) / d_head)
+    worst = 0.0
+    for n_heads, seed in itertools.product(head_counts, seeds):
+        rng = np.random.default_rng(seed)
+        width = n_heads * d_head
+        positions = rng.integers(0, max_positions, size=12)
+        block = rng.standard_normal((12, 3 * width)).astype(np.float32)
+        before, states = block.copy(), block[:, :width]
+        x = states.astype(np.float64).reshape(12, n_heads, d_head // 2, 2)
+        theta = positions[:, None] * freqs
+        cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+        want = np.stack([x[..., 0] * cos - x[..., 1] * sin,
+                         x[..., 0] * sin + x[..., 1] * cos], axis=-1)
+        for source, rows in (
+                ("rope_rows", model_core.rope_rows(positions, base, d_head)),
+                ("table", table[positions])):
+            label = f"n_heads {n_heads}, seed {seed}, {source}"
+            got = rope_rotate(states, rows)
+            if got.dtype != np.float32 or not got.flags.c_contiguous:
+                return False, f"{label}: not C-order float32"
+            if block.tobytes() != before.tobytes():
+                return False, f"{label}: the input was changed"
+            worst = max(worst, float(np.abs(got - want.reshape(12, -1)).max()))
+            if not worst <= 1e-6:
+                return False, f"{label}: max diff {worst:.2e} > 1e-06"
     return True, f"both sources within {worst:.1e} of the float64 rotation"
 
 
@@ -348,7 +351,7 @@ FAULTS = {"layout": _swapped_write,
               _rope_fault, lambda real, pos, base, d: real(pos, 2 * base, d))}
 
 
-def run_selftest(fault_inject: str | None = None, out=print) -> bool:
+def run_selftest(fault_inject: str | None = None) -> bool:
     """Run every check small, one PASS/FAIL line each, under the named
     fault if one is given; True when every check passes."""
     weights = init_weights(_TINY)
@@ -368,7 +371,8 @@ def run_selftest(fault_inject: str | None = None, out=print) -> bool:
                                            trials=2000, seed=3)),
         ("step schedule audit", check_step_schedule),
         ("rotary reference",
-         lambda: check_rotary_reference(n_heads=4, seed=123)),
+         lambda: check_rotary_reference(head_counts=(4,),
+                                        seeds=range(123, 124))),
         ("sampler invariants", lambda: _check_sampler_invariants(weights)),
     ]
     all_ok = True
@@ -379,5 +383,5 @@ def run_selftest(fault_inject: str | None = None, out=print) -> bool:
             except Exception as exc:  # a crashed check is a failed check
                 ok, detail = False, f"raised {type(exc).__name__}: {exc}"
             all_ok &= ok
-            out(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     return all_ok

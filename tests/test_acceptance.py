@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from dkvcache import CacheVariant, Remasking, SamplerConfig, generate
+from dkvcache import (CacheVariant, Remasking, SamplerConfig, VariantKind,
+                      generate)
 from dkvcache.cli import _thread_cap
 from dkvcache.analysis import (
     build_report,
@@ -28,13 +29,6 @@ from dkvcache.selftest import (
     check_refresh_degeneracy,
     check_rotary_reference,
 )
-
-# traces produced by the heavier criteria, re-checked by criterion 9
-_TRACES = []
-
-
-def _register(label, trace):
-    _TRACES.append((label, trace))
 
 
 def _report(num, status, name, detail):
@@ -53,8 +47,7 @@ def test_criterion_01_refresh_degeneracy(toy_weights):
     start = time.perf_counter()
     result = check_refresh_degeneracy(
         toy_weights, seeds=50, prompt=(np.arange(16) % 400) + 1, gen_len=64,
-        steps=64, block_size=32, first_seed=1000,
-        on_trace=lambda label, trace: _register(f"c1 {label}", trace))
+        steps=64, block_size=32, first_seed=1000)
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"criterion 1 exceeded its 2 min budget ({elapsed:.0f}s)"
     _passes(1, "oracle equivalence (refresh degeneracy)", result)
@@ -64,7 +57,7 @@ def test_criterion_01_refresh_degeneracy(toy_weights):
 _C2_SIZE = dict(cases=100, seq_range=(4, 65), seed=202)
 
 
-def test_criterion_02_commit_gather_oracle(tiny_weights):
+def test_criterion_02_kept_rows_oracle(tiny_weights):
     """Kept store rows vs their last computation, 100 random cases."""
     start = time.perf_counter()
     result = check_kept_rows(tiny_weights, **_C2_SIZE)
@@ -122,7 +115,6 @@ def test_criterion_04_delay_correctness(tiny_weights):
                 for later in trace.records[step + 2:]:
                     assert pos not in later.compute_set
                     assert pos in later.cached_positions
-        _register(f"c4 decode L={gen_len} T={steps} seed {seed}", trace)
     _report(4, "PASS", "delay correctness",
             f"{len(runs)} runs, {checked_rows} cached rows byte-equal their "
             "source")
@@ -152,7 +144,6 @@ def test_criterion_05_greedy_boundedness(tiny_weights):
             f"L={gen_len}: step rows {max(rows[1:])} exceed {bound}"
         if not prompt.size:
             ratios[gen_len] = sum(rows) / gen_len
-        _register(f"c5 greedy P={prompt.size} L={gen_len}", trace)
     spread = max(ratios.values()) / min(ratios.values()) - 1.0
     assert spread <= 0.05, f"total_rows/L spread {spread:.3f} exceeds 5%"
     _report(5, "PASS", "greedy boundedness",
@@ -198,8 +189,6 @@ def test_criterion_06_compute_reduction(toy_weights):
         assert build_report(trace).total_logit_rows == sum(logit_rows)
     reduction = 1.0 - dec_rows / base_rows
     assert reduction >= 0.40, f"row reduction {reduction:.3f} below 40%"
-    _register("c6 none", base_trace)
-    _register("c6 decode8", dec_trace)
     _report(6, "PASS", "compute reduction",
             f"{base_rows} -> {dec_rows} query rows "
             f"({reduction * 100:.1f}% lower), {sum(logit_rows)} logit rows "
@@ -219,8 +208,6 @@ def test_criterion_07_wall_clock(toy_weights):
     base_tps, dec_tps = base.tokens_per_second, dec.tokens_per_second
     speedup = dec_tps / base_tps
     rows_cut = 1.0 - dec.total_query_rows / base.total_query_rows
-    _register("c7 none", base_trace)
-    _register("c7 decode8", dec_trace)
     detail = (f"{base_tps:.1f} -> {dec_tps:.1f} tok/s ({speedup:.2f}x), "
               f"rows cut {rows_cut * 100:.1f}%")
     if speedup >= 1.3:
@@ -236,11 +223,42 @@ def test_criterion_08_corruption_marginal():
         total_steps=128, t_values=(32, 64, 96), trials=10_000, seed=8))
 
 
+def test_criterion_09_sampler_invariants(tiny_weights):
+    """Sampler invariants over every variant kind, under each remasking it
+    takes, for 8 seeds. Seed bits pick an empty or 6-token prompt, 1 or 2
+    decodes per step and 1 or 2 blocks; odd bit parity samples at
+    temperature 0.8. The eight seeds hold every pair of these settings."""
+    variants = [CacheVariant.parse(text) for text in (
+        "none", "decode:1", "decode", "decode:4", "prefill", "pd:3",
+        "greedy:1:4", "greedy:3:2", "greedy:inf:4:current")]
+    assert {variant.kind for variant in variants} == set(VariantKind)
+    # greedy needs the decode order that only random remasking draws
+    runs = [(v, r) for v in variants for r in Remasking
+            if v.kind is not VariantKind.GREEDY or r is Remasking.RANDOM]
+    for seed in range(8):
+        per_step, blocks = 1 + (seed >> 1 & 1), 1 + (seed >> 2 & 1)
+        for variant, remasking in runs:
+            cfg = SamplerConfig(
+                gen_len=8, steps=8 // per_step, block_size=8 // blocks,
+                remasking=remasking, sample_seed=seed, cache=variant,
+                temperature=0.8 * (bin(seed).count("1") % 2))
+            _, trace = generate(np.arange(1, 1 + 6 * (seed & 1)), cfg,
+                                tiny_weights, timed=False)
+            try:
+                verify_trace_invariants(trace)
+            except ValueError as exc:
+                pytest.fail(f"seed {seed} {variant.describe()} "
+                            f"{remasking.value}: {exc}")
+            assert build_report(trace).cache_ratio >= 0.0
+    _report(9, "PASS", "sampler invariants",
+            "immutability, monotonicity, containment and zero residual "
+            f"masks over {8 * len(runs)} traces")
+
+
 def test_criterion_10_dynamics(tiny_weights, tmp_path):
     cfg = SamplerConfig(gen_len=32, steps=32, block_size=32, sample_seed=10,
                         snapshot_layer=1)
     _, trace = generate(np.arange(1, 9), cfg, tiny_weights, timed=False)
-    _register("c10 snapshots", trace)
     result = kv_dynamics(*trace.snapshot_arrays())
     write_dynamics_csvs(result, tmp_path)
     for name in ("dynamics_key_euclidean.csv", "dynamics_value_euclidean.csv"):
@@ -288,46 +306,24 @@ def test_criterion_11_prefill_immutability(tiny_weights):
             assert values_f[sel_f].tobytes() == values_l[sel_l].tobytes()
         for rec in trace.records[1:]:
             assert not prefill & set(rec.compute_set)
-        _register(f"c11 P={prompt_len} {variant.describe()}", trace)
     _report(11, "PASS", "prefill immutability",
             "prefill rows byte-identical from step 0 to the final step "
             f"({len(runs)} runs of prefill and pd)")
 
 
-def _rotary_reference():
-    """Criterion 12's size: every head count, seeds 1200-1209 each."""
-    for n_heads in (1, 4, 8):
-        for seed in range(1200, 1210):
-            ok, detail = check_rotary_reference(n_heads=n_heads, seed=seed)
-            if not ok:
-                return False, f"n_heads {n_heads}, seed {seed}: {detail}"
-    return True, ("30 cases (n_heads 1, 4, 8 x seeds 1200-1209) within "
-                  "1e-6 of the float64 rotation")
+# criterion 12's size: every head count, seeds 1200-1209 each
+_C12_SIZE = dict(head_counts=(1, 4, 8), seeds=range(1200, 1210))
 
 
 def test_criterion_12_rotary_reference():
     """Both rotary row sources against a float64 rotation."""
-    _passes(12, "rotary reference", _rotary_reference())
+    _passes(12, "rotary reference", check_rotary_reference(**_C12_SIZE))
 
 
 def test_criterion_12_fails_under_rope_fault():
     # a reversed rotation and wrong frequencies each pass criteria 1-11
     for fault in ("rope", "rope-freq"):
         with FAULTS[fault]():
-            ok, detail = _rotary_reference()
+            ok, detail = check_rotary_reference(**_C12_SIZE)
         assert not ok, fault
         assert "max diff" in detail, detail
-
-
-def test_criterion_09_sampler_invariants():
-    """Runs last: re-checks every trace the other criteria produced."""
-    assert _TRACES, "no traces registered by earlier criteria"
-    for label, trace in _TRACES:
-        try:
-            verify_trace_invariants(trace)
-        except ValueError as exc:
-            pytest.fail(f"{label}: {exc}")
-        assert build_report(trace).cache_ratio >= 0.0
-    _report(9, "PASS", "sampler invariants",
-            f"immutability, monotonicity, containment and zero residual "
-            f"masks over {len(_TRACES)} traces")

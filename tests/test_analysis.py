@@ -14,12 +14,10 @@ from dkvcache.trace import StepRecord, StepTrace
 DIMS = dict(n_layers=2, n_heads=2, d_model=8, d_head=4, d_ff=16, vocab_size=32)
 
 
-def make_record(step, rows, seq_len, decoded=(), millis=None, masked=0):
+def make_record(step, rows, seq_len, millis=None):
     return StepRecord(
-        step=step, masked_count=masked, rows_computed=rows,
-        logit_rows=rows,
-        decoded_positions=tuple(decoded), decoded_ids=tuple(0 for _ in decoded),
-        refresh=False, millis=millis,
+        step=step, masked_count=0, rows_computed=rows, logit_rows=rows,
+        decoded_positions=(), decoded_ids=(), refresh=False, millis=millis,
         block=(0, seq_len), cached_positions=(), compute_set=tuple(range(rows)),
     )
 
@@ -106,10 +104,9 @@ class TestReport:
 
 
 class TestDynamics:
-    def run_with_snapshots(self, weights, variant=None, layer=1):
+    def run_with_snapshots(self, weights):
         cfg = SamplerConfig(gen_len=16, steps=16, block_size=16, sample_seed=6,
-                            cache=variant or CacheVariant.none(),
-                            snapshot_layer=layer)
+                            snapshot_layer=1)
         _, trace = generate(np.arange(1, 7), cfg, weights, timed=False)
         return trace
 

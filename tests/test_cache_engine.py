@@ -137,7 +137,7 @@ class TestPlanComputeSet:
             engine.plan_step(masked=masked, step=1)
 
 
-class TestBuildLayout:
+class TestNaturalOrderStore:
     """The layout a step attends over: one natural-order store per layer,
     row p holding position p, written in place by each pass."""
 
@@ -180,7 +180,7 @@ class TestBuildLayout:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31))
-    def test_gather_matches_naive_reference(self, tiny_weights, seed):
+    def test_kept_rows_match_naive_reference(self, tiny_weights, seed):
         ok, detail = check_kept_rows(tiny_weights, cases=1,
                                      seq_range=(2, 33), seed=seed)
         assert ok, detail
@@ -202,7 +202,7 @@ class TestBuildLayout:
             assert np.array_equal(store.values[kept], ref_v) is matches
 
 
-class TestConcatReorder:
+class TestKeptRows:
     """What a commit keeps: the store's rows at the next cached positions,
     in place, with no row moved."""
 

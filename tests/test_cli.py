@@ -335,6 +335,15 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out / "trace.jsonl")]) == EXIT_NO_SNAPSHOTS
         assert "1 snapshot step(s)" in capsys.readouterr().err
 
+    def test_two_steps(self, tmp_path):
+        # one transition: each top-2 column holds one step
+        path, out = write_config(tmp_path, sampler={
+            "steps": 2, "block_size": 16, "snapshot_layer": 1})
+        assert main(["generate", "--config", str(path)]) == EXIT_OK
+        proc = run_cli("analyze", str(out / "trace.jsonl"))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert len(list(out.glob("dynamics_*.csv"))) == 6
+
 
 def _npz_renamed(path):
     """Replace an .npy file by an .npz archive under the same name."""

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -82,7 +82,7 @@ class TestInitWeights:
             assert a1.tobytes() == a2.tobytes()
 
     def test_seed_sensitivity(self, tiny_config):
-        other = ModelConfig(**{**_as_dict(tiny_config), "weight_seed": 12})
+        other = replace(tiny_config, weight_seed=12)
         w1 = init_weights(tiny_config)
         w2 = init_weights(other)
         assert any(not np.array_equal(a1, a2)
@@ -113,12 +113,6 @@ class TestInitWeights:
             layer.wqkv, np.hstack([layer.wq, layer.wk, layer.wv]))
         with pytest.raises(ValueError):
             layer.wqkv[0, 0] = 1.0
-
-
-def _as_dict(cfg):
-    return {f: getattr(cfg, f) for f in (
-        "n_layers", "n_heads", "d_model", "d_head", "d_ff", "vocab_size",
-        "mask_token_id", "max_positions", "rope_base", "weight_seed")}
 
 
 class TestRmsNorm:
@@ -177,7 +171,8 @@ class TestRope:
 
     @pytest.mark.parametrize("n_heads", [1, 4, 8])
     def test_matches_float64_rotation(self, n_heads):
-        ok, detail = check_rotary_reference(n_heads=n_heads, seed=123)
+        ok, detail = check_rotary_reference(head_counts=(n_heads,),
+                                            seeds=range(123, 124))
         assert ok, detail
 
     @settings(max_examples=30, deadline=None)

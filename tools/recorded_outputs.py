@@ -7,8 +7,10 @@ run writes. This script writes each run's config into a temporary
 directory, runs ``dkvcache generate --deterministic`` on it, and compares
 the hashes of the files it wrote with the record. It then runs
 ``dkvcache bench --deterministic`` once, on the config of the run named
-under ``bench``, and compares ``bench.csv``. A missing, unrecorded or
-differing file is a mismatch.
+under ``bench``, and compares ``bench.csv``. Last it runs ``dkvcache
+analyze`` on the trace of the run named under ``analyze``, writing to a
+directory of its own, and compares the six ``dynamics_*.csv`` files. A
+missing, unrecorded or differing file is a mismatch.
 
 The hashes depend on the host's BLAS build, so this is a check to run on
 a change and on its parent, not a unit test. Usage:
@@ -42,13 +44,16 @@ def _config(record: dict, run: dict, out_dir: Path) -> dict:
             "output_dir": str(out_dir), "deterministic": True}
 
 
+def _run(src: Path, *argv: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-m", "dkvcache.cli", *argv],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+
+
 def _cli(src: Path, command: str, config: dict, work: Path, args=()) -> None:
     path = work / "config.json"
     path.write_text(json.dumps(config))
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    subprocess.run([sys.executable, "-m", "dkvcache.cli", command,
-                    "--config", str(path), "--deterministic", *args],
-                   env=env, check=True, stdout=subprocess.DEVNULL)
+    _run(src, command, "--config", str(path), "--deterministic", *args)
 
 
 def _compare(label: str, out_dir: Path, recorded: dict) -> int:
@@ -75,11 +80,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     record = json.loads(RECORD.read_text())
     runs = {run["name"]: run for run in record["runs"]}
-    bad = 0
+    bad, outs = 0, {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, run in enumerate(record["runs"]):
             work = Path(tmp) / f"run{i}"
             work.mkdir()
+            outs[run["name"]] = work / "out"
             _cli(args.src, "generate", _config(record, run, work / "out"),
                  work, run.get("args", ()))
             bad += _compare(run["name"], work / "out", run["sha256"])
@@ -90,8 +96,13 @@ def main(argv=None) -> int:
              work, ["--variants", bench["variants"]])
         bad += _compare(f"bench {bench['variants']}", work / "out",
                         bench["sha256"])
-    total = sum(len(run["sha256"]) for run in record["runs"])
-    total += len(record["bench"]["sha256"])
+        analyze = record["analyze"]
+        out = Path(tmp) / "analyze"
+        _run(args.src, "analyze", str(outs[analyze["run"]] / "trace.jsonl"),
+             "--output-dir", str(out))
+        bad += _compare(f"analyze {analyze['run']}", out, analyze["sha256"])
+    total = sum(len(part["sha256"]) for part in
+                [*record["runs"], record["bench"], record["analyze"]])
     print(f"{bad} mismatch(es)" if bad else f"all {total} recorded hashes match")
     return 1 if bad else 0
 
