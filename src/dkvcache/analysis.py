@@ -114,7 +114,29 @@ class DynamicsResult:
     value_euclidean: np.ndarray
     value_cosine: np.ndarray
     token_stats: list[TokenStat]
-    spike_fraction: float
+
+    def _observed(self) -> list[TokenStat]:
+        """Tokens revealed before the final step: their reveal change is
+        observed."""
+        final = self.key_euclidean.shape[0] - 1
+        return [s for s in self.token_stats if s.decode_step < final]
+
+    @property
+    def spike_undefined(self) -> str | None:
+        """Why ``spike_fraction`` is NaN, or None when it is defined."""
+        if self.key_euclidean.shape[0] == 2:
+            return "one transition, so each token's reveal change is its median"
+        if not self._observed():
+            return "no token revealed before the final step"
+        return None
+
+    @property
+    def spike_fraction(self) -> float:
+        """The fraction of observed tokens with a reveal spike, NaN where
+        ``spike_undefined`` gives a reason."""
+        if self.spike_undefined:
+            return float("nan")
+        return float(np.mean([s.spike for s in self._observed()]))
 
 
 def _pairwise(snapshots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,9 +172,12 @@ def kv_dynamics(
     position ``p`` was revealed (-1 for prompt positions). Emits pairwise
     step distance matrices, per-token pre/post-reveal change means, and
     the fraction of tokens whose change at the reveal transition exceeds
-    their own median step change. Each token's top-2 largest and smallest
-    change steps hold one step when the run has one transition (two
-    steps). Malformed inputs raise ValueError.
+    their own median step change. That fraction is NaN when it is
+    undefined (``DynamicsResult.spike_undefined`` says why): with one
+    transition (two steps), or when no token is revealed before the final
+    step. Each token's top-2 largest and smallest change steps hold one
+    step when the run has one transition. Malformed inputs raise
+    ValueError.
     """
     if np.ndim(keys) != 3 or np.shape(keys) != np.shape(values):
         raise ValueError("snapshots missing or malformed")
@@ -192,15 +217,12 @@ def kv_dynamics(
                            if reveal < series.shape[0] else float("nan")),
             median_change=float(np.median(series)),
         ))
-    observed = [s.spike for s in stats if s.decode_step < changes.shape[0]]
-    fraction = float(np.mean(observed)) if observed else 0.0
     return DynamicsResult(
         key_euclidean=key_eu,
         key_cosine=key_cos,
         value_euclidean=val_eu,
         value_cosine=val_cos,
         token_stats=stats,
-        spike_fraction=fraction,
     )
 
 

@@ -331,8 +331,10 @@ def cmd_analyze(args) -> int:
         return EXIT_NO_SNAPSHOTS
     out_dir = Path(args.output_dir) if args.output_dir else run_dir
     written = analysis.write_dynamics_csvs(result, out_dir)
-    print(f"wrote {len(written)} dynamics files to {out_dir} "
-          f"(reveal-spike fraction {result.spike_fraction:.3f})")
+    spike = (f"reveal-spike fraction undefined: {result.spike_undefined}"
+             if result.spike_undefined else
+             f"reveal-spike fraction {result.spike_fraction:.3f}")
+    print(f"wrote {len(written)} dynamics files to {out_dir} ({spike})")
     return EXIT_OK
 
 

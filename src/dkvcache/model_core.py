@@ -297,6 +297,19 @@ def rope_rotate(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # Scores buffer budget in elements: small query sets run several heads per
 # batched call (fewer numpy calls), large ones one head at a time.
 _SCORES_BUDGET = 1 << 16
+# Row sums of exp2(raw scores) accepted without a max shift: every weight
+# is finite, and each row's largest (>= sum / n_keys) is a normal float.
+_SUM_RANGE = (2.0 ** -60, 2.0 ** 60)
+
+
+def _shifted_exp2(q, k, scores, ones):
+    """The stable path for a head group whose row sums left
+    ``_SUM_RANGE``: recompute the base-2 scores into ``scores``, subtract
+    each row's max, exponentiate in place and return the row sums."""
+    np.matmul(q, k, out=scores)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp2(scores, out=scores)
+    return scores @ ones
 
 
 def attention(
@@ -313,15 +326,17 @@ def attention(
     [d_head, n_keys] block of ``keys.T``, a view in either layout: one
     contiguous block when ``keys`` is a feature-major store, a strided one
     that BLAS reads transposed when ``keys`` is C-order. The two layouts
-    agree to rounding, not always to the bit. The queries are multiplied by
-    ``scale`` once. Heads run in groups through one reused
-    [group, n_queries, n_keys] scores buffer of at most ``_SCORES_BUDGET``
-    elements, or one head when a single head's scores are larger. Scores
-    are max-subtracted and exponentiated in place, and each group's
-    unnormalised output is written straight into its columns of the
-    result, then divided by its row sums (one mat-vec against ones), so
-    each output row is a convex combination of value rows. There is no
-    causal mask.
+    agree to rounding, not always to the bit. The queries are multiplied
+    once by ``scale * log2(e)``, so the scores are base 2. Heads run in
+    groups through one reused [group, n_queries, n_keys] scores buffer of
+    at most ``_SCORES_BUDGET`` elements, or one head when a single head's
+    scores are larger. Each group's scores are raised to ``exp2`` in place
+    with no max shift, and their row sums taken as one mat-vec against
+    ones; a group with any row sum outside ``_SUM_RANGE`` (overflow, or
+    underflow) recomputes its scores and takes the max-shifted path. Each
+    group's unnormalised output is written straight into its columns of
+    the result, then divided by its row sums, so each output row is a
+    convex combination of value rows. There is no causal mask.
     """
     if keys.shape[0] == 0:
         raise ValueError("empty key set")
@@ -338,7 +353,8 @@ def attention(
     out = np.empty((nq, width), dtype=dtype)
     ones = np.ones(nk, dtype=dtype)
     # per-head views: [heads, rows, dims], keys as [heads, dims, rows]
-    q = (queries * np.float32(scale)).reshape(nq, n_heads, dh).transpose(1, 0, 2)
+    q = (queries * np.float32(scale * math.log2(math.e))
+         ).reshape(nq, n_heads, dh).transpose(1, 0, 2)
     k = keys.T.reshape(n_heads, dh, nk)
     v = values.reshape(nk, n_heads, dh).transpose(1, 0, 2)
     o = out.reshape(nq, n_heads, dh).transpose(1, 0, 2)
@@ -346,10 +362,14 @@ def attention(
         heads = slice(first, min(first + group, n_heads))
         scores = buf[:heads.stop - first]
         np.matmul(q[heads], k[heads], out=scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp2(scores, out=scores)
+            sums = scores @ ones
+        if sums.size and not (_SUM_RANGE[0] <= sums.min()
+                              and sums.max() <= _SUM_RANGE[1]):
+            sums = _shifted_exp2(q[heads], k[heads], scores, ones)
         np.matmul(scores, v[heads], out=o[heads])
-        o[heads] /= (scores @ ones)[..., None]
+        o[heads] /= sums[..., None]
     return out
 
 

@@ -141,6 +141,18 @@ class TestDynamics:
         trace = self.run_with_snapshots(tiny_weights)
         result = kv_dynamics(*trace.snapshot_arrays())
         assert result.spike_fraction >= 0.8
+        assert result.spike_undefined is None
+
+    @pytest.mark.parametrize("steps,decode_steps,reason", [
+        (2, [0, 0, 1, -1], "one transition"),
+        (3, [2, 2, 2, -1], "no token revealed before the final step"),
+    ])
+    def test_spike_fraction_undefined(self, steps, decode_steps, reason):
+        rng = np.random.default_rng(0)
+        keys, values = rng.standard_normal((2, steps, 4, 2))
+        result = kv_dynamics(keys, values, np.array(decode_steps))
+        assert np.isnan(result.spike_fraction)
+        assert result.spike_undefined.startswith(reason)
 
     def test_missing_snapshots(self):
         with pytest.raises(ValueError, match="malformed|snapshot"):

@@ -336,13 +336,16 @@ class TestAnalyzeCommand:
         assert "1 snapshot step(s)" in capsys.readouterr().err
 
     def test_two_steps(self, tmp_path):
-        # one transition: each top-2 column holds one step
+        # gen 16 in one transition: each top-2 column holds one step, and
+        # the reveal-spike fraction is undefined, not 0
         path, out = write_config(tmp_path, sampler={
-            "steps": 2, "block_size": 16, "snapshot_layer": 1})
+            "gen_len": 16, "steps": 2, "block_size": 16, "snapshot_layer": 1})
         assert main(["generate", "--config", str(path)]) == EXIT_OK
         proc = run_cli("analyze", str(out / "trace.jsonl"))
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert len(list(out.glob("dynamics_*.csv"))) == 6
+        assert ("(reveal-spike fraction undefined: one transition"
+                in proc.stdout), proc.stdout
 
 
 def _npz_renamed(path):

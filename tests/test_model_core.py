@@ -185,6 +185,18 @@ class TestRope:
             np.linalg.norm(out), np.linalg.norm(states), rtol=1e-5)
 
 
+def _count_fallbacks(monkeypatch):
+    """Wrap attention's max-shifted fallback; the list grows per call."""
+    calls, fallback = [], model_core._shifted_exp2
+
+    def counted(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(model_core, "_shifted_exp2", counted)
+    return calls
+
+
 class TestAttention:
     def test_singleton_softmax(self, rng):
         q = rng.standard_normal((1, 4)).astype(np.float32)
@@ -245,10 +257,11 @@ class TestAttention:
         np.testing.assert_allclose(out, attention(q, k, v, 0.17, 4),
                                    rtol=0, atol=1e-6)
 
-    def test_weight_rows_stochastic(self, rng):
+    def test_weight_rows_stochastic(self, rng, monkeypatch):
         # one head over identity values: output row i is query i's weights.
-        # With queries scaled so scores reach 1e4, exp overflows float32
-        # unless each row's max is subtracted first.
+        # With queries scaled so scores reach 1e4, exp2 of the raw scores
+        # overflows float32; the max-shifted fallback keeps them finite.
+        calls = _count_fallbacks(monkeypatch)
         q = rng.standard_normal((5, 9)).astype(np.float32)
         k = rng.standard_normal((9, 9)).astype(np.float32)
         big = np.float32(1e4 / np.abs(0.35 * q @ k.T).max())
@@ -257,6 +270,63 @@ class TestAttention:
             assert weights.shape == (5, 9)
             assert np.isfinite(weights).all() and (weights >= 0).all()
             np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+        assert len(calls) == 1
+
+    def test_underflow_row_takes_stable_path(self, rng, monkeypatch):
+        # query 0's base-2 scores are <= -200 against every key, so exp2
+        # flushes its whole row to zero; the fallback shifts it by its max
+        calls = _count_fallbacks(monkeypatch)
+        q = rng.standard_normal((3, 4)).astype(np.float32)
+        k = rng.standard_normal((6, 4)).astype(np.float32)
+        v = rng.standard_normal((6, 4)).astype(np.float32)
+        k[:, 0] = 1.0 + 0.1 * rng.random(6)
+        q[0] = [-300.0, 0.0, 0.0, 0.0]
+        assert (0.5 * np.log2(np.e) * (q[0] @ k.T) <= -200).all()
+        out = attention(q, k, v, 0.5)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, naive_attention(q, k, v, 0.5, 1),
+                                   atol=1e-5)
+        assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31), st.floats(1e-2, 1e4),
+           st.integers(1, 8), st.integers(1, 40), st.sampled_from([1, 2, 4]))
+    def test_score_magnitudes_match_naive_property(self, seed, magnitude, nq,
+                                                   nk, n_heads):
+        # scaled so the largest |score| is ``magnitude``: small scores take
+        # the unshifted path, large ones the fallback; a score's float32
+        # rounding grows with it, and so does the tolerance
+        gen = np.random.default_rng(seed)
+        q, k, v = (gen.standard_normal((n, 8)).astype(np.float32)
+                   for n in (nq, nk, nk))
+        dh = 8 // n_heads
+        raw = max(np.abs(q[:, h:h + dh] @ k[:, h:h + dh].T).max()
+                  for h in range(0, 8, dh))
+        scale = magnitude / float(raw)
+        out = attention(q, k, v, scale, n_heads)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(
+            out, naive_attention(q, k, v, scale, n_heads), rtol=0,
+            atol=np.abs(v).max() * (1e-6 + 1e-7 * magnitude))
+
+    @pytest.mark.parametrize("n_compute", [528, 260, 14])
+    def test_workload_passes_skip_fallback(self, toy_weights, monkeypatch,
+                                           n_compute):
+        # the perfbench shapes on the toy model: 528 keys, and a full pass,
+        # a half-decoded pass or a greedy step's few rows. Every group's
+        # row sums stay in range, so the unshifted path is what runs.
+        def refuse(*args):
+            raise AssertionError("attention took the max-shifted fallback")
+
+        monkeypatch.setattr(model_core, "_shifted_exp2", refuse)
+        gen = np.random.default_rng(7)
+        mask = toy_weights.config.mask_token_id
+        tokens = np.full(528, mask)
+        tokens[:16 + 256] = gen.integers(0, mask, size=16 + 256)
+        full = forward_full(tokens, toy_weights)
+        cache = served_cache(full, np.arange(528 - n_compute))
+        forward_partial(tokens, np.arange(528 - n_compute, 528), cache,
+                        toy_weights)
 
     def test_peak_allocation_bounded(self, rng):
         # one reused [nq, nk] scores buffer plus the output, not one

@@ -15,11 +15,15 @@ missing, unrecorded or differing file is a mismatch.
 The hashes depend on the host's BLAS build, so this is a check to run on
 a change and on its parent, not a unit test. Usage:
 
-    python3 tools/recorded_outputs.py [--src DIR]
+    python3 tools/recorded_outputs.py [--src DIR] [--update]
 
 ``--src`` names the directory that holds the ``dkvcache`` package to run
 (default: this checkout's ``src``), so the record can be checked against
-another checkout. Exits 0 when every hash matches, 1 otherwise.
+another checkout. ``--update`` re-records a deliberate change: it
+rewrites only the differing hashes in ``recorded_outputs.json``, printing
+each old -> new pair, and drops a file no longer written. Exits 0 when
+every hash matches, 1 otherwise, also after ``--update`` has rewritten
+some.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -56,9 +61,10 @@ def _cli(src: Path, command: str, config: dict, work: Path, args=()) -> None:
     _run(src, command, "--config", str(path), "--deterministic", *args)
 
 
-def _compare(label: str, out_dir: Path, recorded: dict) -> int:
+def _compare(label: str, out_dir: Path, recorded: dict, update: bool) -> int:
     """Print one line per differing file, or one ``ok`` line; return the
-    number of mismatches."""
+    number of mismatches. With ``update``, set ``recorded`` to what was
+    written."""
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out_dir.iterdir()}
     bad = 0
@@ -66,8 +72,16 @@ def _compare(label: str, out_dir: Path, recorded: dict) -> int:
         got, want = written.get(name), recorded.get(name)
         if got != want:
             bad += 1
-            print(f"FAIL  {label}: {name} {got or 'missing'} "
-                  f"(recorded {want or 'none'})")
+            if update:
+                print(f"UPDATE {label}: {name} {want or 'none'} -> "
+                      f"{got or 'missing'}")
+                if got is None:
+                    del recorded[name]
+                else:
+                    recorded[name] = got
+            else:
+                print(f"FAIL  {label}: {name} {got or 'missing'} "
+                      f"(recorded {want or 'none'})")
     if not bad:
         print(f"ok    {label}: {len(written)} files")
     return bad
@@ -77,6 +91,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=HERE.parent / "src",
                         help="directory holding the dkvcache package")
+    parser.add_argument("--update", action="store_true",
+                        help="rewrite the differing hashes in the record")
     args = parser.parse_args(argv)
     record = json.loads(RECORD.read_text())
     runs = {run["name"]: run for run in record["runs"]}
@@ -88,22 +104,33 @@ def main(argv=None) -> int:
             outs[run["name"]] = work / "out"
             _cli(args.src, "generate", _config(record, run, work / "out"),
                  work, run.get("args", ()))
-            bad += _compare(run["name"], work / "out", run["sha256"])
+            bad += _compare(run["name"], work / "out", run["sha256"],
+                            args.update)
         bench = record["bench"]
         work = Path(tmp) / "bench"
         work.mkdir()
         _cli(args.src, "bench", _config(record, runs[bench["run"]], work / "out"),
              work, ["--variants", bench["variants"]])
         bad += _compare(f"bench {bench['variants']}", work / "out",
-                        bench["sha256"])
+                        bench["sha256"], args.update)
         analyze = record["analyze"]
         out = Path(tmp) / "analyze"
         _run(args.src, "analyze", str(outs[analyze["run"]] / "trace.jsonl"),
              "--output-dir", str(out))
-        bad += _compare(f"analyze {analyze['run']}", out, analyze["sha256"])
+        bad += _compare(f"analyze {analyze['run']}", out, analyze["sha256"],
+                        args.update)
     total = sum(len(part["sha256"]) for part in
                 [*record["runs"], record["bench"], record["analyze"]])
-    print(f"{bad} mismatch(es)" if bad else f"all {total} recorded hashes match")
+    if bad and args.update:
+        # indent 2, integer lists (the prompt) on one line
+        text = json.dumps(record, indent=2)
+        RECORD.write_text(re.sub(r"\[[\d,\s]*\]",
+                                 lambda m: json.dumps(json.loads(m.group())),
+                                 text) + "\n")
+        print(f"{bad} mismatch(es) re-recorded in {RECORD.name}")
+    else:
+        print(f"{bad} mismatch(es)" if bad
+              else f"all {total} recorded hashes match")
     return 1 if bad else 0
 
 
