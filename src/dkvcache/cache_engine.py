@@ -115,32 +115,6 @@ class CacheVariant:
             raise ValueError(f"{self.kind.value} takes no window")
 
     @classmethod
-    def none(cls) -> "CacheVariant":
-        return cls(kind=VariantKind.NONE)
-
-    @classmethod
-    def decode(cls, refresh_interval: int | None = None) -> "CacheVariant":
-        return cls(kind=VariantKind.DECODE, refresh_interval=refresh_interval)
-
-    @classmethod
-    def greedy(
-        cls,
-        refresh_interval: int | None = None,
-        window_size: int | None = None,
-        window_center: WindowCenter = WindowCenter.PREVIOUS,
-    ) -> "CacheVariant":
-        return cls(kind=VariantKind.GREEDY, refresh_interval=refresh_interval,
-                   window_size=window_size, window_center=window_center)
-
-    @classmethod
-    def prefill(cls) -> "CacheVariant":
-        return cls(kind=VariantKind.PREFILL)
-
-    @classmethod
-    def pd(cls, refresh_interval: int | None = None) -> "CacheVariant":
-        return cls(kind=VariantKind.PD, refresh_interval=refresh_interval)
-
-    @classmethod
     def of(cls, kind: VariantKind, **params) -> "CacheVariant":
         """Build a ``kind`` variant from the parameters given, rejecting a
         parameter the kind does not take whatever its value: ``none:inf``

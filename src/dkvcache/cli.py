@@ -288,7 +288,7 @@ def cmd_bench(args) -> int:
             return tokens, report, statistics.median(speeds) if speeds else None
 
         if not any(v.kind is VariantKind.NONE for v in variants):
-            baseline_tokens, base_report, _ = run(CacheVariant.none())
+            baseline_tokens, base_report, _ = run(CacheVariant(VariantKind.NONE))
         results = []
         for variant in variants:
             tokens, report, tps = run(variant)

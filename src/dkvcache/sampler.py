@@ -250,7 +250,7 @@ class SamplerConfig:
     remasking: Remasking = Remasking.LOW_CONFIDENCE
     temperature: float = 0.0
     sample_seed: int = 0
-    cache: CacheVariant = CacheVariant.none()
+    cache: CacheVariant = CacheVariant(VariantKind.NONE)
     snapshot_layer: int | None = None
 
     def __post_init__(self) -> None:
@@ -282,12 +282,13 @@ class GenerationState:
     ``order`` is the decode order of random remasking, drawn before step 0
     by ``_draw_decode_order``: step t finalizes exactly ``order[t]``,
     whatever the cache variant. It is None under confidence remasking,
-    which ranks each step's candidates instead.
+    which ranks each step's candidates instead. A position is masked
+    exactly when its token is the mask id: the prompt holds none, and
+    ``decode_step`` never proposes it.
     """
 
     tokens: np.ndarray
     prompt_len: int
-    masked: np.ndarray  # bool per sequence position
     step: int
     rng: np.random.Generator
     order: list[tuple[int, ...]] | None = None
@@ -348,14 +349,14 @@ def decode_step(
     block_lo, block_hi = sched.blocks[sched.block_of[t]]
     block = (state.prompt_len + block_lo, state.prompt_len + block_hi)
     k = sched.counts[t]
-    masked_at_start = int(np.count_nonzero(state.masked))
+    masked = state.tokens == mcfg.mask_token_id
 
     start_time = time.perf_counter() if timed else None
-    plan = engine.plan_step(masked=state.masked, step=t)
+    plan = engine.plan_step(masked=masked, step=t)
     row_of = scatter_outputs(plan)
     if state.order is None:
         # the candidates: plan_step serves no masked position from cache
-        read = np.flatnonzero(state.masked[block[0]:block[1]]) + block[0]
+        read = np.flatnonzero(masked[block[0]:block[1]]) + block[0]
     else:
         chosen = state.order[t]
         read = np.asarray(chosen, dtype=np.int64)
@@ -380,8 +381,7 @@ def decode_step(
 
     record = StepRecord(
         step=t,
-        masked_count=masked_at_start,
-        rows_computed=len(plan.compute_set),
+        masked_count=int(np.count_nonzero(masked)),
         logit_rows=len(read),
         decoded_positions=tuple(chosen),
         decoded_ids=decoded_ids,
@@ -405,7 +405,6 @@ def decode_step(
                            s.values[s.row_positions]) for s in engine.slabs],
         )
 
-    state.masked[list(chosen)] = False
     state.step = t + 1
     return record
 
@@ -459,41 +458,35 @@ def generate(
     state = GenerationState(
         tokens=tokens,
         prompt_len=prompt.shape[0],
-        masked=tokens == mcfg.mask_token_id,
         step=0,
         rng=rng,
         order=order,
     )
-    records: list[StepRecord] = []
-
-    def make_trace() -> StepTrace:
-        return StepTrace(
-            records=records,
-            prompt_len=prompt.shape[0],
-            gen_len=cfg.gen_len,
-            seq_len=seq_len,
-            total_steps=cfg.steps,
-            variant=cfg.cache.describe(),
-            model_dims={name: getattr(mcfg, name) for name in (
-                "n_layers", "n_heads", "d_model", "d_head", "d_ff",
-                "vocab_size")},
-            mask_token_id=mcfg.mask_token_id,
-            snapshot_layer=cfg.snapshot_layer,
-            final_tokens=None,
-        )
+    trace = StepTrace(
+        records=[],
+        prompt_len=prompt.shape[0],
+        gen_len=cfg.gen_len,
+        total_steps=cfg.steps,
+        variant=cfg.cache.describe(),
+        model_dims={name: getattr(mcfg, name) for name in (
+            "n_layers", "n_heads", "d_model", "d_head", "d_ff",
+            "vocab_size")},
+        mask_token_id=mcfg.mask_token_id,
+        snapshot_layer=cfg.snapshot_layer,
+    )
 
     try:
         for _ in range(cfg.steps):
-            records.append(decode_step(state, weights, cfg, engine, sched,
-                                       timed=timed, kv_audit=kv_audit))
+            trace.records.append(decode_step(state, weights, cfg, engine, sched,
+                                             timed=timed, kv_audit=kv_audit))
     except Exception as exc:
         raise GenerationError(f"generation failed at step {state.step}: {exc}",
-                              partial_trace=make_trace()) from exc
+                              partial_trace=trace) from exc
 
-    if state.masked.any():
+    left = np.count_nonzero(state.tokens == mcfg.mask_token_id)
+    if left:
         raise GenerationError(
-            f"{np.count_nonzero(state.masked)} positions still masked after "
-            f"{cfg.steps} steps", partial_trace=make_trace())
-    trace = make_trace()
+            f"{left} positions still masked after {cfg.steps} steps",
+            partial_trace=trace)
     trace.final_tokens = state.tokens.copy()
     return state.tokens.copy(), trace

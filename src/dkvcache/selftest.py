@@ -66,13 +66,13 @@ def check_refresh_degeneracy(
     """
     for i in range(seeds):
         remasking, case_weights = Remasking.RANDOM, weights
-        variants = (CacheVariant.decode(1), CacheVariant.greedy(1))
+        variants = tuple(map(CacheVariant.parse, ("decode:1", "greedy:1")))
         if i >= seeds // 2:
             remasking, variants = Remasking.LOW_CONFIDENCE, variants[:1]
             case_weights = init_weights(
                 dataclasses.replace(weights.config, weight_seed=100 + i))
         runs = []
-        for variant in (CacheVariant.none(), *variants):
+        for variant in (CacheVariant.parse("none"), *variants):
             cfg = SamplerConfig(gen_len=gen_len, steps=steps,
                                 block_size=block_size, remasking=remasking,
                                 sample_seed=first_seed + i, cache=variant)
@@ -202,7 +202,7 @@ def check_kept_rows(
         seq = len(tokens)
         next_pos = np.sort(rng.choice(seq, size=int(rng.integers(0, seq + 1)),
                                       replace=False))
-        engine = CacheEngine(CacheVariant.decode(), seq_len=seq)
+        engine = CacheEngine(CacheVariant.parse("decode"), seq_len=seq)
         engine.commit(ComputePlan(compute, cached_pos, next_pos, False), part.kv)
         for layer, slab in enumerate(engine.slabs):
             keys, values = naive_next_cache([cache[layer], fresh[layer]],
@@ -303,7 +303,7 @@ def check_step_schedule() -> Check:
 def _check_sampler_invariants(weights: ModelWeights) -> Check:
     _, trace = generate(np.arange(1, 7), SamplerConfig(
         gen_len=12, steps=6, block_size=6, remasking=Remasking.LOW_CONFIDENCE,
-        sample_seed=9, cache=CacheVariant.decode(2)), weights, timed=False)
+        sample_seed=9, cache=CacheVariant.parse("decode:2")), weights, timed=False)
     try:
         verify_trace_invariants(trace)
     except ValueError as exc:

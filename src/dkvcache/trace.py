@@ -32,7 +32,6 @@ class StepRecord:
 
     step: int
     masked_count: int
-    rows_computed: int
     logit_rows: int
     decoded_positions: tuple[int, ...]
     decoded_ids: tuple[int, ...]
@@ -44,6 +43,10 @@ class StepRecord:
     key_snapshot: np.ndarray | None = None
     value_snapshot: np.ndarray | None = None
     audit: StepAudit | None = None
+
+    @property
+    def rows_computed(self) -> int:
+        return len(self.compute_set)
 
     def to_json_obj(self) -> dict:
         return {
@@ -64,13 +67,16 @@ class StepTrace:
     records: list[StepRecord]
     prompt_len: int
     gen_len: int
-    seq_len: int
     total_steps: int
     variant: str
     model_dims: dict
     mask_token_id: int
     snapshot_layer: int | None = None
     final_tokens: np.ndarray | None = None
+
+    @property
+    def seq_len(self) -> int:
+        return self.prompt_len + self.gen_len
 
     @property
     def total_rows(self) -> int:

@@ -88,7 +88,7 @@ def test_criterion_04_delay_correctness(tiny_weights):
     for gen_len, steps, seed, interval in runs:
         cfg = SamplerConfig(gen_len=gen_len, steps=steps, block_size=gen_len,
                             sample_seed=seed,
-                            cache=CacheVariant.decode(interval))
+                            cache=CacheVariant(VariantKind.DECODE, interval))
         _, trace = generate(np.arange(1, 7), cfg, tiny_weights, timed=False,
                             kv_audit=True)
         decode_step_of = trace.decode_step_of()
@@ -137,7 +137,7 @@ def test_criterion_05_greedy_boundedness(tiny_weights):
     for prompt, gen_len, seed in runs:
         cfg = SamplerConfig(gen_len=gen_len, steps=gen_len, block_size=gen_len,
                             sample_seed=seed, remasking=Remasking.RANDOM,
-                            cache=CacheVariant.greedy(None, window))
+                            cache=CacheVariant.parse(f"greedy:inf:{window}"))
         _, trace = generate(prompt, cfg, tiny_weights, timed=False)
         rows = [rec.rows_computed for rec in trace.records]
         assert all(r <= bound for r in rows[1:]), \
@@ -171,9 +171,9 @@ def test_criterion_06_compute_reduction(toy_weights):
     prompt = (np.arange(64) % 400) + 1
     kwargs = dict(gen_len=256, steps=256, block_size=256, sample_seed=6)
     _, base_trace = generate(prompt, SamplerConfig(
-        **kwargs, cache=CacheVariant.none()), toy_weights, timed=False)
+        **kwargs, cache=CacheVariant.parse("none")), toy_weights, timed=False)
     _, dec_trace = generate(prompt, SamplerConfig(
-        **kwargs, cache=CacheVariant.decode(8)), toy_weights, timed=False)
+        **kwargs, cache=CacheVariant.parse("decode:8")), toy_weights, timed=False)
     base_rows = build_report(base_trace).total_query_rows
     dec_rows = build_report(dec_trace).total_query_rows
 
@@ -201,9 +201,9 @@ def test_criterion_07_wall_clock(toy_weights):
     kwargs = dict(gen_len=512, steps=256, block_size=512, sample_seed=11)
     with _thread_cap(True):
         _, base_trace = generate(prompt, SamplerConfig(
-            **kwargs, cache=CacheVariant.none()), toy_weights, timed=True)
+            **kwargs, cache=CacheVariant.parse("none")), toy_weights, timed=True)
         _, dec_trace = generate(prompt, SamplerConfig(
-            **kwargs, cache=CacheVariant.decode(8)), toy_weights, timed=True)
+            **kwargs, cache=CacheVariant.parse("decode:8")), toy_weights, timed=True)
     base, dec = build_report(base_trace), build_report(dec_trace)
     base_tps, dec_tps = base.tokens_per_second, dec.tokens_per_second
     speedup = dec_tps / base_tps
@@ -286,10 +286,10 @@ def test_criterion_10_dynamics(tiny_weights, tmp_path):
 
 def test_criterion_11_prefill_immutability(tiny_weights):
     # (prompt length, gen_len, steps, seed, variant)
-    runs = [(128, 32, 32, 11, CacheVariant.prefill()),
-            (128, 32, 32, 11, CacheVariant.pd(8)),
-            (8, 12, 6, 2, CacheVariant.prefill()),
-            (8, 12, 6, 2, CacheVariant.pd(3))]
+    runs = [(128, 32, 32, 11, CacheVariant.parse("prefill")),
+            (128, 32, 32, 11, CacheVariant.parse("pd:8")),
+            (8, 12, 6, 2, CacheVariant.parse("prefill")),
+            (8, 12, 6, 2, CacheVariant.parse("pd:3"))]
     for prompt_len, gen_len, steps, seed, variant in runs:
         prompt = (np.arange(prompt_len) % 100) + 1
         prefill = set(range(prompt_len))

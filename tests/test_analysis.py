@@ -16,7 +16,7 @@ DIMS = dict(n_layers=2, n_heads=2, d_model=8, d_head=4, d_ff=16, vocab_size=32)
 
 def make_record(step, rows, seq_len, millis=None):
     return StepRecord(
-        step=step, masked_count=0, rows_computed=rows, logit_rows=rows,
+        step=step, masked_count=0, logit_rows=rows,
         decoded_positions=(), decoded_ids=(), refresh=False, millis=millis,
         block=(0, seq_len), cached_positions=(), compute_set=tuple(range(rows)),
     )
@@ -28,7 +28,7 @@ def make_trace(rows_per_step, seq_len=8, gen_len=8, millis=None):
         m = millis[t] if millis else None
         records.append(make_record(t, rows, seq_len, millis=m))
     return StepTrace(records=records, prompt_len=seq_len - gen_len,
-                     gen_len=gen_len, seq_len=seq_len,
+                     gen_len=gen_len,
                      total_steps=len(rows_per_step), variant="synthetic",
                      model_dims=DIMS, mask_token_id=31)
 
@@ -89,7 +89,7 @@ class TestThroughput:
 class TestReport:
     def test_cached_run_fields(self, tiny_weights):
         cfg = SamplerConfig(gen_len=12, steps=6, block_size=12, sample_seed=4,
-                            cache=CacheVariant.decode(None))
+                            cache=CacheVariant.parse("decode"))
         _, cached = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
         report = build_report(cached)
         assert report.cache_ratio > 0

@@ -9,6 +9,7 @@ from dkvcache import (
     KVSlab,
     Remasking,
     SamplerConfig,
+    VariantKind,
     forward_full,
     forward_partial,
     generate,
@@ -46,7 +47,7 @@ def served_step(weights, tokens, cached, compute, next_cached):
     full = forward_full(tokens, weights)
     served = served_cache(full, cached)
     reference = forward_partial(tokens, compute, served, weights)
-    engine = CacheEngine(CacheVariant.decode(), seq_len=seq)
+    engine = CacheEngine(CacheVariant.parse("decode"), seq_len=seq)
     engine.commit(plan(np.arange(seq), [], cached), full.kv)
     part = forward_partial(tokens, compute, engine.cache_slabs(), weights)
     engine.commit(plan(compute, cached, next_cached), part.kv)
@@ -80,7 +81,7 @@ class TestCacheVariant:
 
     def test_refresh_interval_bound(self):
         with pytest.raises(ValueError, match="refresh_interval"):
-            CacheVariant.decode(0)
+            CacheVariant(VariantKind.DECODE, refresh_interval=0)
 
     @pytest.mark.parametrize("text,error", [
         ("prefill:4", "prefill takes no refresh_interval"),
@@ -122,12 +123,12 @@ class TestPlanComputeSet:
 
     def test_greedy_needs_predefined_order(self):
         with pytest.raises(ValueError, match="predefined"):
-            CacheEngine(CacheVariant.greedy(), seq_len=4)
+            CacheEngine(CacheVariant.parse("greedy"), seq_len=4)
 
     def test_monotone_mask_violation(self):
         # position 9 is unmasked at step 0, so step 0's commit keeps it;
         # masking it again at step 1 would serve a masked row from cache
-        engine = CacheEngine(CacheVariant.decode(), seq_len=10)
+        engine = CacheEngine(CacheVariant.parse("decode"), seq_len=10)
         masked = np.zeros(10, dtype=bool)
         masked[1] = True
         step0 = engine.plan_step(masked=masked, step=0)
@@ -144,7 +145,7 @@ class TestNaturalOrderStore:
     def test_worked_eight_token_example(self):
         # cached [2,4,5]; 7 was revealed last step, so it is recomputed
         # once more and then kept: compute [0,1,3,6,7], next [2,4,5,7]
-        engine = CacheEngine(CacheVariant.decode(), seq_len=8)
+        engine = CacheEngine(CacheVariant.parse("decode"), seq_len=8)
         engine.commit(plan(range(8), [], [2, 4, 5]), [make_slab(0, range(8))])
         masked = np.isin(np.arange(8), [0, 1, 3, 6])
         step = engine.plan_step(masked=masked, step=1)
@@ -158,7 +159,7 @@ class TestNaturalOrderStore:
         tokens = rng.integers(0, 100, size=6)
         result = forward_partial(tokens, np.arange(6), None, tiny_weights)
         full = forward_full(tokens, tiny_weights)
-        engine = CacheEngine(CacheVariant.decode(), seq_len=6)
+        engine = CacheEngine(CacheVariant.parse("decode"), seq_len=6)
         engine.commit(plan(range(6), [], [0, 3]), result.kv)
         for layer, slab in enumerate(engine.slabs):
             assert slab.keys is result.kv[layer].keys
@@ -171,7 +172,7 @@ class TestNaturalOrderStore:
         # the commit trusts its plan; the next pass's partition check
         # refuses a kept position outside the sequence
         tokens = np.array([1, 2, 3])
-        engine = CacheEngine(CacheVariant.decode(), seq_len=3)
+        engine = CacheEngine(CacheVariant.parse("decode"), seq_len=3)
         engine.commit(plan(range(3), [], [5]),
                       forward_full(tokens, tiny_weights).kv)
         with pytest.raises(ValueError, match="out of range"):

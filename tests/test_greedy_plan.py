@@ -100,7 +100,7 @@ def test_greedy_plans_each_step_once(tiny_weights, monkeypatch):
     steps = 12
     cfg = SamplerConfig(gen_len=GEN_LEN, steps=steps, block_size=GEN_LEN,
                         remasking=Remasking.RANDOM, sample_seed=3,
-                        cache=CacheVariant.greedy(4, 2))
+                        cache=CacheVariant.parse("greedy:4:2"))
     generate(PROMPT, cfg, tiny_weights, timed=False)
     assert len(windows_per_step) == steps
     assert max(windows_per_step) == 1

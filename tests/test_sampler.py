@@ -260,7 +260,7 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError, match="random"):
             SamplerConfig(gen_len=8, steps=8, block_size=8,
                           remasking=Remasking.LOW_CONFIDENCE,
-                          cache=CacheVariant.greedy())
+                          cache=CacheVariant.parse("greedy"))
 
 
 class TestGenerate:
@@ -341,7 +341,7 @@ class TestGenerate:
         # row p of a step's snapshot is the row attention read for position
         # p: the fresh row when p was computed, else the cached one
         cfg = SamplerConfig(gen_len=12, steps=6, block_size=12, sample_seed=2,
-                            cache=CacheVariant.decode(None), snapshot_layer=1)
+                            cache=CacheVariant.parse("decode"), snapshot_layer=1)
         _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False,
                             kv_audit=True)
         cached = []
