@@ -9,6 +9,7 @@ be analyzed concurrently.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,8 +95,13 @@ class TokenStat:
         return self.top2_max_steps[0]
 
     @property
-    def spike(self) -> bool:
-        # NaN, a reveal at the final step, compares False
+    def spike(self) -> bool | None:
+        """Whether the change at the reveal exceeds the token's median
+        change; None where that is undefined: a reveal at the final step
+        has no later snapshot (``reveal_change`` is NaN), and with one
+        transition (one top-2 step) the reveal change is the median."""
+        if math.isnan(self.reveal_change) or len(self.top2_max_steps) < 2:
+            return None
         return self.reveal_change > self.median_change
 
 
@@ -136,7 +142,8 @@ class DynamicsResult:
         ``spike_undefined`` gives a reason."""
         if self.spike_undefined:
             return float("nan")
-        return float(np.mean([s.spike for s in self._observed()]))
+        observed = self._observed()
+        return sum(1 for s in observed if s.spike) / len(observed)
 
 
 def _pairwise(snapshots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +276,8 @@ def write_dynamics_csvs(result: DynamicsResult, out_dir) -> list[Path]:
                 s.position, s.decode_step,
                 ";".join(str(x) for x in s.top2_max_steps),
                 ";".join(str(x) for x in s.top2_min_steps),
-                repr(s.reveal_change), repr(s.median_change), int(s.spike),
+                repr(s.reveal_change), repr(s.median_change),
+                "" if s.spike is None else int(s.spike),
             ])
     written.append(extremes_path)
     return written

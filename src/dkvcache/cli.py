@@ -184,21 +184,28 @@ def _thread_cap(deterministic: bool):
     leave the pool as the BLAS library's own variables set it.
 
     The cap goes through threadpoolctl when it is installed, otherwise
-    through numpy's bundled OpenBLAS. Deterministic mode is refused when
-    neither can apply it.
+    through numpy's bundled OpenBLAS. threadpoolctl caps only the
+    libraries it recognises, so when numpy's bundled OpenBLAS is loaded
+    its count is read back under the cap. Deterministic mode is refused
+    when neither can apply the cap, or when the count read back is not 1.
     """
     if not deterministic:
         yield
         return
+    blas = _openblas_threads()
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         pass
     else:
         with threadpool_limits(limits=1):
+            threads = 1 if blas is None else blas[0]()
+            if threads != 1:
+                raise ConfigError(
+                    "deterministic mode cannot cap BLAS threads: threadpoolctl "
+                    f"left numpy's OpenBLAS at {threads} threads")
             yield
         return
-    blas = _openblas_threads()
     if blas is None:
         raise ConfigError(
             "deterministic mode cannot cap BLAS threads: neither "

@@ -1,3 +1,6 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,12 +150,24 @@ class TestDynamics:
         (2, [0, 0, 1, -1], "one transition"),
         (3, [2, 2, 2, -1], "no token revealed before the final step"),
     ])
-    def test_spike_fraction_undefined(self, steps, decode_steps, reason):
+    def test_spike_fraction_undefined(self, steps, decode_steps, reason,
+                                      tmp_path):
         rng = np.random.default_rng(0)
         keys, values = rng.standard_normal((2, steps, 4, 2))
         result = kv_dynamics(keys, values, np.array(decode_steps))
         assert np.isnan(result.spike_fraction)
         assert result.spike_undefined.startswith(reason)
+        # no token's own spike is defined either: the column is left empty
+        assert [s.spike for s in result.token_stats] == [None] * 3
+        write_dynamics_csvs(result, tmp_path)
+        with open(tmp_path / "dynamics_token_extremes.csv") as fh:
+            assert [row["spike"] for row in csv.DictReader(fh)] == [""] * 3
+
+    def test_trace_without_snapshots(self, tiny_weights):
+        cfg = SamplerConfig(gen_len=8, steps=4, block_size=8, sample_seed=6)
+        _, trace = generate(np.arange(1, 7), cfg, tiny_weights, timed=False)
+        with pytest.raises(ValueError, match="trace has no snapshots"):
+            trace.snapshot_arrays()
 
     def test_missing_snapshots(self):
         with pytest.raises(ValueError, match="malformed|snapshot"):
@@ -202,4 +217,27 @@ class TestInvariantChecker:
         rec = trace.records[0]
         trace.records[0] = StepRecord(**{**rec.__dict__, "block": (4, 6)})
         with pytest.raises(ValueError, match="block containment"):
+            verify_trace_invariants(trace)
+
+    @pytest.mark.parametrize("corrupt,error", [
+        (lambda t: t.records.__setitem__(
+            1, replace(t.records[1], masked_count=12)),
+         "monotone unmasking violated at step 1: expected 10 masked, "
+         "recorded 12"),
+        (lambda t: t.records.__setitem__(
+            0, replace(t.records[0], decoded_positions=(), decoded_ids=())),
+         "no tokens finalized at step 0"),
+        (lambda t: t.records.pop(), "decoded 10 tokens, expected 12"),
+        (lambda t: t.final_tokens.__setitem__(t.prompt_len, t.mask_token_id),
+         "residual mask tokens in the generation region"),
+        (lambda t: t.final_tokens.__setitem__(
+            t.prompt_len, (t.final_tokens[t.prompt_len] + 1) % 100),
+         "finalized-token immutability violated: position 4 ended as"),
+    ], ids=["masked-count", "nothing-finalized", "decoded-total",
+            "residual-mask", "final-sequence"])
+    def test_detects_violation(self, tiny_weights, corrupt, error):
+        cfg = SamplerConfig(gen_len=12, steps=6, block_size=6, sample_seed=0)
+        _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
+        corrupt(trace)
+        with pytest.raises(ValueError, match=error):
             verify_trace_invariants(trace)

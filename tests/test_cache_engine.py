@@ -10,6 +10,7 @@ from dkvcache import (
     Remasking,
     SamplerConfig,
     VariantKind,
+    WindowCenter,
     forward_full,
     forward_partial,
     generate,
@@ -83,6 +84,23 @@ class TestCacheVariant:
         with pytest.raises(ValueError, match="refresh_interval"):
             CacheVariant(VariantKind.DECODE, refresh_interval=0)
 
+    @pytest.mark.parametrize("params,error", [
+        (dict(kind=VariantKind.NONE, refresh_interval=4),
+         "none takes no refresh_interval"),
+        (dict(kind=VariantKind.PREFILL, refresh_interval=4),
+         "prefill takes no refresh_interval"),
+        (dict(kind=VariantKind.GREEDY, window_size=-1),
+         "window_size must be >= 0, got -1"),
+        (dict(kind=VariantKind.DECODE, window_size=2), "decode takes no window"),
+        (dict(kind=VariantKind.PD, window_center=WindowCenter.CURRENT),
+         "pd takes no window"),
+    ], ids=["none-interval", "prefill-interval", "negative-window",
+            "decode-window", "pd-window-center"])
+    def test_constructor_rejects(self, params, error):
+        # the class's own checks, for a variant built without ``parse``
+        with pytest.raises(ValueError, match=error):
+            CacheVariant(**params)
+
     @pytest.mark.parametrize("text,error", [
         ("prefill:4", "prefill takes no refresh_interval"),
         ("none:3", "none takes no refresh_interval"),
@@ -116,6 +134,10 @@ class TestGreedyWindow:
     def test_clip_to_region_start(self):
         assert greedy_window([4], 4, (4, 16)) == {4, 5, 6}
 
+    def test_negative_window(self):
+        with pytest.raises(ValueError, match="window_size must be >= 0"):
+            greedy_window([4], -2, (0, 16))
+
 
 class TestPlanComputeSet:
     """``CacheEngine.plan_step`` refusals; the per-step rule of every variant
@@ -136,6 +158,12 @@ class TestPlanComputeSet:
         masked[9] = True
         with pytest.raises(ValueError, match="masked position 9 is served"):
             engine.plan_step(masked=masked, step=1)
+
+    def test_mask_shape_rejected(self):
+        engine = CacheEngine(CacheVariant.parse("decode"), seq_len=10)
+        with pytest.raises(ValueError, match=r"bool mask of 10 positions, "
+                                             r"got shape \(9,\)"):
+            engine.plan_step(masked=np.zeros(9, dtype=bool), step=0)
 
 
 class TestNaturalOrderStore:

@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dkvcache
+import dkvcache.cli as cli_mod
 from dkvcache import CacheVariant, ConfigError, tokens_per_step_schedule
 from dkvcache.analysis import build_report
 from dkvcache.cli import (
@@ -108,12 +111,19 @@ class TestLoadConfig:
          "cache: 'refresh_interval' has type bool"),
         ({"cache": {"variant": "greedy", "window_size": 2.0}},
          "cache: 'window_size' has type float"),
+        # the JSON strings and booleans the CLI converts itself
+        ({"cache": {"variant": 8}}, "'cache.variant' has type int"),
+        ({"sampler": {"remasking": 1}}, "'sampler.remasking' has type int"),
+        ({"deterministic": "yes"}, "'run.deterministic' has type str"),
+        ({"prompt": "1 2 3"},
+         "prompt: expected an id list or {\"file\": path}"),
     ], ids=["sampler-not-object", "cache-not-object", "gen_len-str",
             "temperature-bool", "prompt-float", "prefill-interval",
             "decode-window", "decode-window-0", "decode-window-center",
             "n_layers-float", "weight_seed-float", "n_layers-bool",
             "rope_base-nan", "temperature-inf", "gen_len-float",
-            "refresh_interval-bool", "window_size-float"])
+            "refresh_interval-bool", "window_size-float", "variant-int",
+            "remasking-int", "deterministic-str", "prompt-str"])
     def test_bad_value_named(self, tmp_path, overrides, named):
         path, _ = write_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=named):
@@ -301,13 +311,62 @@ class TestBenchCommand:
             assert "config error" in capsys.readouterr().err
 
 
+def stub_threadpoolctl(apply):
+    """A ``threadpoolctl`` module whose ``threadpool_limits(limits=n)``
+    calls ``apply(n)`` on entry and nothing else."""
+    module = types.ModuleType("threadpoolctl")
+
+    @contextlib.contextmanager
+    def threadpool_limits(limits):
+        apply(limits)
+        yield
+
+    module.threadpool_limits = threadpool_limits
+    return module
+
+
 class TestThreadCap:
+    @pytest.fixture
+    def two_threads(self):
+        """numpy's OpenBLAS at two threads; its count restored after."""
+        get, set_ = _openblas_threads()
+        before = get()
+        set_(2)
+        yield get, set_
+        set_(before)
+
     def test_deterministic_caps_blas_at_one(self):
         get, _ = _openblas_threads()
         before = get()
         with _thread_cap(True):
             assert get() == 1
         assert get() == before
+
+    def test_threadpoolctl_cap_read_back(self, two_threads, monkeypatch):
+        get, set_ = two_threads
+        monkeypatch.setitem(sys.modules, "threadpoolctl",
+                            stub_threadpoolctl(set_))
+        with _thread_cap(True):
+            assert get() == 1
+
+    def test_threadpoolctl_that_caps_nothing_refused(self, two_threads,
+                                                     monkeypatch, tmp_path,
+                                                     capsys):
+        # a threadpoolctl that does not recognise numpy's OpenBLAS
+        monkeypatch.setitem(sys.modules, "threadpoolctl",
+                            stub_threadpoolctl(lambda limits: None))
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
+        assert ("threadpoolctl left numpy's OpenBLAS at 2 threads"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_no_way_to_cap_refused(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(cli_mod, "_openblas_threads", lambda: None)
+        with pytest.raises(ConfigError, match="neither threadpoolctl nor"):
+            with _thread_cap(True):
+                pass
 
 
 class TestAnalyzeCommand:
@@ -321,6 +380,12 @@ class TestAnalyzeCommand:
         assert matrix.shape == (8, 8)
         np.testing.assert_array_equal(matrix, matrix.T)
         np.testing.assert_array_equal(np.diag(matrix), 0.0)
+
+    def test_missing_trace_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "absent" / "trace.jsonl"
+        assert main(["analyze", str(trace)]) == EXIT_CONFIG
+        assert (capsys.readouterr().err
+                == f"config error: trace {trace} not found\n")
 
     def test_missing_snapshots_exit_4(self, tmp_path, capsys):
         path, out = write_config(tmp_path)

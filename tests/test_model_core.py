@@ -349,6 +349,13 @@ class TestAttention:
         with pytest.raises(ValueError, match="empty key set"):
             attention(q, empty, empty, 1.0)
 
+    def test_key_value_row_mismatch_rejected(self, rng):
+        q, k, v = (rng.standard_normal((n, 4)).astype(np.float32)
+                   for n in (1, 3, 2))
+        with pytest.raises(ValueError, match=r"keys \(3\) and values \(2\) "
+                                             "row counts differ"):
+            attention(q, k, v, 1.0)
+
 
 class TestForward:
     def test_full_covers_all_positions(self, tiny_weights, rng):
@@ -449,6 +456,11 @@ class TestForward:
         tokens = np.zeros(tiny_weights.config.max_positions + 1, dtype=np.int64)
         with pytest.raises(ValueError, match="max_positions"):
             forward_full(tokens, tiny_weights)
+
+    def test_two_dimensional_tokens_rejected(self, tiny_weights):
+        with pytest.raises(ValueError, match="tokens must be one-dimensional"):
+            forward_partial(np.zeros((2, 3), dtype=np.int64), [0, 1, 2], None,
+                            tiny_weights)
 
     def test_invalid_token_id(self, tiny_weights):
         with pytest.raises(ValueError, match="invalid token id"):

@@ -36,6 +36,10 @@ class TestAlphaBar:
         with pytest.raises(ValueError):
             alpha_bar(11, 10)
 
+    def test_schedule_needs_a_step(self):
+        with pytest.raises(ValueError, match="total_steps must be >= 1"):
+            NoiseSchedule(0)
+
     def test_strictly_decreasing(self):
         sched = NoiseSchedule(32)
         values = [sched.alpha_bar(t) for t in range(33)]
@@ -147,6 +151,10 @@ class TestPredictX0:
     def test_non_finite_temperature(self, rng, temperature):
         with pytest.raises(ValueError, match="temperature must be finite"):
             predict_x0(np.zeros((1, 4), dtype=np.float32), temperature, rng)
+
+    def test_one_vocab_column(self, rng):
+        with pytest.raises(ValueError, match="at least two vocabulary"):
+            predict_x0(np.zeros((3, 1), dtype=np.float32), 0.0, rng)
 
     def test_temperature_zero_consumes_no_rng(self):
         rng = np.random.default_rng(3)
@@ -304,6 +312,23 @@ class TestGenerate:
             generate(np.array([1, 127]), cfg, tiny_weights)
         with pytest.raises(ConfigError, match="vocabulary"):
             generate(np.array([1, 500]), cfg, tiny_weights)
+
+    @pytest.mark.parametrize("prompt,overrides,error", [
+        (np.ones((2, 3), dtype=np.int64), {}, "prompt must be a flat id list"),
+        (np.arange(1, 7), {"gen_len": 508, "steps": 254, "block_size": 508},
+         r"prompt \+ gen_len = 514 exceeds max_positions 512"),
+        (np.arange(1, 7), {"snapshot_layer": 2},
+         r"snapshot_layer 2 outside \[0, 2\)"),
+        (np.arange(1, 7), {"snapshot_layer": -1},
+         r"snapshot_layer -1 outside \[0, 2\)"),
+    ], ids=["2d-prompt", "past-max-positions", "snapshot-layer-high",
+            "snapshot-layer-negative"])
+    def test_run_rejected_before_step_0(self, tiny_weights, prompt,
+                                        overrides, error):
+        cfg = SamplerConfig(**{"gen_len": 8, "steps": 4, "block_size": 8,
+                               **overrides})
+        with pytest.raises(ConfigError, match=error):
+            generate(prompt, cfg, tiny_weights)
 
     def test_partial_trace_on_failure(self, tiny_weights, monkeypatch):
         calls = {"n": 0}
