@@ -202,8 +202,9 @@ def _thread_cap(deterministic: bool):
             threads = 1 if blas is None else blas[0]()
             if threads != 1:
                 raise ConfigError(
-                    "deterministic mode cannot cap BLAS threads: threadpoolctl "
-                    f"left numpy's OpenBLAS at {threads} threads")
+                    "deterministic mode cannot cap BLAS threads: "
+                    f"threadpoolctl left numpy's OpenBLAS at {threads} "
+                    "threads")
             yield
         return
     if blas is None:
@@ -295,7 +296,8 @@ def cmd_bench(args) -> int:
             return tokens, report, statistics.median(speeds) if speeds else None
 
         if not any(v.kind is VariantKind.NONE for v in variants):
-            baseline_tokens, base_report, _ = run(CacheVariant(VariantKind.NONE))
+            baseline_tokens, base_report, _ = run(
+                CacheVariant(VariantKind.NONE))
         results = []
         for variant in variants:
             tokens, report, tps = run(variant)

@@ -477,8 +477,9 @@ def generate(
 
     try:
         for _ in range(cfg.steps):
-            trace.records.append(decode_step(state, weights, cfg, engine, sched,
-                                             timed=timed, kv_audit=kv_audit))
+            trace.records.append(decode_step(state, weights, cfg, engine,
+                                             sched, timed=timed,
+                                             kv_audit=kv_audit))
     except Exception as exc:
         raise GenerationError(f"generation failed at step {state.step}: {exc}",
                               partial_trace=trace) from exc

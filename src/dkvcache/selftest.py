@@ -303,7 +303,8 @@ def check_step_schedule() -> Check:
 def _check_sampler_invariants(weights: ModelWeights) -> Check:
     _, trace = generate(np.arange(1, 7), SamplerConfig(
         gen_len=12, steps=6, block_size=6, remasking=Remasking.LOW_CONFIDENCE,
-        sample_seed=9, cache=CacheVariant.parse("decode:2")), weights, timed=False)
+        sample_seed=9, cache=CacheVariant.parse("decode:2")), weights,
+        timed=False)
     try:
         verify_trace_invariants(trace)
     except ValueError as exc:

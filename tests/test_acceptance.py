@@ -201,9 +201,11 @@ def test_criterion_07_wall_clock(toy_weights):
     kwargs = dict(gen_len=512, steps=256, block_size=512, sample_seed=11)
     with _thread_cap(True):
         _, base_trace = generate(prompt, SamplerConfig(
-            **kwargs, cache=CacheVariant.parse("none")), toy_weights, timed=True)
+            **kwargs, cache=CacheVariant.parse("none")), toy_weights,
+            timed=True)
         _, dec_trace = generate(prompt, SamplerConfig(
-            **kwargs, cache=CacheVariant.parse("decode:8")), toy_weights, timed=True)
+            **kwargs, cache=CacheVariant.parse("decode:8")), toy_weights,
+            timed=True)
     base, dec = build_report(base_trace), build_report(dec_trace)
     base_tps, dec_tps = base.tokens_per_second, dec.tokens_per_second
     speedup = dec_tps / base_tps
