@@ -25,6 +25,10 @@ def make_record(step, rows, seq_len, millis=None):
     )
 
 
+def replace_record(trace, step, **changes):
+    trace.records[step] = replace(trace.records[step], **changes)
+
+
 def make_trace(rows_per_step, seq_len=8, gen_len=8, millis=None):
     records = []
     for t, rows in enumerate(rows_per_step):
@@ -220,17 +224,15 @@ class TestInvariantChecker:
             verify_trace_invariants(trace)
 
     @pytest.mark.parametrize("corrupt,error", [
-        (lambda t: t.records.__setitem__(
-            1, replace(t.records[1], masked_count=12)),
+        (lambda t: replace_record(t, 1, masked_count=12),
          "monotone unmasking violated at step 1: expected 10 masked, "
          "recorded 12"),
-        (lambda t: t.records.__setitem__(
-            0, replace(t.records[0], decoded_positions=(), decoded_ids=())),
+        (lambda t: replace_record(t, 0, decoded_positions=(), decoded_ids=()),
          "no tokens finalized at step 0"),
         (lambda t: t.records.pop(), "decoded 10 tokens, expected 12"),
-        (lambda t: t.final_tokens.__setitem__(t.prompt_len, t.mask_token_id),
+        (lambda t: t.final_tokens.put(t.prompt_len, t.mask_token_id),
          "residual mask tokens in the generation region"),
-        (lambda t: t.final_tokens.__setitem__(
+        (lambda t: t.final_tokens.put(
             t.prompt_len, (t.final_tokens[t.prompt_len] + 1) % 100),
          "finalized-token immutability violated: position 4 ended as"),
     ], ids=["masked-count", "nothing-finalized", "decoded-total",
