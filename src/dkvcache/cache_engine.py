@@ -77,13 +77,27 @@ class VariantKind(str, Enum):
     PD = "pd"
 
 
-# the kinds that take a refresh_interval
-_REFRESHING = (VariantKind.DECODE, VariantKind.PD, VariantKind.GREEDY)
-
-
 class WindowCenter(str, Enum):
     PREVIOUS = "previous"
     CURRENT = "current"
+
+
+# Per parameter: the kinds that take it, the name an error gives it and
+# the value that does nothing; checked in this order
+_PARAMETERS = {
+    "refresh_interval": ((VariantKind.DECODE, VariantKind.PD, VariantKind.GREEDY),
+                         "refresh_interval", None),
+    "window_size": ((VariantKind.GREEDY,), "window", 0),
+    "window_center": ((VariantKind.GREEDY,), "window", WindowCenter.PREVIOUS),
+}
+
+
+def _reject_untaken(kind: VariantKind, given) -> None:
+    """Raise for the first parameter named in ``given`` that ``kind`` does
+    not take."""
+    for name, (kinds, noun, _) in _PARAMETERS.items():
+        if name in given and kind not in kinds:
+            raise ValueError(f"{kind.value} takes no {noun}")
 
 
 @dataclass(frozen=True)
@@ -101,29 +115,21 @@ class CacheVariant:
         if self.window_size is None:
             object.__setattr__(
                 self, "window_size", 4 if self.kind is VariantKind.GREEDY else 0)
-        if self.refresh_interval is not None:
-            if self.kind not in _REFRESHING:
-                raise ValueError(
-                    f"{self.kind.value} takes no refresh_interval")
-            if self.refresh_interval < 1:
-                raise ValueError("refresh_interval must be >= 1, got "
-                                 f"{self.refresh_interval}")
+        _reject_untaken(self.kind, [
+            name for name, (_, _, unused) in _PARAMETERS.items()
+            if getattr(self, name) != unused])
+        if self.refresh_interval is not None and self.refresh_interval < 1:
+            raise ValueError("refresh_interval must be >= 1, got "
+                             f"{self.refresh_interval}")
         if self.window_size < 0:
             raise ValueError(f"window_size must be >= 0, got {self.window_size}")
-        if self.kind is not VariantKind.GREEDY and (
-                self.window_size or self.window_center is not WindowCenter.PREVIOUS):
-            raise ValueError(f"{self.kind.value} takes no window")
 
     @classmethod
     def of(cls, kind: VariantKind, **params) -> "CacheVariant":
         """Build a ``kind`` variant from the parameters given, rejecting a
         parameter the kind does not take whatever its value: ``none:inf``
         and ``decode:8:0`` are errors, ``decode:inf`` is not."""
-        if "refresh_interval" in params and kind not in _REFRESHING:
-            raise ValueError(f"{kind.value} takes no refresh_interval")
-        if (params.keys() & {"window_size", "window_center"}
-                and kind is not VariantKind.GREEDY):
-            raise ValueError(f"{kind.value} takes no window")
+        _reject_untaken(kind, params)
         return cls(kind=kind, **params)
 
     @classmethod

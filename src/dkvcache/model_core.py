@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,21 +109,33 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    """One layer's parameters. ``wqkv`` is the Q/K/V projection, the one
+    stored ``[wq | wk | wv]`` matrix of shape [d_model, 3 * d_model], so
+    each layer projects with one matmul; ``wq``, ``wk`` and ``wv`` are
+    read-only views of its column blocks."""
+
+    wqkv: np.ndarray
     wo: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
     attn_gain: np.ndarray
     ffn_gain: np.ndarray
-    # [wq | wk | wv], derived once so each layer projects with one matmul;
-    # read-only.
-    wqkv: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wqkv", _freeze(
-            np.concatenate([self.wq, self.wk, self.wv], axis=1)))
+    def _block(self, i: int) -> np.ndarray:
+        d = self.wqkv.shape[0]
+        return self.wqkv[:, i * d:(i + 1) * d]
+
+    @property
+    def wq(self) -> np.ndarray:
+        return self._block(0)
+
+    @property
+    def wk(self) -> np.ndarray:
+        return self._block(1)
+
+    @property
+    def wv(self) -> np.ndarray:
+        return self._block(2)
 
 
 @dataclass(frozen=True)
@@ -206,9 +218,9 @@ def init_weights(config: ModelConfig) -> ModelWeights:
     layers = []
     for _ in range(config.n_layers):
         layers.append(LayerWeights(
-            wq=_freeze(_uniform(rng, d, (d, d))),
-            wk=_freeze(_uniform(rng, d, (d, d))),
-            wv=_freeze(_uniform(rng, d, (d, d))),
+            # wq, wk and wv, drawn in that order
+            wqkv=_freeze(np.concatenate(
+                [_uniform(rng, d, (d, d)) for _ in range(3)], axis=1)),
             wo=_freeze(_uniform(rng, d, (d, d))),
             w1=_freeze(_uniform(rng, d, (d, f))),
             w2=_freeze(_uniform(rng, f, (f, d))),

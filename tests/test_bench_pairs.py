@@ -66,7 +66,7 @@ def test_summary_of_two_runs(tool, two_runs):
     assert summary["decode-long/tokens_per_s"] == {
         "unit": "tok/s", "better": "higher", "parent_median": 160.0,
         "change_median": 170.0, "parent_iqr": 0.0, "change_better_in": 1,
-        "pairs": 1}
+        "pairs": 1, "verdict": "gain"}
     assert summary["greedy-random/step_ms_p50"]["change_better_in"] == 1
     # a tie is not better
     assert summary["decode-long/rows_per_token"]["change_better_in"] == 0
@@ -84,6 +84,30 @@ def test_medians_quartiles_and_direction(tool):
     assert tps["parent_iqr"] == pytest.approx(27.5)
     assert tps["change_better_in"] == 2
     assert step["change_better_in"] == 3  # lower is better
+
+
+UNEVEN = [10, 10, 10, 50, 50, 50, 50, 90, 90, 100]  # quartiles 20 and 80
+
+
+@pytest.mark.parametrize("parent,change,expected", [
+    # better in 10 of 10, medians 104.5 -> 124.5 against an IQR of 4.5
+    (range(100, 110), range(120, 130), "gain"),
+    # 104.5 -> 74.5 is worse by more than 0.25 * 104.5
+    (range(100, 110), range(70, 80), "worse"),
+    # a parent IQR of 60 is wider than 0.25 * 50
+    (UNEVEN, [v - 1 for v in UNEVEN], "unresolved"),
+    # ... unless every run of the change beats every run of the parent
+    (UNEVEN, [101] * 10, "within bound"),
+    (range(100, 110), range(99, 109), "within bound"),
+], ids=["gain", "worse", "unresolved", "every-run-beats", "within-bound"])
+def test_verdict(tool, parent, change, expected):
+    pairs = [{side: tool.parse_run(fake_run(float(tps), 12.0))[1]
+              for side, tps in (("parent", p), ("change", c))}
+             for p, c in zip(parent, change)]
+    summary = tool.summarise(pairs, END_TO_END)
+    assert summary["decode-long/tokens_per_s"]["verdict"] == expected
+    # every step_ms_p50 is the same: a tie
+    assert summary["decode-long/step_ms_p50"]["verdict"] == "within bound"
 
 
 @pytest.mark.parametrize("output,reason", [

@@ -23,12 +23,12 @@ from dkvcache.selftest import (check_partial_forward, check_rotary_reference,
 
 
 def _weight_items(weights):
-    """(name, array) for every parameter; the derived ``wqkv`` is not one."""
+    """(name, array) for every parameter; ``wq``/``wk``/``wv`` are views of
+    ``wqkv``, not parameters of their own."""
     yield "embedding", weights.embedding
     for i, layer in enumerate(weights.layers):
         for f in fields(layer):
-            if f.init:
-                yield f"layer{i}.{f.name}", getattr(layer, f.name)
+            yield f"layer{i}.{f.name}", getattr(layer, f.name)
     yield "final_gain", weights.final_gain
     yield "head", weights.head
 
@@ -107,12 +107,29 @@ class TestInitWeights:
         for _, arr in _weight_items(tiny_weights):
             assert np.isfinite(arr).all()
 
-    def test_fused_projection_derived(self, tiny_weights):
+    def test_projections_are_views_of_wqkv(self, tiny_weights):
         layer = tiny_weights.layers[0]
-        np.testing.assert_array_equal(
-            layer.wqkv, np.hstack([layer.wq, layer.wk, layer.wv]))
-        with pytest.raises(ValueError):
-            layer.wqkv[0, 0] = 1.0
+        views = (layer.wq, layer.wk, layer.wv)
+        np.testing.assert_array_equal(layer.wqkv, np.hstack(views))
+        for mat in views:
+            assert np.shares_memory(mat, layer.wqkv)
+        for mat in (layer.wqkv, *views):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+
+    def test_each_parameter_stored_once(self, tiny_weights):
+        weights, cfg = tiny_weights, tiny_weights.config
+        arrays = [arr for _, arr in _weight_items(weights)]
+        arrays += [mat for layer in weights.layers
+                   for mat in (layer.wq, layer.wk, layer.wv)]
+        bases = {}
+        for arr in arrays:
+            while arr.base is not None:
+                arr = arr.base
+            bases[id(arr)] = arr
+        d, f, v, n = cfg.d_model, cfg.d_ff, cfg.vocab_size, cfg.n_layers
+        params = v * d + n * (4 * d * d + 2 * d * f + 2 * d) + d + d * v
+        assert sum(arr.nbytes for arr in bases.values()) == 4 * params
 
 
 class TestRmsNorm:

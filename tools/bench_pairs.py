@@ -21,8 +21,10 @@ operation. Otherwise it writes ``BENCH_<SLUG>.json`` at the root of the
 checkout: both shas, the host as the runs report it (python, numpy, the
 OpenBLAS build, its thread count and nproc), the exact commands, every
 run's end-to-end metrics per pair, and per metric both medians, the
-parent's interquartile range and in how many pairs the change was
-better. Exits 0 when the file is written, 1 otherwise.
+parent's interquartile range, in how many pairs the change was better
+and a verdict under the metric's ``bound`` in ``BENCHMARK.json``:
+``gain``, ``worse``, ``unresolved`` or ``within bound`` (see
+``_verdict``). Exits 0 when the file is written, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -99,12 +101,41 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def _verdict(entry: dict, parent: list[float], change: list[float],
+             bound: float) -> str:
+    """The verdict on one metric's ``summarise`` entry and its runs:
+
+    - ``gain``: the change is better in at least nine tenths of the pairs,
+      ties counting for neither, and its median is better by more than
+      the parent's interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median;
+    - ``unresolved``: the parent's interquartile range is wider than that,
+      unless every run of the change beats every run of the parent;
+    - ``within bound``: any other case.
+    """
+    sign = 1 if entry["better"] == "higher" else -1
+    gap = sign * (entry["change_median"] - entry["parent_median"])
+    allowed = bound * abs(entry["parent_median"])
+    if (10 * entry["change_better_in"] >= 9 * entry["pairs"]
+            and gap > entry["parent_iqr"]):
+        return "gain"
+    if -gap > allowed:
+        return "worse"
+    every_run_beats = (min(sign * c for c in change)
+                       > max(sign * p for p in parent))
+    if entry["parent_iqr"] > allowed and not every_run_beats:
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric of every workload the pairs ran: both
-    medians, the parent's interquartile range and the number of pairs in
-    which the change was strictly better. ``pairs`` hold ``parent`` and
-    ``change`` dicts of metric values keyed ``workload/name``;
-    ``end_to_end`` is ``BENCHMARK.json``'s list of the same name."""
+    medians, the parent's interquartile range, the number of pairs in
+    which the change was strictly better and the ``verdict`` under the
+    metric's ``bound``. ``pairs`` hold ``parent`` and ``change`` dicts of
+    metric values keyed ``workload/name``; ``end_to_end`` is
+    ``BENCHMARK.json``'s list of the same name."""
     specs = {m["name"]: m for m in end_to_end}
     summary = {}
     for key in pairs[0]["parent"]:
@@ -115,7 +146,7 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
         change = [pair["change"][key] for pair in pairs]
         q1, q3 = _quartiles(parent)
         sign = 1 if spec["better"] == "higher" else -1
-        summary[key] = {
+        entry = summary[key] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "parent_median": statistics.median(parent),
@@ -125,6 +156,7 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
                                     for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+        entry["verdict"] = _verdict(entry, parent, change, spec["bound"])
     return summary
 
 
