@@ -82,20 +82,22 @@ class WindowCenter(str, Enum):
     CURRENT = "current"
 
 
-# Per parameter: the kinds that take it, the name an error gives it and
-# the value that does nothing; checked in this order
+# Per parameter: the kinds that take it, the name an error gives it, the
+# value that does nothing and its label in ``describe``; checked and
+# described in this order
 _PARAMETERS = {
     "refresh_interval": ((VariantKind.DECODE, VariantKind.PD, VariantKind.GREEDY),
-                         "refresh_interval", None),
-    "window_size": ((VariantKind.GREEDY,), "window", 0),
-    "window_center": ((VariantKind.GREEDY,), "window", WindowCenter.PREVIOUS),
+                         "refresh_interval", None, "N"),
+    "window_size": ((VariantKind.GREEDY,), "window", 0, "w"),
+    "window_center": ((VariantKind.GREEDY,), "window", WindowCenter.PREVIOUS,
+                      "center"),
 }
 
 
 def _reject_untaken(kind: VariantKind, given) -> None:
     """Raise for the first parameter named in ``given`` that ``kind`` does
     not take."""
-    for name, (kinds, noun, _) in _PARAMETERS.items():
+    for name, (kinds, noun, _, _) in _PARAMETERS.items():
         if name in given and kind not in kinds:
             raise ValueError(f"{kind.value} takes no {noun}")
 
@@ -116,7 +118,7 @@ class CacheVariant:
             object.__setattr__(
                 self, "window_size", 4 if self.kind is VariantKind.GREEDY else 0)
         _reject_untaken(self.kind, [
-            name for name, (_, _, unused) in _PARAMETERS.items()
+            name for name, (_, _, unused, _) in _PARAMETERS.items()
             if getattr(self, name) != unused])
         if self.refresh_interval is not None and self.refresh_interval < 1:
             raise ValueError("refresh_interval must be >= 1, got "
@@ -150,17 +152,16 @@ class CacheVariant:
                                for name, part in zip(convert, parts)})
 
     def describe(self) -> str:
-        n = "inf" if self.refresh_interval is None else str(self.refresh_interval)
-        if self.kind is VariantKind.NONE:
-            return "none"
-        if self.kind is VariantKind.DECODE:
-            return f"decode(N={n})"
-        if self.kind is VariantKind.GREEDY:
-            return (f"greedy(N={n},w={self.window_size},"
-                    f"center={self.window_center.value})")
-        if self.kind is VariantKind.PREFILL:
-            return "prefill"
-        return f"pd(N={n})"
+        """``kind(label=value,...)`` over the parameters the kind takes,
+        e.g. ``decode(N=inf)``; a kind that takes none is its name."""
+        def text(value) -> str:
+            # only refresh_interval is ever None: it never refreshes
+            return "inf" if value is None else str(getattr(value, "value", value))
+
+        shown = ",".join(f"{label}={text(getattr(self, name))}"
+                         for name, (kinds, _, _, label) in _PARAMETERS.items()
+                         if self.kind in kinds)
+        return f"{self.kind.value}({shown})" if shown else self.kind.value
 
 
 @dataclass
@@ -237,7 +238,10 @@ class CacheEngine:
     ascending int64 array). Each step recomputes exactly the positions
     the cache does not hold, so the one decision per step is which
     positions its commit keeps for the next step. One plan is produced
-    per step and shared read-only across layers. ``predefined_order`` is
+    per step and shared read-only across layers. ``slabs`` holds the
+    per-layer stores, each with the cached positions as its
+    ``row_positions``; it is None before the first commit.
+    ``predefined_order`` is
     the sampler's random decode order, step t's decodes at entry t, kept
     as given; only greedy reads it, to plan around the next decodes.
     """
@@ -260,12 +264,7 @@ class CacheEngine:
         self.prefill.setflags(write=False)
         self.predefined_order = predefined_order
         self.cached_positions = _NOTHING
-        self.slabs: list[KVSlab] = []
-
-    def cache_slabs(self) -> list[KVSlab] | None:
-        """The per-layer stores, each with the cached positions as its
-        ``row_positions``; None before the first commit."""
-        return self.slabs or None
+        self.slabs: list[KVSlab] | None = None
 
     def _refreshes(self, step: int) -> bool:
         interval = self.variant.refresh_interval

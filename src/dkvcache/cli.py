@@ -247,7 +247,7 @@ def _write_outputs(tokens, trace: StepTrace, out_dir: Path) -> None:
     trace.write_csv(out_dir / "trace_summary.csv")
     write_cache_debug(trace.records, out_dir / "cache_debug.jsonl")
     analysis.build_report(trace).write_json(out_dir / "report.json")
-    if trace.has_snapshots():
+    if trace.snapshot_keys is not None:
         _write_snapshots(trace, out_dir)
 
 

@@ -80,9 +80,6 @@ class ModelConfig:
     weight_seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         # a float is not a count
         check_types(self, {**dict.fromkeys(_INT_FIELDS, int),
                            "rope_base": (int, float)})

@@ -164,6 +164,9 @@ def tokens_per_step_schedule(gen_len: int, steps: int, block_size: int) -> StepS
                         blocks=tuple(blocks))
 
 
+_SMALLEST_TEMPERATURE = float(np.finfo(np.float32).smallest_subnormal)
+
+
 def _softmax(rows: np.ndarray) -> np.ndarray:
     """Row softmax; one new array, exponentiated and normalised in place."""
     probs = rows - rows.max(axis=-1, keepdims=True)
@@ -180,9 +183,12 @@ def predict_x0(
     """Predict clean tokens for masked rows.
 
     Temperature 0 takes the argmax (ties to the lowest id); otherwise a
-    categorical sample from softmax(logits / temperature). Confidence is
-    the post-softmax probability of the chosen id and margin the gap
-    between the top-2 probabilities, both at the sampling temperature.
+    categorical sample from softmax(logits / temperature), each row
+    shifted by its max before the division, so a tiny temperature cannot
+    overflow it; one below float32's smallest subnormal divides as that
+    subnormal. Confidence is the post-softmax probability of the chosen
+    id and margin the gap between the top-2 probabilities, both at the
+    sampling temperature.
     """
     if not (math.isfinite(temperature) and temperature >= 0):
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
@@ -192,7 +198,13 @@ def predict_x0(
         probs = _softmax(logits)
         ids = np.argmax(probs, axis=1)
     else:
-        probs = _softmax(logits / temperature)
+        # a tiny temperature sends every entry below the max to -inf; one
+        # below float32's smallest subnormal would divide by 0, and the
+        # max entry's 0 / 0 is NaN
+        divisor = max(temperature, _SMALLEST_TEMPERATURE)
+        with np.errstate(over="ignore"):
+            probs = _softmax((logits - logits.max(axis=1, keepdims=True))
+                             / divisor)
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         draws = rng.random(logits.shape[0])
@@ -211,35 +223,18 @@ def predict_x0(
 
 def select_to_unmask(
     positions: Sequence[int],
-    confidence: np.ndarray,
-    margin: np.ndarray,
-    strategy: Remasking,
+    scores: np.ndarray,
     k: int,
-    active_block: tuple[int, int],
 ) -> tuple[int, ...]:
-    """Pick the k positions to finalize this step; the rest stay masked.
+    """The k highest-scoring positions, ascending; the rest stay masked.
 
-    Ranks by confidence or by margin; random remasking ranks nothing, its
-    decode order is drawn once per generation by ``_draw_decode_order``.
-    Candidates are restricted to the active block. Score ties break
-    toward the lowest position index so reruns are deterministic.
+    ``positions`` are the candidates as given and ``scores`` their
+    confidence or margin. Score ties break toward the lowest position
+    index so reruns are deterministic.
     """
-    if strategy is Remasking.RANDOM:
-        raise ValueError("random remasking does not rank candidates: its "
-                         "decode order is drawn once per generation by "
-                         "_draw_decode_order")
     positions = np.asarray(positions, dtype=np.int64)
-    lo, hi = active_block
-    in_block = (positions >= lo) & (positions < hi)
-    pool = positions[in_block]
-    if k > pool.shape[0]:
-        raise ValueError(
-            f"cannot finalize {k} tokens: only {pool.shape[0]} masked "
-            "positions in the active block")
-    scores = confidence if strategy is Remasking.LOW_CONFIDENCE else margin
-    scores = np.asarray(scores)[in_block]
-    order = np.lexsort((pool, -scores))
-    return tuple(sorted(int(p) for p in pool[order[:k]]))
+    order = np.lexsort((positions, -np.asarray(scores)))
+    return tuple(sorted(positions[order[:k]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -254,9 +249,6 @@ class SamplerConfig:
     snapshot_layer: int | None = None
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         check_types(self, {
             "gen_len": int, "steps": int, "block_size": int,
             "remasking": Remasking, "temperature": (int, float),
@@ -277,7 +269,8 @@ class SamplerConfig:
 
 @dataclass
 class GenerationState:
-    """Mutable state of one generation; single-owner, stepped sequentially.
+    """Mutable state of one generation; single-owner, stepped sequentially
+    by ``generate``, whose loop counter is the step index.
 
     ``order`` is the decode order of random remasking, drawn before step 0
     by ``_draw_decode_order``: step t finalizes exactly ``order[t]``,
@@ -289,7 +282,6 @@ class GenerationState:
 
     tokens: np.ndarray
     prompt_len: int
-    step: int
     rng: np.random.Generator
     order: list[tuple[int, ...]] | None = None
 
@@ -329,23 +321,24 @@ def decode_step(
     cfg: SamplerConfig,
     engine: CacheEngine,
     sched: StepSchedule,
+    t: int,
     *,
     timed: bool = True,
     kv_audit: bool = False,
 ) -> StepRecord:
-    """Run one denoising step, mutating ``state`` and returning its record.
+    """Run denoising step ``t``, mutating ``state`` and returning its record.
 
     The plan fixes the compute set, and from it the logit rows: the
     positions whose logits the sampler reads. Under random remasking those
     are the step's decodes from ``state.order``, read as they are
     (``forward_partial`` rejects one the plan left uncomputed); under
-    confidence remasking, the candidates, the masked positions of the
-    active block, all of which the plan computes. The forward pass
+    confidence or margin remasking, the candidates, the masked positions
+    of the active block, all of which the plan computes. The forward pass
     produces K/V for every compute row but logits only for the logit
-    rows, so ``predict_x0`` sees one row per logit row.
+    rows, so ``predict_x0`` sees one row per logit row, and
+    ``select_to_unmask`` ranks the candidates by confidence or margin.
     """
     mcfg = weights.config
-    t = state.step
     block_lo, block_hi = sched.blocks[sched.block_of[t]]
     block = (state.prompt_len + block_lo, state.prompt_len + block_hi)
     k = sched.counts[t]
@@ -361,7 +354,7 @@ def decode_step(
         chosen = state.order[t]
         read = np.asarray(chosen, dtype=np.int64)
     result = forward_partial(state.tokens, plan.compute_set,
-                             engine.cache_slabs(), weights,
+                             engine.slabs, weights,
                              logit_rows=row_of[read])
     engine.commit(plan, result.kv)
 
@@ -370,8 +363,9 @@ def decode_step(
     rows[:, mcfg.mask_token_id] = -np.inf
     ids, confidence, margin = predict_x0(rows, cfg.temperature, state.rng)
     if state.order is None:
-        chosen = select_to_unmask(read, confidence, margin,
-                                  cfg.remasking, k, block)
+        scores = (margin if cfg.remasking is Remasking.TOP_MARGIN
+                  else confidence)
+        chosen = select_to_unmask(read, scores, k)
     id_of = dict(zip(read.tolist(), ids.tolist()))
     decoded_ids = tuple(id_of[p] for p in chosen)
     for pos, tok in zip(chosen, decoded_ids):
@@ -391,11 +385,6 @@ def decode_step(
         cached_positions=plan.cached_positions,
         compute_set=plan.compute_set,
     )
-    if cfg.snapshot_layer is not None:
-        # the store is in natural order; copied, since the next step writes it
-        slab = result.kv[cfg.snapshot_layer]
-        record.key_snapshot = slab.keys.copy()
-        record.value_snapshot = slab.values.copy()
     if kv_audit:
         # fresh_kv's keys and values are already copies of the store's rows
         record.audit = StepAudit(
@@ -404,8 +393,6 @@ def decode_step(
             cached_after=[(s.row_positions.copy(), s.keys[s.row_positions],
                            s.values[s.row_positions]) for s in engine.slabs],
         )
-
-    state.step = t + 1
     return record
 
 
@@ -420,8 +407,11 @@ def generate(
     """Generate ``cfg.gen_len`` tokens after the prompt.
 
     Returns the full sequence (prompt + generation) and the step trace.
-    On a mid-run failure a GenerationError is raised carrying the partial
-    trace. Prompt positions are never masked and never decoded.
+    With ``cfg.snapshot_layer`` set, the trace holds one [steps, seq,
+    d_model] key array and one value array, and each step copies that
+    layer's store into its row. On a mid-run failure a GenerationError is
+    raised carrying the partial trace. Prompt positions are never masked
+    and never decoded.
     """
     mcfg = weights.config
     prompt = np.asarray(prompt_ids, dtype=np.int64)
@@ -458,7 +448,6 @@ def generate(
     state = GenerationState(
         tokens=tokens,
         prompt_len=prompt.shape[0],
-        step=0,
         rng=rng,
         order=order,
     )
@@ -474,14 +463,24 @@ def generate(
         mask_token_id=mcfg.mask_token_id,
         snapshot_layer=cfg.snapshot_layer,
     )
+    layer = cfg.snapshot_layer
+    if layer is not None:
+        shape = (cfg.steps, seq_len, mcfg.d_model)
+        trace.snapshot_keys = np.empty(shape, dtype=np.float32)
+        trace.snapshot_values = np.empty(shape, dtype=np.float32)
 
     try:
-        for _ in range(cfg.steps):
+        for t in range(cfg.steps):
             trace.records.append(decode_step(state, weights, cfg, engine,
-                                             sched, timed=timed,
+                                             sched, t, timed=timed,
                                              kv_audit=kv_audit))
+            if layer is not None:
+                # the store is in natural order; copied, since the next
+                # step writes it
+                trace.snapshot_keys[t] = engine.slabs[layer].keys
+                trace.snapshot_values[t] = engine.slabs[layer].values
     except Exception as exc:
-        raise GenerationError(f"generation failed at step {state.step}: {exc}",
+        raise GenerationError(f"generation failed at step {t}: {exc}",
                               partial_trace=trace) from exc
 
     left = np.count_nonzero(state.tokens == mcfg.mask_token_id)

@@ -40,8 +40,6 @@ class StepRecord:
     block: tuple[int, int]
     cached_positions: np.ndarray  # the plan's int64 arrays, not copies
     compute_set: np.ndarray
-    key_snapshot: np.ndarray | None = None
-    value_snapshot: np.ndarray | None = None
     audit: StepAudit | None = None
 
     @property
@@ -62,7 +60,12 @@ class StepRecord:
 
 @dataclass
 class StepTrace:
-    """Everything recorded about one generation run."""
+    """Everything recorded about one generation run.
+
+    With a ``snapshot_layer``, ``snapshot_keys`` and ``snapshot_values``
+    are that layer's [total_steps, seq, d_model] stores, row t written
+    after step t; rows past ``len(records)`` were never written.
+    """
 
     records: list[StepRecord]
     prompt_len: int
@@ -73,6 +76,8 @@ class StepTrace:
     mask_token_id: int
     snapshot_layer: int | None = None
     final_tokens: np.ndarray | None = None
+    snapshot_keys: np.ndarray | None = None
+    snapshot_values: np.ndarray | None = None
 
     @property
     def seq_len(self) -> int:
@@ -96,17 +101,15 @@ class StepTrace:
                 out[int(pos)] = int(tok)
         return out
 
-    def has_snapshots(self) -> bool:
-        return self.snapshot_layer is not None and all(
-            rec.key_snapshot is not None for rec in self.records)
-
     def snapshot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked [steps, seq, width] key/value snapshots plus the
-        per-position decode step (-1 for prompt positions)."""
-        if not self.has_snapshots():
+        """Views of the [steps, seq, width] key/value snapshots of the
+        steps that ran, plus the per-position decode step (-1 for prompt
+        positions)."""
+        if self.snapshot_keys is None:
             raise ValueError("trace has no snapshots; set snapshot_layer")
-        keys = np.stack([rec.key_snapshot for rec in self.records])
-        values = np.stack([rec.value_snapshot for rec in self.records])
+        steps = len(self.records)
+        keys = self.snapshot_keys[:steps]
+        values = self.snapshot_values[:steps]
         decode_steps = np.full(self.seq_len, -1, dtype=np.int64)
         for pos, step in self.decode_step_of().items():
             decode_steps[pos] = step

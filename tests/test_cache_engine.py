@@ -50,7 +50,7 @@ def served_step(weights, tokens, cached, compute, next_cached):
     reference = forward_partial(tokens, compute, served, weights)
     engine = CacheEngine(CacheVariant.parse("decode"), seq_len=seq)
     engine.commit(plan(np.arange(seq), [], cached), full.kv)
-    part = forward_partial(tokens, compute, engine.cache_slabs(), weights)
+    part = forward_partial(tokens, compute, engine.slabs, weights)
     engine.commit(plan(compute, cached, next_cached), part.kv)
     return engine, part, served, reference
 
@@ -204,8 +204,7 @@ class TestNaturalOrderStore:
         engine.commit(plan(range(3), [], [5]),
                       forward_full(tokens, tiny_weights).kv)
         with pytest.raises(ValueError, match="out of range"):
-            forward_partial(tokens, [0, 1, 2], engine.cache_slabs(),
-                            tiny_weights)
+            forward_partial(tokens, [0, 1, 2], engine.slabs, tiny_weights)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31))

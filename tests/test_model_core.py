@@ -53,7 +53,8 @@ def naive_attention(q, k, v, scale, n_heads):
 
 class TestConfig:
     def test_valid(self, tiny_config):
-        tiny_config.validate()
+        # constructing is the check: __post_init__ raises on a bad field
+        assert ModelConfig(**vars(tiny_config)) == tiny_config
 
     @pytest.mark.parametrize("overrides,needle", [
         (dict(d_model=100), "d_model"),

@@ -129,12 +129,23 @@ class TestPredictX0:
         logits[0, [3, 11]] = logits[0].max() + 1.0
         ids, conf, margin = predict_x0(logits, temperature,
                                        np.random.default_rng(2))
-        probs = sampler_mod._softmax(logits / temperature if temperature
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        probs = sampler_mod._softmax(shifted / temperature if temperature
                                      else logits)
         top2 = np.partition(probs, -2, axis=1)[:, -2:]
         assert margin.tobytes() == (top2[:, 1] - top2[:, 0]).tobytes()
         assert margin[0] == 0
         np.testing.assert_array_equal(conf, probs[np.arange(64), ids])
+
+    @pytest.mark.parametrize("temperature", [1e-40, 1e-46, 1e-300])
+    def test_tiny_temperature_takes_the_argmax(self, rng, temperature):
+        # raw logits over 1e-40 overflow float32 and the softmax turns NaN;
+        # shifted by the row max first, the top entry gets all the mass.
+        # Below float32's smallest subnormal the divisor itself rounds to 0.
+        logits = np.random.default_rng(4).standard_normal((3, 8)).astype(np.float32)
+        ids, conf, margin = predict_x0(logits, temperature, rng)
+        np.testing.assert_array_equal(ids, logits.argmax(axis=1))
+        assert np.isfinite(conf).all() and np.isfinite(margin).all()
 
     def test_seeded_rerun_identical(self):
         logits = np.random.default_rng(5).standard_normal((6, 16)).astype(np.float32)
@@ -164,41 +175,52 @@ class TestPredictX0:
 
 
 class TestSelectToUnmask:
-    def test_top_confidence(self):
-        chosen = select_to_unmask(
-            [3, 5, 7], np.array([0.9, 0.5, 0.7]), np.array([0.0, 0.0, 0.0]),
-            Remasking.LOW_CONFIDENCE, 1, (0, 10))
-        assert chosen == (3,)
+    """``select_to_unmask`` ranks the candidates it is given by the scores
+    it is given; ``decode_step`` gives it confidence or margin."""
 
-    def test_top_margin(self):
-        chosen = select_to_unmask(
-            [3, 5], np.array([0.0, 0.0]), np.array([0.30, 0.05]),
-            Remasking.TOP_MARGIN, 1, (0, 10))
-        assert chosen == (3,)
-
-    def test_random_is_rejected(self):
-        # random remasking's order is drawn once per generation; ranking
-        # here would silently pick by margin
-        with pytest.raises(ValueError, match="_draw_decode_order"):
-            select_to_unmask([0, 1, 2, 3], np.zeros(4), np.zeros(4),
-                             Remasking.RANDOM, 2, (0, 4))
-
-    def test_block_restriction(self):
-        chosen = select_to_unmask(
-            [1, 5, 9], np.array([0.9, 0.1, 0.95]), np.zeros(3),
-            Remasking.LOW_CONFIDENCE, 1, (4, 8))
-        assert chosen == (5,)  # 1 and 9 fall outside the block
-
-    def test_k_exceeds_pool(self):
-        with pytest.raises(ValueError, match="only"):
-            select_to_unmask([2], np.array([0.5]), np.array([0.5]),
-                             Remasking.LOW_CONFIDENCE, 2, (0, 10))
+    def test_top_score(self):
+        scores = np.array([0.9, 0.5, 0.7])
+        assert select_to_unmask([3, 5, 7], scores, 1) == (3,)
+        assert select_to_unmask([3, 5, 7], scores, 2) == (3, 7)
 
     def test_ties_break_low_position(self):
-        chosen = select_to_unmask(
-            [4, 2, 6], np.array([0.5, 0.5, 0.5]), np.zeros(3),
-            Remasking.LOW_CONFIDENCE, 2, (0, 10))
+        chosen = select_to_unmask([4, 2, 6], np.array([0.5, 0.5, 0.5]), 2)
         assert chosen == (2, 4)
+
+    def test_k_takes_every_candidate(self):
+        chosen = select_to_unmask([9, 1, 5], np.array([0.1, 0.3, 0.2]), 3)
+        assert chosen == (1, 5, 9)
+
+    @staticmethod
+    def first_step(weights, monkeypatch, remasking):
+        """Step 0's decodes, with confidence rising and margin falling over
+        the candidates so that the two rank them oppositely."""
+        def opposite(logits, temperature, rng):
+            rising = np.linspace(0.1, 0.9, logits.shape[0])
+            return (np.full(logits.shape[0], 5, dtype=np.int64), rising,
+                    rising[::-1].copy())
+
+        monkeypatch.setattr(sampler_mod, "predict_x0", opposite)
+        cfg = SamplerConfig(gen_len=8, steps=4, block_size=8,
+                            remasking=remasking)
+        mask = weights.config.mask_token_id
+        state = sampler_mod.GenerationState(
+            tokens=np.array([1, 2, 3, 4] + [mask] * 8),
+            prompt_len=4, rng=np.random.default_rng(0))
+        engine = CacheEngine(cfg.cache, seq_len=12, prompt_len=4)
+        record = sampler_mod.decode_step(
+            state, weights, cfg, engine, tokens_per_step_schedule(8, 4, 8),
+            0, timed=False)
+        assert state.tokens[list(record.decoded_positions)].tolist() == [5, 5]
+        return record.decoded_positions
+
+    def test_top_confidence(self, tiny_weights, monkeypatch):
+        assert self.first_step(tiny_weights, monkeypatch,
+                               Remasking.LOW_CONFIDENCE) == (10, 11)
+
+    def test_top_margin(self, tiny_weights, monkeypatch):
+        assert self.first_step(tiny_weights, monkeypatch,
+                               Remasking.TOP_MARGIN) == (4, 5)
 
 
 class TestDecodeOrder:
@@ -346,6 +368,38 @@ class TestGenerate:
             generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
         assert len(excinfo.value.partial_trace.records) == 3
 
+    def test_partial_trace_snapshots_are_the_steps_run(self, tiny_weights,
+                                                       monkeypatch):
+        stores = []
+        real = sampler_mod.forward_partial
+
+        def flaky(*args, **kwargs):
+            if len(stores) == 3:
+                raise RuntimeError("injected fault")
+            result = real(*args, **kwargs)
+            slab = result.kv[1]
+            stores.append((slab.keys.tobytes(), slab.values.tobytes()))
+            return result
+
+        monkeypatch.setattr(sampler_mod, "forward_partial", flaky)
+        cfg = SamplerConfig(gen_len=12, steps=6, block_size=6, sample_seed=1,
+                            cache=CacheVariant.parse("decode"), snapshot_layer=1)
+        with pytest.raises(GenerationError) as excinfo:
+            generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
+        keys, values, _ = excinfo.value.partial_trace.snapshot_arrays()
+        assert keys.shape[0] == values.shape[0] == 3
+        assert [(k.tobytes(), v.tobytes())
+                for k, v in zip(keys, values)] == stores
+
+    def test_snapshot_arrays_are_views(self, tiny_weights):
+        cfg = SamplerConfig(gen_len=8, steps=4, block_size=8, sample_seed=1,
+                            snapshot_layer=0)
+        _, trace = generate(np.arange(1, 5), cfg, tiny_weights, timed=False)
+        keys, values, _ = trace.snapshot_arrays()
+        assert keys.shape == values.shape == (4, 12, 64)
+        assert np.shares_memory(keys, trace.snapshot_keys)
+        assert np.shares_memory(values, trace.snapshot_values)
+
     def test_timed_run_records_millis(self, tiny_weights):
         cfg = SamplerConfig(gen_len=8, steps=4, block_size=8, sample_seed=1)
         _, trace = generate(np.arange(1, 3), cfg, tiny_weights, timed=True)
@@ -371,10 +425,11 @@ class TestGenerate:
                             kv_audit=True)
         cached = []
         for rec in trace.records:
+            key_store = trace.snapshot_keys[rec.step]
+            value_store = trace.snapshot_values[rec.step]
             for positions, keys, values in [rec.audit.fresh[1], *cached]:
-                assert rec.key_snapshot[positions].tobytes() == keys.tobytes()
-                assert (rec.value_snapshot[positions].tobytes()
-                        == values.tobytes())
+                assert key_store[positions].tobytes() == keys.tobytes()
+                assert value_store[positions].tobytes() == values.tobytes()
             cached = [rec.audit.cached_after[1]]
 
 
