@@ -51,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "CacheVariant",
     "ComputePlan",
     "CacheEngine",
-    "greedy_window",
     "scatter_outputs",
     "write_cache_debug",
 ]
@@ -195,29 +194,6 @@ _NOTHING = np.zeros(0, dtype=np.int64)
 _NOTHING.setflags(write=False)
 
 
-def greedy_window(
-    center_positions: Iterable[int],
-    window_size: int,
-    region: tuple[int, int],
-) -> set[int]:
-    """Union of windows [c - ceil(w/2), c + floor(w/2)] clipped to ``region``.
-
-    ``region`` is the half-open generation span; positions outside it do
-    not exist for windowing purposes.
-    """
-    if window_size < 0:
-        raise ValueError(f"window_size must be >= 0, got {window_size}")
-    lo_off = math.ceil(window_size / 2)
-    hi_off = window_size // 2
-    start, end = region
-    out: set[int] = set()
-    for center in center_positions:
-        lo = max(start, center - lo_off)
-        hi = min(end - 1, center + hi_off)
-        out.update(range(lo, hi + 1))
-    return out
-
-
 def scatter_outputs(plan: ComputePlan) -> np.ndarray:
     """Map original positions to their compute rows.
 
@@ -241,9 +217,9 @@ class CacheEngine:
     per step and shared read-only across layers. ``slabs`` holds the
     per-layer stores, each with the cached positions as its
     ``row_positions``; it is None before the first commit.
-    ``predefined_order`` is
-    the sampler's random decode order, step t's decodes at entry t, kept
-    as given; only greedy reads it, to plan around the next decodes.
+    ``predefined_order`` is the sampler's random decode order, step t's
+    decodes at entry t, kept as given; only greedy reads it, to plan
+    around the next decodes; ``_kept`` plans greedy's window there.
     """
 
     def __init__(
@@ -271,7 +247,13 @@ class CacheEngine:
         return step > 0 and interval is not None and step % interval == 0
 
     def _kept(self, masked: np.ndarray, step: int) -> np.ndarray:
-        """Positions the commit of ``step`` keeps for ``step + 1``."""
+        """Positions the commit of ``step`` keeps for ``step + 1``, ascending.
+
+        Greedy keeps the complement of step + 1's greedy set, built as one
+        keep-mask: it clears this step's and the next step's decodes and,
+        around each centre c, ``[c - ceil(w/2), c + floor(w/2)]`` clipped
+        to the generation region ``[prompt_len, seq_len)``.
+        """
         kind = self.variant.kind
         if kind is VariantKind.NONE:
             return _NOTHING
@@ -289,9 +271,14 @@ class CacheEngine:
         decoded, upcoming = order[step], order[step + 1]
         centers = (decoded if self.variant.window_center is WindowCenter.PREVIOUS
                    else upcoming)
-        window = greedy_window(centers, self.variant.window_size,
-                               (len(self.prefill), self.seq_len))
-        return _complement(list(window.union(decoded, upcoming)), self.seq_len)
+        w = self.variant.window_size
+        below, above = math.ceil(w / 2), w // 2
+        keep = np.ones(self.seq_len, dtype=bool)
+        for c in centers:
+            keep[max(len(self.prefill), c - below):c + above + 1] = False
+        for decodes in (decoded, upcoming):
+            keep[np.asarray(decodes, dtype=np.int64)] = False
+        return np.flatnonzero(keep)
 
     def plan_step(self, *, masked: np.ndarray, step: int) -> ComputePlan:
         """Plan ``step`` from the bool mask of still-masked positions.

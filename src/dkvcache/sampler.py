@@ -200,11 +200,13 @@ def predict_x0(
     else:
         # a tiny temperature sends every entry below the max to -inf; one
         # below float32's smallest subnormal would divide by 0, and the
-        # max entry's 0 / 0 is NaN
-        divisor = max(temperature, _SMALLEST_TEMPERATURE)
+        # max entry's 0 / 0 is NaN. Each row's max is then exactly 0, so
+        # the softmax needs no second shift.
+        probs = logits - logits.max(axis=1, keepdims=True)
         with np.errstate(over="ignore"):
-            probs = _softmax((logits - logits.max(axis=1, keepdims=True))
-                             / divisor)
+            probs /= max(temperature, _SMALLEST_TEMPERATURE)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         draws = rng.random(logits.shape[0])
@@ -273,11 +275,11 @@ class GenerationState:
     by ``generate``, whose loop counter is the step index.
 
     ``order`` is the decode order of random remasking, drawn before step 0
-    by ``_draw_decode_order``: step t finalizes exactly ``order[t]``,
-    whatever the cache variant. It is None under confidence remasking,
-    which ranks each step's candidates instead. A position is masked
-    exactly when its token is the mask id: the prompt holds none, and
-    ``decode_step`` never proposes it.
+    by ``_draw_decode_order``: step t finalizes exactly ``order[t]``, a
+    sorted tuple, whatever the cache variant. It is None under confidence
+    remasking, which ranks each step's candidates instead. A position is
+    masked exactly when its token is the mask id: the prompt holds none,
+    and ``decode_step`` never proposes it.
     """
 
     tokens: np.ndarray
@@ -337,6 +339,8 @@ def decode_step(
     produces K/V for every compute row but logits only for the logit
     rows, so ``predict_x0`` sees one row per logit row, and
     ``select_to_unmask`` ranks the candidates by confidence or margin.
+    The logit rows are ascending in both cases (``order[t]`` is sorted),
+    so a decoded position's id is read at its rank among them.
     """
     mcfg = weights.config
     block_lo, block_hi = sched.blocks[sched.block_of[t]]
@@ -366,10 +370,9 @@ def decode_step(
         scores = (margin if cfg.remasking is Remasking.TOP_MARGIN
                   else confidence)
         chosen = select_to_unmask(read, scores, k)
-    id_of = dict(zip(read.tolist(), ids.tolist()))
-    decoded_ids = tuple(id_of[p] for p in chosen)
-    for pos, tok in zip(chosen, decoded_ids):
-        state.tokens[pos] = tok
+    chosen_ids = ids[np.searchsorted(read, chosen)]
+    state.tokens[list(chosen)] = chosen_ids
+    decoded_ids = tuple(chosen_ids.tolist())
     millis = ((time.perf_counter() - start_time) * 1000.0
               if start_time is not None else None)
 

@@ -14,7 +14,6 @@ from dkvcache import (
     forward_full,
     forward_partial,
     generate,
-    greedy_window,
     scatter_outputs,
 )
 from dkvcache import model_core, sampler as sampler_mod
@@ -119,24 +118,50 @@ class TestCacheVariant:
 
 
 class TestGreedyWindow:
+    """Greedy's window as ``plan_step`` applies it: step 1 computes step 0's
+    decodes, step 1's decodes and ``[c - ceil(w/2), c + floor(w/2)]``
+    around each centre c, clipped to the generation region."""
+
+    @staticmethod
+    def step1_compute(window_size, decoded, upcoming, *, prompt_len=0,
+                      center=WindowCenter.PREVIOUS, seq_len=16):
+        engine = CacheEngine(
+            CacheVariant(VariantKind.GREEDY, window_size=window_size,
+                         window_center=center),
+            seq_len=seq_len, prompt_len=prompt_len,
+            predefined_order=[decoded, upcoming])
+        masked = np.arange(seq_len) >= prompt_len
+        step0 = engine.plan_step(masked=masked, step=0)
+        engine.commit(step0, [make_slab(0, np.arange(seq_len))])
+        masked[list(decoded)] = False
+        return engine.plan_step(masked=masked, step=1).compute_set.tolist()
+
     def test_center_window(self):
-        assert greedy_window([5], 4, (0, 16)) == {3, 4, 5, 6, 7}
+        assert self.step1_compute(4, (5,), (10,)) == [3, 4, 5, 6, 7, 10]
 
     def test_boundary_clip(self):
-        assert greedy_window([0], 4, (0, 16)) == {0, 1, 2}
+        # the window stops at the sequence end
+        assert self.step1_compute(4, (15,), (12,)) == [12, 13, 14, 15]
 
     def test_union_of_centers(self):
-        assert greedy_window([5, 6], 2, (0, 16)) == {4, 5, 6, 7}
+        assert self.step1_compute(2, (5, 6), (1,)) == [1, 4, 5, 6, 7]
 
     def test_zero_window(self):
-        assert greedy_window([5], 0, (0, 16)) == {5}
+        assert self.step1_compute(0, (5,), (9,)) == [5, 9]
 
     def test_clip_to_region_start(self):
-        assert greedy_window([4], 4, (4, 16)) == {4, 5, 6}
+        # the window never reaches into the prompt
+        assert self.step1_compute(4, (4,), (9,), prompt_len=4) == [4, 5, 6, 9]
+
+    def test_current_center(self):
+        assert self.step1_compute(2, (3,), (10,),
+                                  center=WindowCenter.CURRENT) == [3, 9, 10, 11]
 
     def test_negative_window(self):
         with pytest.raises(ValueError, match="window_size must be >= 0"):
-            greedy_window([4], -2, (0, 16))
+            CacheVariant(VariantKind.GREEDY, window_size=-2)
+        with pytest.raises(ValueError, match="window_size must be >= 0"):
+            CacheVariant.parse("greedy:4:-2")
 
 
 class TestPlanComputeSet:

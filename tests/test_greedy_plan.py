@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import dkvcache.cache_engine as cache_engine
 from dkvcache import (
     CacheEngine,
     CacheVariant,
@@ -83,24 +82,23 @@ def test_plans_match_reference(tiny_weights, text, seed):
 
 
 def test_greedy_plans_each_step_once(tiny_weights, monkeypatch):
-    """At most one greedy window is built per step."""
-    windows_per_step = []
-    real_window, real_plan = cache_engine.greedy_window, CacheEngine.plan_step
+    """Each ``plan_step`` decides what its commit keeps exactly once."""
+    kept_per_step = []
+    real_kept, real_plan = CacheEngine._kept, CacheEngine.plan_step
 
-    def window(*args, **kwargs):
-        windows_per_step[-1] += 1
-        return real_window(*args, **kwargs)
+    def kept(self, *args, **kwargs):
+        kept_per_step[-1] += 1
+        return real_kept(self, *args, **kwargs)
 
     def plan_step(self, **kwargs):
-        windows_per_step.append(0)
+        kept_per_step.append(0)
         return real_plan(self, **kwargs)
 
-    monkeypatch.setattr(cache_engine, "greedy_window", window)
+    monkeypatch.setattr(CacheEngine, "_kept", kept)
     monkeypatch.setattr(CacheEngine, "plan_step", plan_step)
     steps = 12
     cfg = SamplerConfig(gen_len=GEN_LEN, steps=steps, block_size=GEN_LEN,
                         remasking=Remasking.RANDOM, sample_seed=3,
                         cache=CacheVariant.parse("greedy:4:2"))
     generate(PROMPT, cfg, tiny_weights, timed=False)
-    assert len(windows_per_step) == steps
-    assert max(windows_per_step) == 1
+    assert kept_per_step == [1] * steps

@@ -194,10 +194,12 @@ class TestSelectToUnmask:
     @staticmethod
     def first_step(weights, monkeypatch, remasking):
         """Step 0's decodes, with confidence rising and margin falling over
-        the candidates so that the two rank them oppositely."""
+        the candidates so that the two rank them oppositely. Candidate row
+        r (position 4 + r) proposes id 20 + r, and each decoded position
+        must receive its own row's id."""
         def opposite(logits, temperature, rng):
             rising = np.linspace(0.1, 0.9, logits.shape[0])
-            return (np.full(logits.shape[0], 5, dtype=np.int64), rising,
+            return (20 + np.arange(logits.shape[0], dtype=np.int64), rising,
                     rising[::-1].copy())
 
         monkeypatch.setattr(sampler_mod, "predict_x0", opposite)
@@ -211,7 +213,11 @@ class TestSelectToUnmask:
         record = sampler_mod.decode_step(
             state, weights, cfg, engine, tokens_per_step_schedule(8, 4, 8),
             0, timed=False)
-        assert state.tokens[list(record.decoded_positions)].tolist() == [5, 5]
+        expected = [16 + p for p in record.decoded_positions]
+        assert list(record.decoded_ids) == expected
+        assert state.tokens[4:].tolist() == [
+            16 + p if p in record.decoded_positions else mask
+            for p in range(4, 12)]
         return record.decoded_positions
 
     def test_top_confidence(self, tiny_weights, monkeypatch):
