@@ -147,8 +147,14 @@ class CacheVariant:
                              f"{':'.join(parts[3:])!r}")
         convert = {"refresh_interval": lambda n: None if n == "inf" else int(n),
                    "window_size": int, "window_center": WindowCenter}
-        return cls.of(kind, **{name: convert[name](part)
-                               for name, part in zip(convert, parts)})
+        params = {}
+        for name, part in zip(convert, parts):
+            try:
+                params[name] = convert[name](part)
+            except ValueError:
+                raise ValueError(f"cache variant {text!r}: bad {name} "
+                                 f"{part!r}") from None
+        return cls.of(kind, **params)
 
     def describe(self) -> str:
         """``kind(label=value,...)`` over the parameters the kind takes,

@@ -183,34 +183,25 @@ def _thread_cap(deterministic: bool):
     """Pin the BLAS kernels to one thread in deterministic mode; otherwise
     leave the pool as the BLAS library's own variables set it.
 
-    The cap goes through threadpoolctl when it is installed, otherwise
-    through numpy's bundled OpenBLAS. threadpoolctl caps only the
-    libraries it recognises, so when numpy's bundled OpenBLAS is loaded
-    its count is read back under the cap. Deterministic mode is refused
-    when neither can apply the cap, or when the count read back is not 1.
+    The cap goes through numpy's bundled OpenBLAS when it is loaded, its
+    count restored afterwards, and through threadpoolctl only when it is
+    not. Deterministic mode is refused when neither can apply the cap.
     """
     if not deterministic:
         yield
         return
     blas = _openblas_threads()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        pass
-    else:
+    if blas is None:
+        try:
+            from threadpoolctl import threadpool_limits
+        except ImportError:
+            raise ConfigError(
+                "deterministic mode cannot cap BLAS threads: neither "
+                "threadpoolctl nor numpy's bundled OpenBLAS is "
+                "available") from None
         with threadpool_limits(limits=1):
-            threads = 1 if blas is None else blas[0]()
-            if threads != 1:
-                raise ConfigError(
-                    "deterministic mode cannot cap BLAS threads: "
-                    f"threadpoolctl left numpy's OpenBLAS at {threads} "
-                    "threads")
             yield
         return
-    if blas is None:
-        raise ConfigError(
-            "deterministic mode cannot cap BLAS threads: neither "
-            "threadpoolctl nor numpy's bundled OpenBLAS is available")
     get, set_ = blas
     previous = get()
     set_(1)
@@ -281,10 +272,12 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ConfigError("--repeat must be >= 1")
 
+    baseline = CacheVariant(VariantKind.NONE)
+    results = {}
     with _thread_cap(cfg.deterministic):
         weights = init_weights(cfg.model)
-
-        def run(variant):
+        # the baseline first, then each variant once however often listed
+        for variant in dict.fromkeys((baseline, *variants)):
             scfg = replace(cfg.sampler, cache=variant)
             speeds = []
             for _ in range(args.repeat):
@@ -293,17 +286,9 @@ def cmd_bench(args) -> int:
                 report = analysis.build_report(trace)
                 if report.tokens_per_second is not None:
                     speeds.append(report.tokens_per_second)
-            return tokens, report, statistics.median(speeds) if speeds else None
-
-        if not any(v.kind is VariantKind.NONE for v in variants):
-            baseline_tokens, base_report, _ = run(
-                CacheVariant(VariantKind.NONE))
-        results = []
-        for variant in variants:
-            tokens, report, tps = run(variant)
-            if variant.kind is VariantKind.NONE:
-                baseline_tokens, base_report = tokens, report
-            results.append((variant, tokens, report, tps))
+            results[variant] = (tokens, report,
+                                statistics.median(speeds) if speeds else None)
+    baseline_tokens, base_report, _ = results[baseline]
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "bench.csv"
@@ -312,7 +297,8 @@ def cmd_bench(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow("variant tokens_per_s cache_ratio total_rows "
                         "mac_reduction output_match".split())
-        for variant, tokens, report, tps in results:
+        for variant in variants:
+            tokens, report, tps = results[variant]
             row = [variant.describe(), "" if tps is None else f"{tps:.3f}",
                    f"{report.cache_ratio:.6f}", report.total_query_rows,
                    f"{1.0 - report.total_macs / base_report.total_macs:.6f}",

@@ -167,14 +167,6 @@ def tokens_per_step_schedule(gen_len: int, steps: int, block_size: int) -> StepS
 _SMALLEST_TEMPERATURE = float(np.finfo(np.float32).smallest_subnormal)
 
 
-def _softmax(rows: np.ndarray) -> np.ndarray:
-    """Row softmax; one new array, exponentiated and normalised in place."""
-    probs = rows - rows.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
-
-
 def predict_x0(
     logits: np.ndarray,
     temperature: float,
@@ -182,31 +174,33 @@ def predict_x0(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predict clean tokens for masked rows.
 
-    Temperature 0 takes the argmax (ties to the lowest id); otherwise a
-    categorical sample from softmax(logits / temperature), each row
-    shifted by its max before the division, so a tiny temperature cannot
-    overflow it; one below float32's smallest subnormal divides as that
-    subnormal. Confidence is the post-softmax probability of the chosen
-    id and margin the gap between the top-2 probabilities, both at the
-    sampling temperature.
+    One softmax serves every temperature: each row is shifted by its max
+    and, at temperature > 0, divided by the temperature, so a tiny one
+    cannot overflow it; one below float32's smallest subnormal divides as
+    that subnormal. Temperature 0 then takes the argmax (ties to the
+    lowest id), any other a categorical sample. Confidence is the
+    post-softmax probability of the chosen id and margin the gap between
+    the top-2 probabilities, both at the sampling temperature. This
+    function is public, so it refuses a NaN, infinite or negative
+    temperature, which would otherwise decode silently.
     """
     if not (math.isfinite(temperature) and temperature >= 0):
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if logits.shape[1] < 2:
         raise ValueError("need at least two vocabulary entries")
-    if temperature == 0:
-        probs = _softmax(logits)
-        ids = np.argmax(probs, axis=1)
-    else:
-        # a tiny temperature sends every entry below the max to -inf; one
-        # below float32's smallest subnormal would divide by 0, and the
-        # max entry's 0 / 0 is NaN. Each row's max is then exactly 0, so
-        # the softmax needs no second shift.
-        probs = logits - logits.max(axis=1, keepdims=True)
+    # shifted first, each row's max is exactly 0 at every temperature, so
+    # the softmax needs no second shift and a tiny temperature sends only
+    # the entries below the max to -inf; one below float32's smallest
+    # subnormal would divide by 0, and the max entry's 0 / 0 is NaN
+    probs = logits - logits.max(axis=1, keepdims=True)
+    if temperature > 0:
         with np.errstate(over="ignore"):
             probs /= max(temperature, _SMALLEST_TEMPERATURE)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    if temperature == 0:
+        ids = np.argmax(probs, axis=1)
+    else:
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         draws = rng.random(logits.shape[0])

@@ -289,6 +289,24 @@ class TestBenchCommand:
         assert rows[1]["variant"] == "greedy(N=1,w=4,center=previous)"
         assert rows[1]["output_match"] == "1"
 
+    def test_each_variant_runs_once(self, tmp_path, monkeypatch):
+        runs, real = [], cli_mod.generate
+
+        def counted(*args, **kwargs):
+            runs.append(args[1].cache.describe())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "generate", counted)
+        path, out = write_config(tmp_path)
+        assert main(["bench", "--config", str(path), "--deterministic",
+                     "--variants", "decode:8,none,decode:8"]) == EXIT_OK
+        assert runs == ["none", "decode(N=8)"]
+        with open(out / "bench.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["variant"] for row in rows] == [
+            "decode(N=8)", "none", "decode(N=8)"]
+        assert rows[0] == rows[2]
+
     def test_repeat_median(self, tmp_path):
         path, out = write_config(tmp_path, deterministic=False)
         assert main(["bench", "--config", str(path),
@@ -296,6 +314,19 @@ class TestBenchCommand:
         with open(out / "bench.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["tokens_per_s"]) > 0
+
+    @pytest.mark.parametrize("text,name,part", [
+        ("decode:x", "refresh_interval", "x"),
+        ("greedy:8:x", "window_size", "x"),
+        ("greedy:8:4:left", "window_center", "left"),
+    ])
+    def test_bad_variant_parameter_named(self, tmp_path, capsys, text, name,
+                                         part):
+        path, _ = write_config(tmp_path, sampler={"remasking": "random"})
+        assert main(["bench", "--config", str(path),
+                     "--variants", f"none,{text}"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: cache variant '{text}': bad {name} '{part}'\n")
 
     def test_bad_variant_exit_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
@@ -342,24 +373,24 @@ class TestThreadCap:
             assert get() == 1
         assert get() == before
 
-    def test_threadpoolctl_cap_read_back(self, two_threads, monkeypatch):
-        get, set_ = two_threads
+    def test_bundled_openblas_capped_without_threadpoolctl(
+            self, two_threads, monkeypatch):
+        get, _ = two_threads
+        entered = []
         monkeypatch.setitem(sys.modules, "threadpoolctl",
-                            stub_threadpoolctl(set_))
+                            stub_threadpoolctl(entered.append))
         with _thread_cap(True):
             assert get() == 1
+        assert get() == 2
+        assert entered == []
 
-    def test_threadpoolctl_that_caps_nothing_refused(self, two_threads,
-                                                     monkeypatch, tmp_path,
-                                                     capsys):
-        # a threadpoolctl that does not recognise numpy's OpenBLAS
+    def test_threadpoolctl_caps_without_bundled_openblas(self, monkeypatch):
+        entered = []
         monkeypatch.setitem(sys.modules, "threadpoolctl",
-                            stub_threadpoolctl(lambda limits: None))
-        path, out = write_config(tmp_path)
-        assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
-        assert ("threadpoolctl left numpy's OpenBLAS at 2 threads"
-                in capsys.readouterr().err)
-        assert not out.exists()
+                            stub_threadpoolctl(entered.append))
+        monkeypatch.setattr(cli_mod, "_openblas_threads", lambda: None)
+        with _thread_cap(True):
+            assert entered == [1]
 
     def test_no_way_to_cap_refused(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)

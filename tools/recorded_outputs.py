@@ -1,7 +1,7 @@
 """Check deterministic CLI outputs against their recorded sha256 values.
 
 ``recorded_outputs.json`` holds a toy model, a base sampler config, a
-prompt and fourteen runs, each a cache variant with optional sampler
+prompt and fifteen runs, each a cache variant with optional sampler
 overrides and ``generate`` arguments, plus the sha256 of every file the
 run writes. This script writes each run's config into a temporary
 directory, runs ``dkvcache generate --deterministic`` on it, and compares
