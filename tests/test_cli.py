@@ -322,7 +322,7 @@ class TestBenchCommand:
     ])
     def test_bad_variant_parameter_named(self, tmp_path, capsys, text, name,
                                          part):
-        path, _ = write_config(tmp_path, sampler={"remasking": "random"})
+        path, _ = write_config(tmp_path)
         assert main(["bench", "--config", str(path),
                      "--variants", f"none,{text}"]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
