@@ -291,6 +291,10 @@ def verify_trace_invariants(trace: StepTrace) -> None:
     mask tokens remain in the generation region. Raises ValueError naming
     the violated invariant.
     """
+    final = trace.final_tokens
+    if final is not None and np.any(
+            final[trace.prompt_len:] == trace.mask_token_id):
+        raise ValueError("residual mask tokens in the generation region")
     decoded_total = 0
     seen: set[int] = set()
     prev_masked_count = trace.gen_len
@@ -307,24 +311,18 @@ def verify_trace_invariants(trace: StepTrace) -> None:
                 f"finalized-token immutability violated: step {rec.step} "
                 "re-decoded a position")
         lo, hi = rec.block
-        for pos in rec.decoded_positions:
+        for pos, tok in zip(rec.decoded_positions, rec.decoded_ids):
             if not lo <= pos < hi:
                 raise ValueError(
                     f"block containment violated at step {rec.step}: "
                     f"position {pos} outside block [{lo}, {hi})")
+            if final is not None and final[pos] != tok:
+                raise ValueError(
+                    f"finalized-token immutability violated: position {pos} "
+                    f"ended as {int(final[pos])}, decoded as {tok}")
         seen.update(rec.decoded_positions)
         decoded_total += k
         prev_masked_count -= k
     if decoded_total != trace.gen_len:
         raise ValueError(
             f"decoded {decoded_total} tokens, expected {trace.gen_len}")
-    if trace.final_tokens is not None:
-        final = np.asarray(trace.final_tokens)
-        gen = final[trace.prompt_len:]
-        if np.any(gen == trace.mask_token_id):
-            raise ValueError("residual mask tokens in the generation region")
-        for pos, tok in trace.decoded_id_of().items():
-            if int(final[pos]) != tok:
-                raise ValueError(
-                    f"finalized-token immutability violated: position {pos} "
-                    f"ended as {int(final[pos])}, decoded as {tok}")

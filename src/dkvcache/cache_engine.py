@@ -224,8 +224,10 @@ class CacheEngine:
     per-layer stores, each with the cached positions as its
     ``row_positions``; it is None before the first commit.
     ``predefined_order`` is the sampler's random decode order, step t's
-    decodes at entry t, kept as given; only greedy reads it, to plan
-    around the next decodes; ``_kept`` plans greedy's window there.
+    decodes at entry t, kept as given, or None under confidence
+    remasking. Greedy reads it to plan around the next decodes (``_kept``
+    plans greedy's window there), and ``sampler.decode_step`` reads step
+    t's decodes from it.
     """
 
     def __init__(

@@ -31,7 +31,6 @@ __all__ = [
     "Remasking",
     "NoiseSchedule",
     "SamplerConfig",
-    "GenerationState",
     "GenerationError",
     "StepSchedule",
     "alpha_bar",
@@ -263,25 +262,6 @@ class SamplerConfig:
                 "random remasking provides")
 
 
-@dataclass
-class GenerationState:
-    """Mutable state of one generation; single-owner, stepped sequentially
-    by ``generate``, whose loop counter is the step index.
-
-    ``order`` is the decode order of random remasking, drawn before step 0
-    by ``_draw_decode_order``: step t finalizes exactly ``order[t]``, a
-    sorted tuple, whatever the cache variant. It is None under confidence
-    remasking, which ranks each step's candidates instead. A position is
-    masked exactly when its token is the mask id: the prompt holds none,
-    and ``decode_step`` never proposes it.
-    """
-
-    tokens: np.ndarray
-    prompt_len: int
-    rng: np.random.Generator
-    order: list[tuple[int, ...]] | None = None
-
-
 class GenerationError(RuntimeError):
     """Generation failed mid-run; carries the partial trace for diagnosis."""
 
@@ -300,7 +280,8 @@ def _draw_decode_order(
     Each block's positions are permuted uniformly and split over the
     block's steps by the schedule's counts; entry t holds step t's
     decodes, sorted. ``generate`` draws it before step 0 for every cache
-    variant, so one seed decodes the same positions under each.
+    variant, so one seed decodes the same positions under each, and hands
+    it to the engine as its ``predefined_order``.
     """
     perm = np.concatenate([
         rng.permutation(np.arange(prompt_len + start, prompt_len + end))
@@ -312,7 +293,8 @@ def _draw_decode_order(
 
 
 def decode_step(
-    state: GenerationState,
+    tokens: np.ndarray,
+    rng: np.random.Generator,
     weights: ModelWeights,
     cfg: SamplerConfig,
     engine: CacheEngine,
@@ -322,36 +304,42 @@ def decode_step(
     timed: bool = True,
     kv_audit: bool = False,
 ) -> StepRecord:
-    """Run denoising step ``t``, mutating ``state`` and returning its record.
+    """Run denoising step ``t``: write its decodes into ``tokens`` and
+    return its record.
 
+    ``tokens`` is the prompt followed by the ``cfg.gen_len`` generation
+    positions, a position masked exactly when it holds the mask id.
     The plan fixes the compute set, and from it the logit rows: the
     positions whose logits the sampler reads. Under random remasking those
-    are the step's decodes from ``state.order``, read as they are
-    (``forward_partial`` rejects one the plan left uncomputed); under
-    confidence or margin remasking, the candidates, the masked positions
-    of the active block, all of which the plan computes. The forward pass
-    produces K/V for every compute row but logits only for the logit
-    rows, so ``predict_x0`` sees one row per logit row, and
-    ``select_to_unmask`` ranks the candidates by confidence or margin.
-    The logit rows are ascending in both cases (``order[t]`` is sorted),
-    so a decoded position's id is read at its rank among them.
+    are the step's decodes, ``engine.predefined_order[t]``, read as they
+    are (``forward_partial`` rejects one the plan left uncomputed); under
+    confidence or margin remasking, where that order is None, the
+    candidates, the masked positions of the active block, all of which the
+    plan computes. The forward pass produces K/V for every compute row but
+    logits only for the logit rows, so ``predict_x0`` sees one row per
+    logit row, and ``select_to_unmask`` ranks the candidates by confidence
+    or margin. The logit rows are ascending in both cases (the order's
+    entries are sorted), so a decoded position's id is read at its rank
+    among them.
     """
     mcfg = weights.config
     block_lo, block_hi = sched.blocks[sched.block_of[t]]
-    block = (state.prompt_len + block_lo, state.prompt_len + block_hi)
+    prompt_len = len(tokens) - cfg.gen_len
+    block = (prompt_len + block_lo, prompt_len + block_hi)
     k = sched.counts[t]
-    masked = state.tokens == mcfg.mask_token_id
+    masked = tokens == mcfg.mask_token_id
+    order = engine.predefined_order
 
     start_time = time.perf_counter() if timed else None
     plan = engine.plan_step(masked=masked, step=t)
     row_of = scatter_outputs(plan)
-    if state.order is None:
+    if order is None:
         # the candidates: plan_step serves no masked position from cache
         read = np.flatnonzero(masked[block[0]:block[1]]) + block[0]
     else:
-        chosen = state.order[t]
+        chosen = order[t]
         read = np.asarray(chosen, dtype=np.int64)
-    result = forward_partial(state.tokens, plan.compute_set,
+    result = forward_partial(tokens, plan.compute_set,
                              engine.slabs, weights,
                              logit_rows=row_of[read])
     engine.commit(plan, result.kv)
@@ -359,13 +347,13 @@ def decode_step(
     rows = result.logits
     # the absorbing state is not a clean token; never propose it as x0
     rows[:, mcfg.mask_token_id] = -np.inf
-    ids, confidence, margin = predict_x0(rows, cfg.temperature, state.rng)
-    if state.order is None:
+    ids, confidence, margin = predict_x0(rows, cfg.temperature, rng)
+    if order is None:
         scores = (margin if cfg.remasking is Remasking.TOP_MARGIN
                   else confidence)
         chosen = select_to_unmask(read, scores, k)
     chosen_ids = ids[np.searchsorted(read, chosen)]
-    state.tokens[list(chosen)] = chosen_ids
+    tokens[list(chosen)] = chosen_ids
     decoded_ids = tuple(chosen_ids.tolist())
     millis = ((time.perf_counter() - start_time) * 1000.0
               if start_time is not None else None)
@@ -442,12 +430,6 @@ def generate(
 
     tokens = np.full(seq_len, mcfg.mask_token_id, dtype=np.int64)
     tokens[:prompt.shape[0]] = prompt
-    state = GenerationState(
-        tokens=tokens,
-        prompt_len=prompt.shape[0],
-        rng=rng,
-        order=order,
-    )
     trace = StepTrace(
         records=[],
         prompt_len=prompt.shape[0],
@@ -468,8 +450,8 @@ def generate(
 
     try:
         for t in range(cfg.steps):
-            trace.records.append(decode_step(state, weights, cfg, engine,
-                                             sched, t, timed=timed,
+            trace.records.append(decode_step(tokens, rng, weights, cfg,
+                                             engine, sched, t, timed=timed,
                                              kv_audit=kv_audit))
             if layer is not None:
                 # the store is in natural order; copied, since the next
@@ -480,10 +462,10 @@ def generate(
         raise GenerationError(f"generation failed at step {t}: {exc}",
                               partial_trace=trace) from exc
 
-    left = np.count_nonzero(state.tokens == mcfg.mask_token_id)
+    left = np.count_nonzero(tokens == mcfg.mask_token_id)
     if left:
         raise GenerationError(
             f"{left} positions still masked after {cfg.steps} steps",
             partial_trace=trace)
-    trace.final_tokens = state.tokens.copy()
-    return state.tokens.copy(), trace
+    trace.final_tokens = tokens.copy()
+    return tokens.copy(), trace

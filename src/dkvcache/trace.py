@@ -94,13 +94,6 @@ class StepTrace:
                 out[int(pos)] = rec.step
         return out
 
-    def decoded_id_of(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for rec in self.records:
-            for pos, tok in zip(rec.decoded_positions, rec.decoded_ids):
-                out[int(pos)] = int(tok)
-        return out
-
     def snapshot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of the [steps, seq, width] key/value snapshots of the
         steps that ran, plus the per-position decode step (-1 for prompt

@@ -120,3 +120,26 @@ def test_verdict(tool, parent, change, expected):
 def test_run_refused(tool, output, reason):
     with pytest.raises(tool.Refused, match=reason):
         tool.parse_run(output)
+
+
+def test_mac_rates(tool, two_runs):
+    (_, parent), (_, change) = map(tool.parse_run, two_runs)
+    summary = tool.summarise([{"parent": parent, "change": change}],
+                             END_TO_END)
+    counts = {"decode-long": [1024, 8], "greedy-random": [80, 8]}
+    rates = {side: tool.mac_rates(counts, summary, side)
+             for side in ("parent", "change")}
+    assert rates["parent"] == {
+        "decode-long": {"macs_per_token": 128.0, "macs_per_s": 128.0 * 160},
+        "greedy-random": {"macs_per_token": 10.0, "macs_per_s": 10.0 * 160}}
+    assert rates["change"]["decode-long"]["macs_per_s"] == 128.0 * 170
+
+
+def test_count_macs_in_checkout(tool):
+    # decode's rows per step depend only on the schedule, so decode-long's
+    # count is the same for every seed; greedy's windows clip at the
+    # region's edges, so greedy-random's is not
+    counts = tool.count_macs(ROOT, 1)
+    assert counts["decode-long"] == [160_000_512 * 512, 512]
+    total, gen_len = counts["greedy-random"]
+    assert gen_len == 512 and 0 < total < counts["decode-long"][0]

@@ -16,9 +16,10 @@ from dkvcache import (
     generate,
     scatter_outputs,
 )
-from dkvcache import model_core, sampler as sampler_mod
+from dkvcache import init_weights, model_core, sampler as sampler_mod
 from dkvcache.cache_engine import ComputePlan
-from dkvcache.selftest import check_kept_rows, naive_next_cache, served_cache
+from dkvcache.selftest import (_TINY, LOGIT_TOL, check_kept_rows,
+                               naive_next_cache, served_cache)
 
 
 def make_slab(layer, positions, width=4, seed=0):
@@ -278,6 +279,66 @@ class TestKeptRows:
             assert row_bytes(slab, 7) == row_bytes(reference.kv[layer], 7)
             for pos in (2, 4, 5):
                 assert row_bytes(slab, pos) == row_bytes(served[layer], pos)
+
+
+def layer0_rows(weights, tokens):
+    """Float64 layer-0 keys and values of ``tokens`` at positions 0 ..
+    len - 1: embedding, RMS norm times ``attn_gain``, ``wk``/``wv``, and
+    each key pair (2i, 2i + 1) of a head turned by ``p * base**(-2i /
+    d_head)``, computed here rather than by ``rope_rows``."""
+    cfg, layer = weights.config, weights.layers[0]
+    x = weights.embedding[tokens].astype(np.float64)
+    x = x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6)
+    x = x * layer.attn_gain
+    keys, values = x @ layer.wk.astype(np.float64), x @ layer.wv.astype(np.float64)
+    half = cfg.d_head // 2
+    angles = (np.arange(len(tokens))[:, None, None]
+              * cfg.rope_base ** (-2.0 * np.arange(half) / cfg.d_head))
+    pairs = keys.reshape(len(tokens), cfg.n_heads, half, 2)
+    even, odd = pairs[..., 0], pairs[..., 1]
+    cos, sin = np.cos(angles), np.sin(angles)
+    rotated = np.stack([even * cos - odd * sin, even * sin + odd * cos], axis=-1)
+    return rotated.reshape(keys.shape), values
+
+
+class TestLayerZeroDelay:
+    """The one-step delay, checked exactly: a layer-0 row depends only on
+    its position and the token there, so after every commit each cached
+    position's layer-0 rows must be those of the token it holds now. A
+    row cached in the step that decodes its position would still be the
+    mask id's. Greedy's stale masked rows obey the rule too, since the
+    mask id is their token."""
+
+    @pytest.fixture(scope="class")
+    def weights(self):
+        return init_weights(_TINY)
+
+    @pytest.mark.parametrize("variant,remasking", [
+        *((v, Remasking.LOW_CONFIDENCE)
+          for v in ("none", "decode", "decode:8", "pd:8", "prefill")),
+        *((v, Remasking.RANDOM)
+          for v in ("decode", "greedy:8:4", "greedy:inf:4")),
+    ])
+    def test_cached_rows_are_the_current_tokens(self, weights, variant,
+                                                remasking):
+        prompt = np.arange(1, 9)
+        cfg = SamplerConfig(gen_len=64, steps=32, block_size=32,
+                            remasking=remasking,
+                            cache=CacheVariant.parse(variant))
+        _, trace = generate(prompt, cfg, weights, timed=False, kv_audit=True)
+        tokens = np.concatenate(
+            [prompt, np.full(64, _TINY.mask_token_id)])
+        worst, compared = 0.0, 0
+        for rec in trace.records:
+            tokens[list(rec.decoded_positions)] = rec.decoded_ids
+            positions, keys, values = rec.audit.cached_after[0]
+            ref_keys, ref_values = layer0_rows(weights, tokens)
+            worst = max(worst, *(float(np.abs(got - ref[positions]).max(
+                initial=0.0)) for got, ref in ((keys, ref_keys),
+                                               (values, ref_values))))
+            compared += len(positions)
+        assert worst <= LOGIT_TOL
+        assert compared or variant == "none"
 
 
 class TestStore:

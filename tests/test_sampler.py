@@ -206,16 +206,14 @@ class TestSelectToUnmask:
         cfg = SamplerConfig(gen_len=8, steps=4, block_size=8,
                             remasking=remasking)
         mask = weights.config.mask_token_id
-        state = sampler_mod.GenerationState(
-            tokens=np.array([1, 2, 3, 4] + [mask] * 8),
-            prompt_len=4, rng=np.random.default_rng(0))
+        tokens = np.array([1, 2, 3, 4] + [mask] * 8)
         engine = CacheEngine(cfg.cache, seq_len=12, prompt_len=4)
         record = sampler_mod.decode_step(
-            state, weights, cfg, engine, tokens_per_step_schedule(8, 4, 8),
-            0, timed=False)
+            tokens, np.random.default_rng(0), weights, cfg, engine,
+            tokens_per_step_schedule(8, 4, 8), 0, timed=False)
         expected = [16 + p for p in record.decoded_positions]
         assert list(record.decoded_ids) == expected
-        assert state.tokens[4:].tolist() == [
+        assert tokens[4:].tolist() == [
             16 + p if p in record.decoded_positions else mask
             for p in range(4, 12)]
         return record.decoded_positions
@@ -227,6 +225,30 @@ class TestSelectToUnmask:
     def test_top_margin(self, tiny_weights, monkeypatch):
         assert self.first_step(tiny_weights, monkeypatch,
                                Remasking.TOP_MARGIN) == (4, 5)
+
+
+class TestDecodeStep:
+    """``decode_step`` writes into the caller's tokens, takes the prompt
+    length from their count and, under random remasking, decodes the
+    engine's predefined order."""
+
+    @pytest.mark.parametrize("prompt_len", [4, 0])
+    def test_random_order_read_from_engine(self, tiny_weights, prompt_len):
+        cfg = SamplerConfig(gen_len=4, steps=2, block_size=4,
+                            remasking=Remasking.RANDOM)
+        mask = tiny_weights.config.mask_token_id
+        tokens = np.array([*range(1, prompt_len + 1)] + [mask] * 4)
+        order = [(prompt_len + 1, prompt_len + 3), (prompt_len, prompt_len + 2)]
+        engine = CacheEngine(cfg.cache, seq_len=prompt_len + 4,
+                             prompt_len=prompt_len, predefined_order=order)
+        record = sampler_mod.decode_step(
+            tokens, np.random.default_rng(0), tiny_weights, cfg, engine,
+            tokens_per_step_schedule(4, 2, 4), 0, timed=False)
+        assert record.decoded_positions == order[0]
+        assert record.block == (prompt_len, prompt_len + 4)
+        decoded = dict(zip(order[0], record.decoded_ids))
+        assert tokens.tolist() == [*range(1, prompt_len + 1)] + [
+            decoded.get(p, mask) for p in range(prompt_len, prompt_len + 4)]
 
 
 class TestDecodeOrder:

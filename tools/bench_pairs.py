@@ -24,7 +24,9 @@ run's end-to-end metrics per pair, and per metric both medians, the
 parent's interquartile range, in how many pairs the change was better
 and a verdict under the metric's ``bound`` in ``BENCHMARK.json``:
 ``gain``, ``worse``, ``unresolved`` or ``within bound`` (see
-``_verdict``). Exits 0 when the file is written, 1 otherwise.
+``_verdict``). Beside them, not as a verdict metric, it records each
+side's MACs per second per workload (see ``count_macs`` and
+``mac_rates``). Exits 0 when the file is written, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -160,6 +162,57 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+# Run in a tree's root with the seed as its argument: one untimed
+# generation of each perfbench workload's config on the workload's first
+# input, printing {workload: [total MACs, gen_len]}
+_COUNT_MACS = """\
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+import dkvcache
+from workloads import TOY_MODEL, WORKLOADS, make_inputs
+weights = dkvcache.init_weights(dkvcache.ModelConfig(**TOY_MODEL))
+macs = {}
+for name, w in WORKLOADS.items():
+    inp = make_inputs(w, int(sys.argv[1]))[0]
+    cfg = dkvcache.SamplerConfig(
+        gen_len=w.gen_len, steps=w.steps, block_size=w.block_size,
+        remasking=dkvcache.Remasking(w.remasking), temperature=0.0,
+        sample_seed=inp.sample_seed,
+        cache=dkvcache.CacheVariant.parse(w.variant))
+    _, trace = dkvcache.generate(inp.prompt, cfg, weights, timed=False)
+    macs[name] = [dkvcache.analysis.build_report(trace).total_macs, w.gen_len]
+print(json.dumps(macs))
+"""
+
+
+def count_macs(tree: Path, seed: int) -> dict[str, list[int]]:
+    """{workload: [total MACs, gen_len]} of one untimed generation per
+    perfbench workload, run by ``tree``'s own package on
+    ``make_inputs(workload, seed)[0]``; ``build_report`` counts the MACs
+    exactly."""
+    proc = subprocess.run([sys.executable, "-B", "-c", _COUNT_MACS, str(seed)],
+                          cwd=tree, stdout=subprocess.PIPE, text=True,
+                          check=False)
+    if proc.returncode:
+        raise Refused(f"counting MACs in {tree.name} exited {proc.returncode}")
+    return json.loads(proc.stdout)
+
+
+def mac_rates(counts: dict[str, list[int]], summary: dict,
+              side: str) -> dict:
+    """Per workload of ``count_macs``'s ``counts``: ``macs_per_token``,
+    total MACs over gen_len, and ``macs_per_s``, that times ``side``'s
+    tokens_per_s median in ``summary``. This puts both workloads on one
+    scale with a large sgemm; it is not a verdict metric."""
+    rates = {}
+    for name, (total, gen_len) in counts.items():
+        per_token = total / gen_len
+        tokens_per_s = summary[f"{name}/tokens_per_s"][f"{side}_median"]
+        rates[name] = {"macs_per_token": per_token,
+                       "macs_per_s": per_token * tokens_per_s}
+    return rates
+
+
 def _run(tree: Path, argv: list[str]) -> tuple[dict, dict]:
     proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True,
                           check=False)
@@ -180,6 +233,8 @@ def pairs_file(args) -> Path:
         trees = {side: Path(tmp) / side for side in shas}
         for side, tree in trees.items():
             _export(shas[side], tree)
+        macs = {side: count_macs(tree, args.first_seed)
+                for side, tree in trees.items()}
         for i in range(args.pairs):
             seed = args.first_seed + i
             command = [*bench["command"], "--workload", "all", "--seed",
@@ -207,6 +262,8 @@ def pairs_file(args) -> Path:
         "pairs": pairs,
         "summary": summarise(pairs, bench["end_to_end"]),
     }
+    record["macs"] = {side: mac_rates(macs[side], record["summary"], side)
+                      for side in shas}
     path = ROOT / f"BENCH_{args.name}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     return path
