@@ -333,9 +333,9 @@ class TestLayerZeroDelay:
             tokens[list(rec.decoded_positions)] = rec.decoded_ids
             positions, keys, values = rec.audit.cached_after[0]
             ref_keys, ref_values = layer0_rows(weights, tokens)
-            worst = max(worst, *(float(np.abs(got - ref[positions]).max(
-                initial=0.0)) for got, ref in ((keys, ref_keys),
-                                               (values, ref_values))))
+            for got, ref in ((keys, ref_keys), (values, ref_values)):
+                worst = max(worst, float(np.abs(got - ref[positions]).max(
+                    initial=0.0)))
             compared += len(positions)
         assert worst <= LOGIT_TOL
         assert compared or variant == "none"

@@ -249,6 +249,7 @@ def pairs_file(args) -> Path:
                   file=sys.stderr)
     if any(env != envs[0] for env in envs):
         raise Refused("the runs reported different environments")
+    summary = summarise(pairs, bench["end_to_end"])
     record = {
         "name": args.name,
         "shas": shas,
@@ -260,10 +261,9 @@ def pairs_file(args) -> Path:
                        "--name", args.name],
         "workdir": "the root of a git archive export of each sha",
         "pairs": pairs,
-        "summary": summarise(pairs, bench["end_to_end"]),
+        "summary": summary,
+        "macs": {side: mac_rates(macs[side], summary, side) for side in shas},
     }
-    record["macs"] = {side: mac_rates(macs[side], record["summary"], side)
-                      for side in shas}
     path = ROOT / f"BENCH_{args.name}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     return path
